@@ -2,7 +2,9 @@
 double-cover invariants, and GKZ/tautological period systems.
 
 All types are immutable values and all operations are pure functions, so
-everything here is safe to use from multiple threads.
+everything here is safe to use from multiple threads.  A NefPartition
+computes its dual and MPCP side on first read and keeps them; threads that
+race on that first read compute equal values.
 """
 
 from .errors import (

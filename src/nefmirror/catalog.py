@@ -23,7 +23,6 @@ from .lattice import convex_hull, normalized_volume
 from .nefpart import (
     build_nef_partition,
     cayley_cone_duality_check,
-    dualize,
     s_polytope,
 )
 from .periods import (
@@ -181,7 +180,7 @@ def run_entry(entry):
     if "s_volume" in expected and s_vol != expected["s_volume"]:
         failures.append(f"s_volume: computed {s_vol}, "
                         f"expected {expected['s_volume']}")
-    dual = dualize(np_)
+    dual = np_.dual
     if s_vol != normalized_volume(dual.nabla_polar):
         failures.append("volume identity vol(S) == vol(nabla polar) failed")
     if not cayley_cone_duality_check(np_):

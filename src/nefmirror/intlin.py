@@ -32,18 +32,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vneg(u):
-    return tuple(-a for a in u)
-
-
-def vscale(c, u):
-    return tuple(canon_num(c * a) for a in u)
-
-
 def is_integral(v):
     return all(isinstance(canon_num(x), int) for x in v)
 

@@ -23,18 +23,14 @@ from .lattice import (
     lattice_points,
     mixed_area,
     normalized_volume,
-    polar_dual,
     pyramid,
 )
-from .nefpart import dualize
 from .toric import (
     divisor_from_polytope,
     divisor_polytope,
-    hodge_numbers_smooth_toric,
     is_complete,
     is_nef,
     is_smooth,
-    mpcp_fan,
 )
 
 
@@ -73,6 +69,25 @@ def cayley_pyramid_volume(polytopes):
     return normalized_volume(lam)
 
 
+def _pyramid_volumes(polytopes):
+    """vol_{n+|J|}(Lambda_J) for every nonempty J, keyed by the index
+    tuple J."""
+    k = len(polytopes)
+    return {subset: cayley_pyramid_volume([polytopes[j] for j in subset])
+            for size in range(1, k + 1)
+            for subset in combinations(range(k), size)}
+
+
+def _dk_sum(n, volumes, indices):
+    """Danilov-Khovanskii chi of the intersection over the given indices
+    with the torus: - sum_{0 != J} (-1)^{n+|J|-1} vol(Lambda_J)."""
+    total = 0
+    for size in range(1, len(indices) + 1):
+        for subset in combinations(indices, size):
+            total -= (-1) ** (n + size - 1) * volumes[subset]
+    return total
+
+
 def dk_euler(fan, divisors):
     """Euler characteristic of D_1 cap ... cap D_k cap T for general nef
     divisors, by Danilov-Khovanskii:
@@ -86,15 +101,8 @@ def dk_euler(fan, divisors):
             raise InputError("divisor lives on a different fan")
         if not is_nef(d):
             raise DomainError("dk_euler needs nef divisors")
-    polytopes = [divisor_polytope(d) for d in divisors]
-    n = fan.ambient_dim
-    k = len(polytopes)
-    total = 0
-    for size in range(1, k + 1):
-        for subset in combinations(range(k), size):
-            vol = cayley_pyramid_volume([polytopes[j] for j in subset])
-            total -= (-1) ** (n + size - 1) * vol
-    return total
+    volumes = _pyramid_volumes([divisor_polytope(d) for d in divisors])
+    return _dk_sum(fan.ambient_dim, volumes, tuple(range(len(divisors))))
 
 
 def branched_cover_euler(chi_x, chi_d, r):
@@ -109,34 +117,19 @@ def branched_cover_euler(chi_x, chi_d, r):
 # the mirror pair
 # ---------------------------------------------------------------------------
 
-def _side_data(polytope):
-    """(fan, chi) for the MPCP desingularization of P_Delta, with chi
-    cross-checked against the polar volume."""
-    fan, unimodular = mpcp_fan(polytope)
-    if not unimodular:
-        raise SmoothnessError(
-            "MPCP fan is not unimodular; the smoothness assumption fails")
-    chi = len(fan.max_cones)
-    if chi != normalized_volume(polar_dual(polytope)):
-        raise ConsistencyError("maximal-cone count disagrees with polar volume")
-    return fan, chi
-
-
 def double_cover_invariants(nef_partition):
     """Invariants of the double covers attached to a nef-partition and its
     Batyrev-Borisov dual.  Requires smooth MPCP fans on both sides."""
     np_ = nef_partition
     n = np_.dim
-    dual = dualize(np_)
-    fan_x, chi_x = _side_data(np_.delta)
-    fan_xd, chi_xd = _side_data(dual.nabla)
+    dual = np_.dual.nef_partition
+    fan_x, h_x = np_.mpcp
+    fan_xd, h_xd = dual.mpcp
+    chi_x = len(fan_x.max_cones)
+    chi_xd = len(fan_xd.max_cones)
     sign = (-1) ** n
     chi_y = chi_x + sign * chi_xd
     chi_yd = chi_xd + sign * chi_x
-    h_x, chi_check = hodge_numbers_smooth_toric(fan_x)
-    h_xd, chi_check_d = hodge_numbers_smooth_toric(fan_xd)
-    if chi_check != chi_x or chi_check_d != chi_xd:
-        raise ConsistencyError("Hodge h-vector disagrees with cone count")
     offdiag = []
     for p in range(n + 1):
         for q in range(n + 1):
@@ -164,7 +157,7 @@ def verify_mirror_duality(nef_partition):
     n = np_.dim
     r = np_.r
     inv = double_cover_invariants(np_)
-    fan_x, _ = _side_data(np_.delta)
+    fan_x, _ = np_.mpcp
 
     divisors = [divisor_from_polytope(fan_x, poly)
                 for poly in np_.section_polytopes]
@@ -176,23 +169,10 @@ def verify_mirror_duality(nef_partition):
         if poly != section:
             raise ConsistencyError("pullback changed a section polytope")
 
-    volumes = {}
-    for size in range(1, r + 1):
-        for subset in combinations(range(r), size):
-            volumes[subset] = cayley_pyramid_volume(
-                [polytopes[j] for j in subset])
-
-    def chi_torus_intersection(subset):
-        total = 0
-        for size in range(1, len(subset) + 1):
-            for sub in combinations(subset, size):
-                total -= (-1) ** (n + size - 1) * volumes[sub]
-        return total
-
+    volumes = _pyramid_volumes(polytopes)
     chi_union = 0
-    for size in range(1, r + 1):
-        for subset in combinations(range(r), size):
-            chi_union += (-1) ** (size - 1) * chi_torus_intersection(subset)
+    for subset in volumes:
+        chi_union += (-1) ** (len(subset) - 1) * _dk_sum(n, volumes, subset)
 
     chi_branch = inv.chi_X + chi_union
     chi_y_dk = branched_cover_euler(inv.chi_X, chi_branch, 2)
@@ -242,9 +222,7 @@ def surface_node_count_from(fan, polytopes):
 def _facet_lattice_length(polytope, rho):
     """Lattice length of the facet of a polygon with inner normal rho
     (zero when absent or when the polytope is lower-dimensional)."""
-    if polytope.dim < 1:
-        return 0
-    if polytope.dim == 1:
+    if polytope.dim < 2:
         return 0
     for normal, offset in polytope.facets:
         if normal == rho:
@@ -260,5 +238,5 @@ def surface_node_count(nef_partition):
     six-line K3 configuration)."""
     if nef_partition.dim != 2:
         raise InputError("node counts are for surfaces")
-    fan, _ = _side_data(nef_partition.delta)
+    fan, _ = nef_partition.mpcp
     return surface_node_count_from(fan, list(nef_partition.section_polytopes))

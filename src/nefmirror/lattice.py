@@ -240,12 +240,6 @@ def _to_chart(origin, basis, point):
     return canon_vec(y)
 
 
-def _from_chart(origin, basis, y):
-    d = len(origin)
-    return canon_vec(tuple(origin[i] + sum(y[j] * basis[j][i] for j in range(len(y)))
-                           for i in range(d)))
-
-
 def _lift_inequality(origin, basis, normal, offset):
     """Map a chart inequality back to an ambient one on the affine span."""
     d = len(origin)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import ConsistencyError, InputError
+from .errors import ConsistencyError, InputError, SmoothnessError
 from .lattice import (
     convex_hull,
     dual_cone,
@@ -20,12 +21,15 @@ from .lattice import (
     lattice_points,
     make_cone,
     minkowski_sum_all,
+    normalized_volume,
     polar_dual,
 )
 from .toric import (
     ToricDivisor,
     divisor_polytope,
+    hodge_numbers_smooth_toric,
     is_nef,
+    mpcp_fan,
     normal_fan,
 )
 
@@ -33,7 +37,11 @@ from .toric import (
 @dataclass(frozen=True)
 class NefPartition:
     """A reflexive polytope with a nef ray partition and the derived
-    section polytopes (in the order of the parts)."""
+    section polytopes (in the order of the parts).
+
+    The Batyrev-Borisov dual (``dual``) and the MPCP side (``mpcp``) are
+    computed on first read and kept on the object; equality and hashing
+    use the four fields only."""
 
     delta: object
     fan: object            # normal fan of delta
@@ -47,6 +55,25 @@ class NefPartition:
     @property
     def dim(self):
         return self.delta.ambient_dim
+
+    @cached_property
+    def dual(self):
+        """The DualNefPartition of this partition: ``dualize(self)``."""
+        return dualize(self)
+
+    @cached_property
+    def mpcp(self):
+        """(fan, h_vector) of the MPCP desingularization of P_delta.  Its
+        Euler characteristic, the maximal-cone count, is cross-checked
+        against the polar volume and the h-vector sum."""
+        fan, unimodular = mpcp_fan(self.delta)
+        if not unimodular:
+            raise SmoothnessError(
+                "MPCP fan is not unimodular; the smoothness assumption fails")
+        if len(fan.max_cones) != normalized_volume(polar_dual(self.delta)):
+            raise ConsistencyError("maximal-cone count disagrees with polar volume")
+        h_vector, _chi = hodge_numbers_smooth_toric(fan)
+        return fan, h_vector
 
     def __repr__(self):
         return f"NefPartition(dim={self.dim}, r={self.r}, parts={self.parts})"
@@ -166,16 +193,10 @@ def cayley_cone(nef_partition):
 
 def cayley_cone_duality_check(nef_partition):
     """dual_cone(sigma_Delta) == sigma_nabla, the reflexive Gorenstein cone
-    pair of index r."""
-    dual = dualize(nef_partition)
-    sigma_delta = cayley_cone(nef_partition)
-    sigma_nabla_gens = []
-    r = nef_partition.r
-    for k, poly in enumerate(dual.nabla_parts):
-        e = tuple(1 if j == k else 0 for j in range(r))
-        sigma_nabla_gens.extend(e + v for v in poly.vertices)
-    sigma_nabla = make_cone(sigma_nabla_gens)
-    return dual_cone(sigma_delta) == sigma_nabla
+    pair of index r.  sigma_nabla is the Cayley cone of the dual partition,
+    whose section polytopes dualize asserts to be the nabla_k."""
+    sigma_nabla = cayley_cone(nef_partition.dual.nef_partition)
+    return dual_cone(cayley_cone(nef_partition)) == sigma_nabla
 
 
 def s_polytope(nef_partition):

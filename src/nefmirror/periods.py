@@ -22,7 +22,7 @@ from itertools import combinations, combinations_with_replacement
 from .errors import DomainError, InputError
 from .intlin import integer_kernel_basis
 from .lattice import lattice_points
-from .nefpart import DualNefPartition, NefPartition, dualize
+from .nefpart import DualNefPartition, NefPartition
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def gkz_data(partition, side="primal"):
         groups = (partition.nabla_parts if side == "dual"
                   else partition.nef_partition.section_polytopes)
     elif isinstance(partition, NefPartition):
-        groups = (dualize(partition).nabla_parts if side == "dual"
+        groups = (partition.dual.nabla_parts if side == "dual"
                   else partition.section_polytopes)
     else:
         raise InputError("expected a NefPartition or DualNefPartition")

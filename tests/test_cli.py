@@ -3,12 +3,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import nefmirror
 
 CLI = [sys.executable, "-m", "nefmirror.cli"]
+# The source root of the package under test, so the CLI child imports the
+# same tree as this process, installed or not.
+SOURCE_ROOT = str(Path(nefmirror.__file__).resolve().parent.parent)
 
 
 def run_cli(*args, env_extra=None, **kwargs):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SOURCE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
