@@ -30,7 +30,7 @@ from .errors import (
     SmoothnessError,
 )
 from .invariants import double_cover_invariants, verify_mirror_duality
-from .nefpart import dualize, nef_partition_from_json
+from .nefpart import nef_partition_from_json
 from .periods import (
     gkz_data,
     gkz_matrix_text,
@@ -76,7 +76,7 @@ def _dumps(doc):
 
 def cmd_dualize(args):
     np_, _entry = _resolve_nef_partition(args.input)
-    dual = dualize(np_)
+    dual = np_.dual
     doc = {
         "nabla_vertices": [list(v) for v in dual.nabla.vertices],
         "parts": [list(p) for p in dual.nef_partition.parts],

@@ -1,6 +1,9 @@
 """Exact integer/rational linear algebra on plain tuples.
 
-No floats anywhere: entries are ints or fractions.Fraction.  Vectors are
+No floats anywhere: entries are ints or fractions.Fraction.  Elimination
+runs over the integers (one fraction-free Bareiss routine); Fraction
+enters only through rational inputs, which are scaled once by a common
+denominator, and through results that are genuinely rational.  Vectors are
 tuples, matrices are lists/tuples of row tuples.  This is deliberately
 small-scale code (dimensions <= 8, a few dozen rows) written for clarity
 and determinism, not asymptotics.
@@ -8,7 +11,7 @@ and determinism, not asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Num = "int | Fraction"
 
@@ -57,35 +60,56 @@ def primitivize(v):
     return tuple(x // g for x in ints)
 
 
-def _rref(rows):
-    """Reduced row echelon form over Q.  Returns (rref_rows, pivot_cols)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination over Z (Bareiss, Math. Comp.
+    22, 1968): each pivot step replaces every other row by
+    (p*row - f*pivot_row) / previous pivot, an exact integer division.
+    Rational input is scaled once by the lcm of its denominators.  Returns
+    (m, pivots, last, sign, scale) with m = last * rref(scale * rows), rows
+    in swapped order, and last = sign * det(scale * rows) for a square
+    nonsingular matrix (last = 1 when there is no pivot).
+    """
+    scale = lcm(*{x.denominator for row in rows for x in row})
+    m = [[int(x * scale) for x in row] for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
-    r = 0
+    last, sign = 1, 1
     for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        m[r] = [x / piv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return m, pivots
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            sign = -sign
+        prow = m[r]
+        p = prow[c]
+        for i in range(nrows):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(p * a - f * b) // last for a, b in zip(m[i], prow)]
+        pivots.append(c)
+        last = p
+    return m, pivots, last, sign, scale
+
+
+def _quotient(a, b):
+    """a / b as an int when exact, else as a Fraction."""
+    q, r = divmod(a, b)
+    return q if r == 0 else Fraction(a, b)
+
+
+def pivot_columns(rows):
+    """Pivot columns of the row echelon form: each column that is not in
+    the span of the columns before it."""
+    return _eliminate(rows)[1]
 
 
 def matrix_rank(rows):
-    if not rows:
-        return 0
-    return len(_rref(rows)[1])
+    return len(pivot_columns(rows))
 
 
 def solve_linear(rows, rhs):
@@ -93,15 +117,15 @@ def solve_linear(rows, rhs):
     or None when the system is inconsistent."""
     if not rows:
         return ()
-    aug = [tuple(row) + (b,) for row, b in zip(rows, rhs)]
-    m, pivots = _rref(aug)
     ncols = len(rows[0])
+    m, pivots, last, _, _ = _eliminate(
+        [tuple(row) + (b,) for row, b in zip(rows, rhs)])
     if ncols in pivots:  # pivot in the rhs column
         return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return canon_vec(x)
+    x = [0] * ncols
+    for row, c in zip(m, pivots):
+        x[c] = _quotient(row[ncols], last)
+    return tuple(x)
 
 
 def nullspace(rows):
@@ -109,38 +133,26 @@ def nullspace(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    m, pivots = _rref(rows)
+    m, pivots, last, _, _ = _eliminate(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -m[i][f]
-        basis.append(canon_vec(v))
+        v = [0] * ncols
+        v[f] = 1
+        for row, c in zip(m, pivots):
+            v[c] = _quotient(-row[f], last)
+        basis.append(tuple(v))
     return basis
 
 
 def det(rows):
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
+    """Exact determinant of a square matrix: the signed final pivot of the
+    elimination, divided by the scale of rational input."""
     n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        piv = m[c][c]
-        result *= piv
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / piv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return canon_num(sign * result)
+    _, pivots, last, sign, scale = _eliminate(rows)
+    if len(pivots) < n:
+        return 0
+    return _quotient(sign * last, scale ** n)
 
 
 def integer_kernel_basis(rows):
@@ -191,13 +203,12 @@ def saturated_span_basis(vectors):
 
 
 def invert_unimodular(rows):
-    """Exact inverse of an integer matrix with determinant +-1."""
+    """Exact inverse of an integer matrix with determinant +-1, from one
+    elimination of [rows | I]."""
     n = len(rows)
-    inv_cols = []
-    for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        col = solve_linear(rows, rhs)
-        if col is None or not is_integral(col):
-            raise ValueError("matrix is not unimodular")
-        inv_cols.append([int(x) for x in col])
-    return [tuple(inv_cols[j][i] for j in range(n)) for i in range(n)]
+    m, pivots, last, _, _ = _eliminate(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)])
+    if pivots != list(range(n)) or any(x % last for row in m for x in row[n:]):
+        raise ValueError("matrix is not unimodular")
+    return [tuple(x // last for x in row[n:]) for row in m]

@@ -35,6 +35,7 @@ from .intlin import (
     is_integral,
     matrix_rank,
     nullspace,
+    pivot_columns,
     primitivize,
     saturated_span_basis,
     solve_linear,
@@ -122,15 +123,11 @@ class Triangulation:
 # ---------------------------------------------------------------------------
 
 def _affine_basis_indices(points):
-    """Greedy lex-order selection of affinely independent points."""
-    chosen = [0]
-    dirs = []
-    for i in range(1, len(points)):
-        cand = vsub(points[i], points[chosen[0]])
-        if matrix_rank(dirs + [cand]) > len(dirs):
-            dirs.append(cand)
-            chosen.append(i)
-    return chosen
+    """Greedy in-order choice of affinely independent points: the pivot
+    columns of one elimination of the difference vectors."""
+    base = points[0]
+    diffs = [vsub(p, base) for p in points[1:]]
+    return [0] + [c + 1 for c in pivot_columns(list(zip(*diffs)))]
 
 
 def _facet_hyperplane(points, interior_ref):
@@ -151,13 +148,13 @@ def _full_dim_hull(points):
     """Incremental beneath-beyond hull of a full-dimensional point set.
 
     Returns (vertices, facets, nvolume).  Facets are merged geometric
-    facets; the triangulated surface built along the way is used to get the
-    normalized volume as a sum of simplex determinants around an interior
-    reference point.
+    facets, oriented by the interior reference point ``ref``; the
+    triangulated surface built along the way gives the normalized volume as
+    a sum of simplex determinants coned from the first point, a vertex,
+    which keeps them integral for lattice polytopes.
     """
     d = len(points[0])
-    order = sorted(range(len(points)), key=lambda i: points[i])
-    points = [points[i] for i in order]
+    points = sorted(points)
     start = _affine_basis_indices(points)
     ref = tuple(canon_num(sum(Fraction(points[i][k]) for i in start) / (d + 1))
                 for k in range(d))
@@ -207,9 +204,10 @@ def _full_dim_hull(points):
 
     # merge coplanar simplicial facets into geometric facets
     merged = sorted(set(facets.values()))
+    apex = points[0]
     volume = 0
-    for fs, (n, c) in facets.items():
-        volume += abs(det([vsub(points[i], ref) for i in sorted(fs)]))
+    for fs in facets:
+        volume += abs(det([vsub(points[i], apex) for i in sorted(fs)]))
     # vertices: points whose active facet normals span R^d
     vertices = []
     for i, p in enumerate(points):
@@ -454,27 +452,13 @@ def make_cone(generators, ambient_dim=None):
 
 def cone_hrep(generators):
     """H-representation of cone(generators): (inequalities, equations),
-    inequalities as primitive normals n with <x, n> >= 0."""
+    inequalities as primitive normals n with <x, n> >= 0.  These are the
+    facets through the origin, and the equations, of conv(gens + origin)."""
     gens = [primitivize(g) for g in generators]
-    d = len(gens[0])
-    span = saturated_span_basis(gens)
-    equations = [tuple(k) for k in integer_kernel_basis(span)] if len(span) < d else []
-    if len(span) < d:
-        # work in the span's chart
-        origin = tuple(0 for _ in range(d))
-        chart_gens = [_to_chart(origin, span, g) for g in gens]
-        chart_ineqs, _ = cone_hrep(chart_gens)
-        ineqs = []
-        for n in chart_ineqs:
-            lifted, _ = _lift_inequality(origin, span, n, 0)
-            ineqs.append(lifted)
-        return sorted(ineqs), sorted(equations)
-    zero = tuple(0 for _ in range(d))
-    hull = convex_hull(list(gens) + [zero])
-    if hull.dim != d:
-        raise ConsistencyError("cone span computation disagrees with hull")
+    zero = tuple(0 for _ in gens[0])
+    hull = convex_hull(gens + [zero])
     ineqs = sorted(n for n, c in hull.facets if c == 0)
-    return ineqs, []
+    return ineqs, sorted(n for n, _ in hull.equations)
 
 
 def cone_contains(cone, vector):
@@ -501,18 +485,17 @@ def dual_cone(cone):
 def pulling_triangulation(points):
     """Iterated pulling triangulation of a full-dimensional configuration.
 
-    Points are pulled in lexicographic order; each pull stars the cells
-    containing the point over their facets.  Every configuration point ends
-    up a vertex, and the result restricts consistently to faces, which is
-    what makes the per-facet boundary triangulations below glue into a fan.
+    Points are pulled in the order given; each pull stars the cells
+    containing the point over their facets.  Every point ends up a vertex,
+    and the result restricts to each face as the pulling of that face in
+    the same order, so facets pulled in one global order glue into a fan.
     Returns simplices as sorted index tuples.
     """
     pts = [canon_vec(p) for p in points]
     f = len(pts[0])
     if f == 0:
         return [(0,)]
-    order = sorted(range(len(pts)), key=lambda i: pts[i])
-    cells = [tuple(sorted(range(len(pts))))]
+    cells = [tuple(range(len(pts)))]
     hull_cache = {}
 
     def cell_hull(cell):
@@ -520,8 +503,7 @@ def pulling_triangulation(points):
             hull_cache[cell] = convex_hull([pts[i] for i in cell])
         return hull_cache[cell]
 
-    for a in order:
-        pa = pts[a]
+    for a, pa in enumerate(pts):
         next_cells = []
         for cell in cells:
             if a not in cell or len(cell) == f + 1:

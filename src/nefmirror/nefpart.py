@@ -172,9 +172,7 @@ def dualize(nef_partition):
 
 def double_dual_check(nef_partition):
     """Dualize twice and compare with the original (polytope, parts)."""
-    dual = dualize(nef_partition)
-    double = dualize(dual.nef_partition)
-    back = double.nef_partition
+    back = nef_partition.dual.nef_partition.dual.nef_partition
     return (back.delta == nef_partition.delta
             and back.parts == nef_partition.parts)
 

@@ -1,0 +1,166 @@
+"""The exact elimination kernel against reference definitions.
+
+Reference values come from definitions that share no code with
+``nefmirror.intlin``: the Leibniz expansion for determinants, and the
+largest nonvanishing minor for ranks.  Matrices are small (up to 4x5) with
+int or Fraction entries.
+"""
+from fractions import Fraction
+from itertools import combinations, permutations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nefmirror.intlin import (
+    det,
+    invert_unimodular,
+    matrix_rank,
+    nullspace,
+    solve_linear,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+ints = st.integers(-4, 4)
+fracs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+entries = st.one_of(ints, fracs)
+
+
+def matrices(nrows, ncols, elements=entries):
+    return st.lists(st.lists(elements, min_size=ncols, max_size=ncols)
+                    .map(tuple), min_size=nrows, max_size=nrows)
+
+
+shapes = st.tuples(st.integers(1, 4), st.integers(1, 5))
+any_matrix = shapes.flatmap(lambda s: matrices(*s))
+square = st.integers(1, 4).flatmap(lambda n: matrices(n, n))
+
+
+def leibniz(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2)
+                         if perm[i] > perm[j])
+        term = Fraction((-1) ** inversions)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def minor_rank(rows):
+    """Largest k with a nonzero k x k minor."""
+    nrows, ncols = len(rows), len(rows[0])
+    for k in range(min(nrows, ncols), 0, -1):
+        for rs in combinations(range(nrows), k):
+            for cs in combinations(range(ncols), k):
+                if leibniz([[rows[r][c] for c in cs] for r in rs]) != 0:
+                    return k
+    return 0
+
+
+def matvec(rows, x):
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
+
+
+def is_canonical(x):
+    """Exact results are ints when integral, Fractions otherwise."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@SETTINGS
+@given(square)
+def test_det_is_leibniz(rows):
+    value = det(rows)
+    assert value == leibniz(rows)
+    assert is_canonical(value)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n, ints)))
+def test_det_of_integer_matrix_is_int(rows):
+    assert type(det(rows)) is int
+
+
+@SETTINGS
+@given(any_matrix)
+def test_rank_is_largest_nonzero_minor(rows):
+    assert matrix_rank(rows) == minor_rank(rows)
+
+
+@SETTINGS
+@given(any_matrix)
+def test_nullspace_spans_kernel(rows):
+    basis = nullspace(rows)
+    ncols = len(rows[0])
+    assert len(basis) == ncols - matrix_rank(rows)
+    for v in basis:
+        assert len(v) == ncols
+        assert all(is_canonical(x) for x in v)
+        assert all(x == 0 for x in matvec(rows, v))
+    if basis:
+        assert minor_rank(basis) == len(basis)
+
+
+@SETTINGS
+@given(shapes.flatmap(lambda s: st.tuples(matrices(*s),
+                                          st.lists(entries, min_size=s[0],
+                                                   max_size=s[0]))))
+def test_solve_linear_exactly_when_consistent(system):
+    rows, rhs = system
+    x = solve_linear(rows, rhs)
+    augmented = [row + (b,) for row, b in zip(rows, rhs)]
+    if minor_rank(augmented) > minor_rank(rows):
+        assert x is None
+    else:
+        assert x is not None
+        assert all(is_canonical(v) for v in x)
+        assert matvec(rows, x) == tuple(rhs)
+
+
+def _elementary_product(n, ops):
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, k, negate in ops:
+        if i % n != j % n:
+            m[i % n] = [a + k * b for a, b in zip(m[i % n], m[j % n])]
+        if negate:
+            m[i % n] = [-a for a in m[i % n]]
+    return [tuple(row) for row in m]
+
+
+unimodular = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                 st.integers(-2, 2), st.booleans()),
+                       max_size=8).map(lambda ops: _elementary_product(n, ops)))
+
+
+@SETTINGS
+@given(unimodular)
+def test_invert_unimodular_inverts(rows):
+    inv = invert_unimodular(rows)
+    n = len(rows)
+    product = [tuple(sum(inv[i][k] * rows[k][j] for k in range(n))
+                     for j in range(n)) for i in range(n)]
+    assert product == [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    assert all(type(x) is int for row in inv for x in row)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n, ints)))
+def test_invert_unimodular_rejects_other_determinants(rows):
+    if abs(leibniz(rows)) == 1:
+        invert_unimodular(rows)
+    else:
+        with pytest.raises(ValueError):
+            invert_unimodular(rows)
+
+
+def test_empty_matrices():
+    assert det([]) == 1
+    assert matrix_rank([]) == 0
+    assert nullspace([]) == []
+    assert solve_linear([], []) == ()
+    assert invert_unimodular([]) == []

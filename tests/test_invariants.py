@@ -151,6 +151,17 @@ def test_invariants_square_r1():
     assert (inv.chi_X, inv.chi_Xdual) == (4, 8)
 
 
+def test_invariants_p4_two_parts_in_sheared_coordinates():
+    # P^4 under a signed permutation and a shear: pulling each boundary
+    # facet in its own chart's lex order triangulated shared ridges in two
+    # ways here, and the MPCP fan came out incomplete.
+    delta = convex_hull([(-4, 1, 1, -5), (1, 1, 1, 5), (1, 1, -4, 0),
+                         (1, -4, 1, 0), (1, 1, 1, 0)])
+    inv = double_cover_invariants(build_nef_partition(delta, [[2, 4], [0, 1, 3]]))
+    assert inv.chi_Y == inv.chi_Ydual == 216
+    assert inv.duality_ok
+
+
 def test_invariants_off_middle_hodge():
     inv = double_cover_invariants(TRIPLE)
     fan, _ = mpcp_fan(DELTA)

@@ -23,6 +23,7 @@ from nefmirror.errors import DomainError, InputError
 from nefmirror.intlin import det
 from nefmirror.lattice import (
     cayley_polytope,
+    cone_contains,
     convex_hull,
     dual_cone,
     is_reflexive,
@@ -107,6 +108,7 @@ def test_polar_dual_scaled_simplex():
     dual = polar_dual(doubled)
     assert not dual.is_lattice
     assert not is_reflexive(doubled)
+    assert normalized_volume(dual) == Fraction(9, 4)
 
 
 def test_polar_involution():
@@ -342,6 +344,16 @@ def test_dual_cone_involution():
 def test_make_cone_drops_non_extremal():
     cone = make_cone([(1, 0), (0, 1), (1, 1)])
     assert cone.generators == ((0, 1), (1, 0))
+
+
+def test_lower_dimensional_cone():
+    cone = make_cone([(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    assert cone.generators == ((0, 1, 0), (1, 0, 0))
+    assert cone.dim == 2
+    assert cone_contains(cone, (1, 1, 0))
+    assert cone_contains(cone, (0, 0, 0))
+    assert not cone_contains(cone, (1, 1, 1))
+    assert not cone_contains(cone, (-1, 0, 0))
 
 
 def test_make_cone_rejects_lines():
