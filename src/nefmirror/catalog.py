@@ -14,11 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import GoldenMismatchError, InputError
-from .invariants import (
-    double_cover_invariants,
-    surface_node_count,
-    verify_mirror_duality,
-)
+from .invariants import surface_node_count, verify_mirror_duality
 from .lattice import convex_hull, normalized_volume
 from .nefpart import (
     build_nef_partition,
@@ -168,10 +164,10 @@ def run_entry(entry):
     np_ = entry.build()
     expected = entry.expected
 
-    ok, _report = verify_mirror_duality(np_)
+    ok, report = verify_mirror_duality(np_)
     if not ok:
         failures.append("mirror duality cross-check failed")
-    inv = double_cover_invariants(np_)
+    inv = report["invariants"]
     for key in ("chi_X", "chi_Xdual", "chi_Y", "chi_Ydual", "h11_Y", "h21_Y"):
         if key in expected and getattr(inv, key) != expected[key]:
             failures.append(f"{key}: computed {getattr(inv, key)}, "

@@ -29,7 +29,7 @@ from .errors import (
     InputError,
     SmoothnessError,
 )
-from .invariants import double_cover_invariants, verify_mirror_duality
+from .invariants import verify_mirror_duality
 from .nefpart import nef_partition_from_json
 from .periods import (
     gkz_data,
@@ -90,8 +90,8 @@ def cmd_dualize(args):
 
 
 def _invariants_doc(np_):
-    inv = double_cover_invariants(np_)
     ok, report = verify_mirror_duality(np_)
+    inv = report["invariants"]
     hodge = {f"{p},{q}": value for (p, q), value in inv.hodge_offdiag}
     doc = {
         "n": inv.n,

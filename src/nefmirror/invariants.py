@@ -151,7 +151,9 @@ def verify_mirror_duality(nef_partition):
     closed form, and check both against (-1)^n chi(Y_dual).
 
     Returns (ok, report); the report lists every intermediate pyramid
-    volume vol_{n+|J|}(Lambda_J).
+    volume vol_{n+|J|}(Lambda_J), and its "invariants" entry is the
+    CoverInvariants of double_cover_invariants, so callers need not
+    compute them again.
     """
     np_ = nef_partition
     n = np_.dim
@@ -189,6 +191,7 @@ def verify_mirror_duality(nef_partition):
         "duality_ok": ok,
         "dk_terms": [{"J": [j + 1 for j in subset], "volume": volumes[subset]}
                      for subset in sorted(volumes)],
+        "invariants": inv,
     }
     return ok, report
 

@@ -144,8 +144,9 @@ def _facet_hyperplane(points, interior_ref):
     return normal, offset
 
 
-def _full_dim_hull(points):
-    """Incremental beneath-beyond hull of a full-dimensional point set.
+def _full_dim_hull(points, start):
+    """Incremental beneath-beyond hull of a full-dimensional, lex-sorted
+    point set whose affine basis indices are ``start``.
 
     Returns (vertices, facets, nvolume).  Facets are merged geometric
     facets, oriented by the interior reference point ``ref``; the
@@ -154,8 +155,6 @@ def _full_dim_hull(points):
     which keeps them integral for lattice polytopes.
     """
     d = len(points[0])
-    points = sorted(points)
-    start = _affine_basis_indices(points)
     ref = tuple(canon_num(sum(Fraction(points[i][k]) for i in start) / (d + 1))
                 for k in range(d))
 
@@ -279,13 +278,14 @@ def convex_hull(points, ambient_dim=None):
         return LatticePolytope(d, (pts[0],), (), eqs, 0, 1)
 
     if dim == d:
-        vertices, facets, volume = _full_dim_hull(pts)
+        vertices, facets, volume = _full_dim_hull(pts, basis_idx)
         return LatticePolytope(d, tuple(vertices), facets, (), d, volume)
 
     origin, basis = _chart(pts)
-    chart_pts = [_to_chart(origin, basis, p) for p in pts]
-    vertices_c, facets_c, volume = _full_dim_hull(chart_pts)
-    back = {cp: p for cp, p in zip(chart_pts, pts)}
+    back = {_to_chart(origin, basis, p): p for p in pts}
+    chart_pts = sorted(back)
+    vertices_c, facets_c, volume = _full_dim_hull(
+        chart_pts, _affine_basis_indices(chart_pts))
     vertices = sorted(back[v] for v in vertices_c)
     facets = tuple(sorted(_lift_inequality(origin, basis, n, c)
                           for n, c in facets_c))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .errors import DomainError, InputError
-from .intlin import integer_kernel_basis
+from .intlin import canon_num, integer_kernel_basis
 from .lattice import lattice_points
 from .nefpart import DualNefPartition, NefPartition
 
@@ -147,7 +147,10 @@ class CoeffVar:
 
 @dataclass(frozen=True)
 class DiffTerm:
-    coeff: Fraction
+    """coeff * multiplier * d(derivs...); coeff is an int when integral and
+    a Fraction otherwise."""
+
+    coeff: int | Fraction
     derivs: tuple        # sorted labels, order <= 2
     multiplier: str       # variable label or ""
 
@@ -155,10 +158,11 @@ class DiffTerm:
 @dataclass(frozen=True)
 class DiffOperator:
     """Sum of terms plus a constant; terms are canonically sorted and
-    nonzero, so equality is syntactic equality of normal forms."""
+    nonzero, so equality is syntactic equality of normal forms.  Like the
+    coefficients, the constant is an int when integral."""
 
     terms: tuple
-    constant: Fraction
+    constant: int | Fraction
 
     def negated(self):
         return DiffOperator(
@@ -166,11 +170,19 @@ class DiffOperator:
             -self.constant)
 
 
+def _exact(value):
+    """An exact scalar as an int when integral, else as a Fraction."""
+    return value if type(value) is int else canon_num(Fraction(value))
+
+
 def make_operator(terms, constant=0):
-    cleaned = [DiffTerm(Fraction(c), tuple(sorted(d)), m or "")
-               for c, d, m in terms if Fraction(c) != 0]
+    cleaned = []
+    for c, d, m in terms:
+        c = _exact(c)
+        if c:
+            cleaned.append(DiffTerm(c, tuple(sorted(d)), m or ""))
     cleaned.sort(key=lambda t: (t.derivs, t.multiplier, t.coeff))
-    return DiffOperator(tuple(cleaned), Fraction(constant))
+    return DiffOperator(tuple(cleaned), _exact(constant))
 
 
 def monomials_of_degree(degree, n_vars):
@@ -262,10 +274,11 @@ def taut_system(bundle_degrees, dim):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _term_text(term):
+def _term_text(coeff, term):
+    """Text of the term with coeff, a positive number, as its coefficient."""
     parts = []
-    if term.coeff != 1:
-        parts.append(str(term.coeff))
+    if coeff != 1:
+        parts.append(str(coeff))
     if term.multiplier:
         parts.append(term.multiplier)
     parts.extend(f"d({x})" for x in term.derivs)
@@ -278,11 +291,10 @@ def serialize_operator(op):
     chunks = []
     for term in op.terms:
         if term.coeff < 0:
-            flipped = DiffTerm(-term.coeff, term.derivs, term.multiplier)
-            chunks.append(("-", _term_text(flipped)))
+            chunks.append(("-", _term_text(-term.coeff, term)))
         else:
-            chunks.append(("+", _term_text(term)))
-    if op.constant != 0:
+            chunks.append(("+", _term_text(term.coeff, term)))
+    if op.constant:
         sign = "-" if op.constant < 0 else "+"
         chunks.append((sign, str(abs(op.constant))))
     if not chunks:

@@ -1,16 +1,19 @@
-"""Each nef-partition dualizes once and builds each MPCP fan once.
+"""Each nef-partition dualizes once and builds each MPCP fan once, each
+catalog check or ``invariants`` command computes the double-cover
+invariants once, and a hull finds the affine basis of each point set once.
 
-The counters wrap ``dualize`` and ``mpcp_fan`` at every ``nefmirror.*``
-module attribute bound to them: ``from .x import f`` copies the binding,
-so wrapping the defining module alone would miss calls.
+The counters wrap the functions at every ``nefmirror.*`` module attribute
+bound to them: ``from .x import f`` copies the binding, so wrapping the
+defining module alone would miss calls.
 """
 import sys
 from collections import Counter
 
 import pytest
 
-from nefmirror import cli
+from nefmirror import cli, lattice
 from nefmirror.catalog import find_entry, load_catalog, run_entry
+from nefmirror.invariants import double_cover_invariants
 from nefmirror.nefpart import cayley_cone_duality_check, dualize
 from nefmirror.periods import gkz_data
 from nefmirror.toric import mpcp_fan
@@ -18,8 +21,7 @@ from nefmirror.toric import mpcp_fan
 ENTRY_NAMES = [entry.name for entry in load_catalog()["entries"]]
 
 
-@pytest.fixture
-def calls(monkeypatch):
+def count_calls(monkeypatch, functions):
     counts = Counter()
 
     def counting(fn):
@@ -28,13 +30,23 @@ def calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    wrappers = {id(fn): counting(fn) for fn in (dualize, mpcp_fan)}
+    wrappers = {id(fn): counting(fn) for fn in functions}
     for name, module in list(sys.modules.items()):
         if name == "nefmirror" or name.startswith("nefmirror."):
             for attr, value in list(vars(module).items()):
                 if id(value) in wrappers:
                     monkeypatch.setattr(module, attr, wrappers[id(value)])
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return count_calls(monkeypatch, (dualize, mpcp_fan))
+
+
+@pytest.fixture
+def invariant_calls(monkeypatch):
+    return count_calls(monkeypatch, (double_cover_invariants,))
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
@@ -55,3 +67,28 @@ def test_cone_duality_and_primal_gkz_build_no_mpcp_fan(calls):
     assert cayley_cone_duality_check(np_)
     gkz_data(np_, side="primal")
     assert calls == {"dualize": 1}
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_run_entry_computes_invariants_once(invariant_calls, name):
+    assert run_entry(find_entry(name)) == []
+    assert invariant_calls == {"double_cover_invariants": 1}
+
+
+def test_cli_invariants_computes_invariants_once(invariant_calls, tmp_path):
+    out = tmp_path / "inv.json"
+    argv = ["invariants", "--input", "p3-(12)(34)", "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert invariant_calls == {"double_cover_invariants": 1}
+
+
+@pytest.mark.parametrize("points, point_sets", [
+    ([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)], 1),
+    # a lower-dimensional hull also finds the basis of its chart points
+    ([(0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 1, 1)], 2),
+])
+def test_convex_hull_finds_each_affine_basis_once(monkeypatch, points,
+                                                  point_sets):
+    counts = count_calls(monkeypatch, (lattice._affine_basis_indices,))
+    lattice.convex_hull(points)
+    assert counts == {"_affine_basis_indices": point_sets}

@@ -1,7 +1,10 @@
 """GKZ data and tautological PDE systems."""
+import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P2_DELTA
 from nefmirror.catalog import golden_taut_operators
@@ -235,3 +238,66 @@ def test_serialize_negative_and_fractional():
     text = serialize_operator(op)
     assert text == "-3/2*b11*d(a11) - 1/2"
     assert parse_operators(text) == [op]
+
+
+# ---------------------------------------------------------------------------
+# operator normal form
+# ---------------------------------------------------------------------------
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                    database=None)
+
+small_ints = st.integers(-3, 3)
+coefficients = st.one_of(
+    small_ints,
+    small_ints.map(Fraction),
+    st.builds(Fraction, small_ints, st.integers(1, 4)),
+)
+labels = st.sampled_from(["a11", "a21", "b12", "c3"])
+# every term carries a derivative: a bare number serializes as the constant
+op_terms = st.lists(st.tuples(coefficients,
+                              st.lists(labels, min_size=1, max_size=2),
+                              st.sampled_from(["", "a11", "b12"])),
+                    max_size=5)
+operators = st.builds(make_operator, op_terms, coefficients)
+
+
+def _exact_type(value):
+    return int if Fraction(value).denominator == 1 else Fraction
+
+
+@SETTINGS
+@given(op_terms, coefficients)
+def test_make_operator_normal_form(terms, constant):
+    op = make_operator(terms, constant)
+    assert len(op.terms) == sum(1 for c, _, _ in terms if c != 0)
+    for term in op.terms:
+        assert term.coeff != 0
+        assert type(term.coeff) is _exact_type(term.coeff)
+    assert type(op.constant) is _exact_type(op.constant)
+    # an integral coefficient gives the same operator as int or Fraction
+    as_fractions = make_operator(
+        [(Fraction(c), d, m) for c, d, m in terms], Fraction(constant))
+    as_ints = make_operator(
+        [(int(c) if c == int(c) else c, d, m) for c, d, m in terms],
+        int(constant) if constant == int(constant) else constant)
+    assert repr(as_fractions) == repr(as_ints) == repr(op)
+
+
+@SETTINGS
+@given(st.lists(operators, max_size=4))
+def test_serialize_roundtrip_property(ops):
+    parsed = parse_operators(serialize_operators(ops))
+    assert parsed == ops
+    assert repr(parsed) == repr(ops)
+
+
+@pytest.mark.parametrize("degrees, dim, digest", [
+    ([6], 3, "eccf757e4b62b814d6150d1803711a9cae4d987ef97cb4f661f8e406ae6d1b62"),
+    ([3, 3], 4,
+     "0bafc4a17032f687a48d93f58b330a3af8765c99919afb7bb00d75a54ca57740"),
+])
+def test_taut_system_bytes_pinned(degrees, dim, digest):
+    """The tautgen output of two large systems, byte for byte."""
+    text = serialize_operators(taut_system(degrees, dim)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
