@@ -17,8 +17,8 @@ from .errors import GoldenMismatchError, InputError
 from .invariants import surface_node_count, verify_mirror_duality
 from .lattice import convex_hull, normalized_volume
 from .nefpart import (
-    build_nef_partition,
     cayley_cone_duality_check,
+    nef_partition_from_doc,
     s_polytope,
 )
 from .periods import (
@@ -50,9 +50,7 @@ class CatalogEntry:
     expected: dict
 
     def build(self):
-        doc = self.nef_partition_doc
-        delta = convex_hull([tuple(v) for v in doc["delta_vertices"]])
-        return build_nef_partition(delta, [tuple(p) for p in doc["parts"]])
+        return nef_partition_from_doc(self.nef_partition_doc)
 
 
 def catalog_path():

@@ -163,7 +163,10 @@ def cmd_gkz(args):
 
 
 def cmd_tautgen(args):
-    degrees = [int(x) for x in args.degrees.split(",") if x.strip()]
+    try:
+        degrees = [int(x) for x in args.degrees.split(",") if x.strip()]
+    except ValueError as exc:
+        raise InputError(f"--degrees needs comma-separated integers: {exc}") from exc
     if args.check:
         catalog = load_catalog()
         golden = catalog.get("taut_golden") or {}

@@ -1,9 +1,12 @@
 """Exact integer/rational linear algebra on plain tuples.
 
 No floats anywhere: entries are ints or fractions.Fraction.  Elimination
-runs over the integers (one fraction-free Bareiss routine); Fraction
-enters only through rational inputs, which are scaled once by a common
-denominator, and through results that are genuinely rational.  Vectors are
+runs over the integers in two routines: fraction-free Bareiss row
+elimination for rank, solve, nullspace and determinant, and unimodular
+column reduction (:func:`lattice_split`) for integer kernels and lattice
+charts.  Fraction enters only through rational inputs, which are scaled
+once by a common denominator, and through results that are genuinely
+rational.  Vectors are
 tuples, matrices are lists/tuples of row tuples.  This is deliberately
 small-scale code (dimensions <= 8, a few dozen rows) written for clarity
 and determinism, not asymptotics.
@@ -155,21 +158,19 @@ def det(rows):
     return _quotient(sign * last, scale ** n)
 
 
-def integer_kernel_basis(rows):
-    """Basis of the lattice {x in Z^m : rows @ x = 0}.
-
-    Unimodular column reduction: bring the matrix to column echelon form
-    while tracking the transform; columns that end up zero correspond to
-    kernel basis vectors.  The result is automatically saturated.
-    """
-    rows = [tuple(int(x) for x in row) for row in rows]
+def lattice_split(rows):
+    """Unimodular column reduction: T in GL(m, Z) with rows @ T = [H | 0],
+    H of full column rank, returned as its columns ``(image, kernel)``.
+    ``kernel`` is a basis of {x in Z^m : rows @ x = 0}; dot products with
+    the ``image`` columns map span_Q(rows) ∩ Z^m onto Z^rank.  Rational
+    input is scaled once by the lcm of its denominators."""
+    scale = lcm(*{x.denominator for row in rows for x in row})
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    cols = [[rows[r][c] for r in range(nrows)] for c in range(ncols)]
+    cols = [[int(rows[r][c] * scale) for r in range(nrows)] for c in range(ncols)]
     transform = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
     active = list(range(ncols))
+    pivots = []
     for r in range(nrows):
         live = [c for c in active if cols[c][r] != 0]
         while len(live) > 1:
@@ -182,24 +183,14 @@ def integer_kernel_basis(rows):
             live = [c for c in live if cols[c][r] != 0]
         if live:
             active.remove(live[0])
-    basis = [tuple(transform[c]) for c in range(ncols) if all(x == 0 for x in cols[c])]
-    return sorted(basis)
+            pivots.append(live[0])
+    return ([tuple(transform[c]) for c in pivots],
+            [tuple(transform[c]) for c in active])
 
 
-def saturated_span_basis(vectors):
-    """Basis of span_Q(vectors) ∩ Z^d, the lattice induced on the span.
-
-    Double-kernel trick: the orthogonal complement of the span is an
-    integer kernel, and the saturation is the kernel of that.
-    """
-    vecs = [primitivize(v) for v in vectors if any(Fraction(x) != 0 for x in v)]
-    if not vecs:
-        return []
-    d = len(vecs[0])
-    complement = integer_kernel_basis(vecs)
-    if not complement:
-        return [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    return integer_kernel_basis(complement)
+def integer_kernel_basis(rows):
+    """Sorted basis of the lattice {x in Z^m : rows @ x = 0}."""
+    return sorted(lattice_split(rows)[1])
 
 
 def invert_unimodular(rows):

@@ -4,8 +4,9 @@ Lattice points are plain int tuples, rational vectors are tuples of ints
 and fractions.Fraction; every predicate is exact.  Polytopes are built
 exclusively through :func:`convex_hull`, which produces an irredundant
 V- and H-representation together with the normalized volume measured in
-the polytope's affine span (with the induced lattice, obtained from a
-saturated integer basis of the span directions).
+the polytope's affine span against the induced lattice: in an integer
+chart of the span, from one unimodular column reduction of its
+affine-basis directions, when the polytope is lower-dimensional.
 
 Conventions
 -----------
@@ -31,14 +32,12 @@ from .intlin import (
     canon_vec,
     det,
     dot,
-    integer_kernel_basis,
     is_integral,
+    lattice_split,
     matrix_rank,
     nullspace,
     pivot_columns,
     primitivize,
-    saturated_span_basis,
-    solve_linear,
     vsub,
 )
 
@@ -55,14 +54,16 @@ class LatticePolytope:
 
     ``dim`` is the affine dimension; ``facets`` cut the polytope out of its
     affine span, and ``equations`` cut the span out of ambient space.
-    Instances are immutable; build them with :func:`convex_hull`.
+    Instances are immutable; build them with :func:`convex_hull`.  Equality
+    reads (ambient_dim, vertices) only: lower-dimensional facet normals are
+    representatives modulo the equations.
     """
 
     ambient_dim: int
     vertices: tuple
-    facets: tuple
-    equations: tuple
-    dim: int
+    facets: tuple = field(compare=False)
+    equations: tuple = field(compare=False)
+    dim: int = field(compare=False)
     nvolume: object = field(compare=False)  # normalized volume in the span
 
     @cached_property
@@ -216,39 +217,16 @@ def _full_dim_hull(points, start):
     return sorted(set(vertices)), tuple(merged), canon_num(volume)
 
 
-def _chart(points):
-    """Affine chart for a lower-dimensional point set.
-
-    Returns (origin, basis) where basis is a saturated integer basis of the
-    direction lattice; chart coordinates preserve the induced lattice, so
-    volumes computed in the chart are the spec'd affine-span volumes.
-    """
-    origin = min(points)
-    dirs = [vsub(p, origin) for p in points if p != origin]
-    basis = saturated_span_basis(dirs)
-    return origin, basis
-
-
-def _to_chart(origin, basis, point):
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(len(origin))]
-    y = solve_linear(rows, vsub(point, origin))
-    if y is None:
-        return None
-    return canon_vec(y)
-
-
-def _lift_inequality(origin, basis, normal, offset):
-    """Map a chart inequality back to an ambient one on the affine span."""
-    d = len(origin)
-    rows = [[basis[j][i] for i in range(d)] for j in range(len(basis))]
-    ambient = solve_linear(rows, normal)
-    if ambient is None:
-        raise ConsistencyError("chart inequality lift failed")
-    rhs = Fraction(dot(origin, ambient)) - Fraction(offset)
-    prim = primitivize(ambient)
-    scale = next(Fraction(p) / Fraction(a) for p, a in zip(prim, ambient) if a != 0)
-    # scale > 0 since primitivize preserves direction
-    return prim, canon_num(-rhs * scale)
+def _chart(points, basis_idx):
+    """Integer chart of the affine span of ``points`` (affine basis indices
+    ``basis_idx``, origin ``points[0]``).  The image columns of one
+    :func:`lattice_split` of the basis directions map the span's lattice
+    onto Z^k, so chart volumes are span volumes; the kernel columns are the
+    span's integer normals.  Returns (image, kernel, chart coordinates)."""
+    origin = points[0]
+    image, kernel = lattice_split([vsub(points[i], origin) for i in basis_idx[1:]])
+    diffs = [vsub(p, origin) for p in points]
+    return image, kernel, [tuple(canon_num(dot(q, c)) for c in image) for q in diffs]
 
 
 def convex_hull(points, ambient_dim=None):
@@ -281,18 +259,21 @@ def convex_hull(points, ambient_dim=None):
         vertices, facets, volume = _full_dim_hull(pts, basis_idx)
         return LatticePolytope(d, tuple(vertices), facets, (), d, volume)
 
-    origin, basis = _chart(pts)
-    back = {_to_chart(origin, basis, p): p for p in pts}
+    # A chart facet <y, n> >= -c lifts to <x, a> >= <pts[0], a> - c with
+    # a = sum_j n_j image_j, primitive because the transform is unimodular.
+    image, kernel, coords = _chart(pts, basis_idx)
+    back = dict(zip(coords, pts))
     chart_pts = sorted(back)
     vertices_c, facets_c, volume = _full_dim_hull(
         chart_pts, _affine_basis_indices(chart_pts))
     vertices = sorted(back[v] for v in vertices_c)
-    facets = tuple(sorted(_lift_inequality(origin, basis, n, c)
-                          for n, c in facets_c))
-    complement = integer_kernel_basis([list(b) for b in basis])
-    equations = tuple(sorted((tuple(k), canon_num(Fraction(dot(origin, k))))
-                             for k in complement))
-    return LatticePolytope(d, tuple(vertices), facets, equations, dim, volume)
+    facets = []
+    for n, c in facets_c:
+        a = tuple(dot(n, row) for row in zip(*image))
+        facets.append((a, canon_num(c - dot(pts[0], a))))
+    equations = sorted((k, canon_num(dot(pts[0], k))) for k in kernel)
+    return LatticePolytope(d, tuple(vertices), tuple(sorted(facets)),
+                           tuple(equations), dim, volume)
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +537,7 @@ def maximal_boundary_triangulation(polytope):
     simplices = []
     for normal, offset in polytope.facets:
         facet_pts = [p for p in boundary if dot(p, normal) == -offset]
-        origin, basis = _chart(facet_pts)
-        chart_pts = [_to_chart(origin, basis, p) for p in facet_pts]
+        chart_pts = _chart(facet_pts, _affine_basis_indices(facet_pts))[2]
         for simplex in pulling_triangulation(chart_pts):
             simplices.append(tuple(sorted([0] + [index[facet_pts[i]] for i in simplex])))
     simplices = tuple(sorted(set(simplices)))
@@ -586,11 +566,19 @@ def polytope_to_json(polytope):
         sort_keys=True)
 
 
+def json_int(x):
+    """An integer read from JSON, exactly: a float, a string or a boolean
+    is an InputError, never truncated or read as 0/1."""
+    if type(x) is not int:
+        raise InputError(f"expected an integer, got {x!r}")
+    return x
+
+
 def polytope_from_json(text):
     try:
         doc = json.loads(text)
-        dim = doc["dim"]
-        vertices = [tuple(int(x) for x in v) for v in doc["vertices"]]
+        dim = json_int(doc["dim"])
+        vertices = [tuple(json_int(x) for x in v) for v in doc["vertices"]]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"bad polytope JSON: {exc}") from exc
     if any(len(v) != dim for v in vertices):

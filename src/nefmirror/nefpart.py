@@ -18,6 +18,7 @@ from .lattice import (
     convex_hull,
     dual_cone,
     is_reflexive,
+    json_int,
     lattice_points,
     make_cone,
     minkowski_sum_all,
@@ -223,14 +224,23 @@ def nef_partition_to_json(nef_partition):
         sort_keys=True)
 
 
-def nef_partition_from_json(text):
+def nef_partition_from_doc(doc):
+    """The NefPartition of a parsed {"delta_vertices", "parts"} document,
+    as read from a file or a catalog entry; every entry must be an int."""
     try:
-        doc = json.loads(text)
-        vertices = [tuple(int(x) for x in v) for v in doc["delta_vertices"]]
-        parts = [tuple(int(i) for i in p) for p in doc["parts"]]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        vertices = [tuple(json_int(x) for x in v) for v in doc["delta_vertices"]]
+        parts = [tuple(json_int(i) for i in p) for p in doc["parts"]]
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad nef-partition JSON: {exc}") from exc
     if not vertices:
         raise InputError("empty vertex list in nef-partition JSON")
     delta = convex_hull(vertices)
     return build_nef_partition(delta, parts)
+
+
+def nef_partition_from_json(text):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"bad nef-partition JSON: {exc}") from exc
+    return nef_partition_from_doc(doc)

@@ -206,6 +206,8 @@ def coefficient_variables(bundle_degrees, dim):
     a letter ('a' for the first distinct degree, 'b' for the next, ...);
     the label is letter + monomial index + bundle index within its class,
     giving the familiar a_ij / b_i1 names."""
+    if not bundle_degrees or dim < 0:
+        raise InputError("need a bundle degree and a dimension >= 0")
     n_vars = dim + 1
     letters = {}
     class_counter = {}

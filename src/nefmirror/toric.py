@@ -22,15 +22,16 @@ from .intlin import (
     dot,
     invert_unimodular,
     is_integral,
+    lattice_split,
     matrix_rank,
     primitivize,
-    saturated_span_basis,
     solve_linear,
 )
 from .lattice import (
     cone_hrep,
     convex_hull,
     is_reflexive,
+    json_int,
     maximal_boundary_triangulation,
     polar_dual,
 )
@@ -119,9 +120,9 @@ def fan_to_json(fan):
 def fan_from_json(text):
     try:
         doc = json.loads(text)
-        return make_fan([tuple(int(x) for x in r) for r in doc["rays"]],
-                        [tuple(c) for c in doc["max_cones"]],
-                        ambient_dim=doc["dim"])
+        return make_fan([tuple(json_int(x) for x in r) for r in doc["rays"]],
+                        [tuple(json_int(i) for i in c) for c in doc["max_cones"]],
+                        ambient_dim=json_int(doc["dim"]))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise InputError(f"bad fan JSON: {exc}") from exc
 
@@ -166,20 +167,12 @@ def is_simplicial(fan):
 
 def _cone_extends_to_basis(gens):
     """True iff the generators are part of a Z-basis of the ambient lattice:
-    linearly independent and with unimodular coordinates in the saturated
-    lattice of their span."""
-    k = len(gens)
-    if matrix_rank(gens) != k:
+    linearly independent, and with chart coordinates of determinant +-1 in
+    the lattice of their span."""
+    image, _ = lattice_split(gens)
+    if len(image) != len(gens):
         return False
-    basis = saturated_span_basis(gens)
-    rows = [[basis[j][i] for j in range(k)] for i in range(len(gens[0]))]
-    coords = []
-    for g in gens:
-        y = solve_linear(rows, g)
-        if y is None or not is_integral(y):
-            return False
-        coords.append([int(x) for x in y])
-    return abs(det(coords)) == 1
+    return abs(det([[dot(g, c) for c in image] for g in gens])) == 1
 
 
 def is_smooth(fan):

@@ -6,6 +6,7 @@ membership tests from Caratheodory-style barycentric solves, and the
 smooth surface completion from elementary 2-cone subdivision.
 """
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -18,6 +19,32 @@ from nefmirror.toric import make_fan, normal_fan
 P2_DELTA = [(2, -1), (-1, 2), (-1, -1)]
 P3_DELTA = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 HEX_NABLA = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+
+
+def leibniz(rows):
+    """Determinant by the Leibniz expansion over all permutations."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i, j in combinations(range(n), 2)
+                         if perm[i] > perm[j])
+        term = Fraction((-1) ** inversions)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def elementary_product(n, ops):
+    """A matrix in GL(n, Z): the identity under the row additions and
+    negations ``ops``."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, k, negate in ops:
+        if i % n != j % n:
+            m[i % n] = [a + k * b for a, b in zip(m[i % n], m[j % n])]
+        if negate:
+            m[i % n] = [-a for a in m[i % n]]
+    return [tuple(row) for row in m]
 
 
 def ccw_sort(points):

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import nefmirror
 
 CLI = [sys.executable, "-m", "nefmirror.cli"]
@@ -166,3 +168,37 @@ def test_outputs_are_deterministic(tmp_path):
     run_cli("gkz", "--input", "p2-triple", "--side", "dual",
             "--output", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("doc", [
+    {"delta_vertices": [[2.9, -1], [-1, 2], [-1, -1]], "parts": [[2], [1], [0]]},
+    {"delta_vertices": [[2, -1], [-1, 2], [-1, -1]], "parts": [[2], [True], [0]]},
+    {"delta_vertices": [[2, -1], [-1, 2], [-1, "-1"]], "parts": [[2], [1], [0]]},
+])
+def test_invariants_rejects_non_integer_json(tmp_path, doc):
+    path = tmp_path / "np.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("invariants", "--input", str(path))
+    assert result.returncode == 2
+    assert json.loads(result.stderr)["error"] == "input"
+    assert result.stdout == ""
+
+
+def test_catalog_entry_without_parts_exits_2(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"entries": [{
+        "name": "no-parts",
+        "nef_partition": {"delta_vertices": [[2, -1], [-1, 2], [-1, -1]]}}]}))
+    result = run_cli("invariants", "--input", "no-parts",
+                     env_extra={"NEFMIRROR_CATALOG": str(path)})
+    assert result.returncode == 2
+    diag = json.loads(result.stderr)
+    assert diag["error"] == "input" and "parts" in diag["message"]
+
+
+@pytest.mark.parametrize("degrees, dim", [("a", "2"), ("1", "-1"), (",", "2")])
+def test_tautgen_rejects_bad_arguments(degrees, dim):
+    result = run_cli("tautgen", "--degrees", degrees, "--dim", dim)
+    assert result.returncode == 2
+    assert json.loads(result.stderr)["error"] == "input"
+    assert result.stdout == ""

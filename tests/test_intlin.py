@@ -6,15 +6,18 @@ largest nonvanishing minor for ranks.  Matrices are small (up to 4x5) with
 int or Fraction entries.
 """
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import elementary_product, leibniz
 from nefmirror.intlin import (
     det,
+    integer_kernel_basis,
     invert_unimodular,
+    lattice_split,
     matrix_rank,
     nullspace,
     solve_linear,
@@ -36,19 +39,6 @@ def matrices(nrows, ncols, elements=entries):
 shapes = st.tuples(st.integers(1, 4), st.integers(1, 5))
 any_matrix = shapes.flatmap(lambda s: matrices(*s))
 square = st.integers(1, 4).flatmap(lambda n: matrices(n, n))
-
-
-def leibniz(rows):
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(1 for i, j in combinations(range(n), 2)
-                         if perm[i] > perm[j])
-        term = Fraction((-1) ** inversions)
-        for i in range(n):
-            term *= rows[i][perm[i]]
-        total += term
-    return total
 
 
 def minor_rank(rows):
@@ -121,20 +111,10 @@ def test_solve_linear_exactly_when_consistent(system):
         assert matvec(rows, x) == tuple(rhs)
 
 
-def _elementary_product(n, ops):
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i, j, k, negate in ops:
-        if i % n != j % n:
-            m[i % n] = [a + k * b for a, b in zip(m[i % n], m[j % n])]
-        if negate:
-            m[i % n] = [-a for a in m[i % n]]
-    return [tuple(row) for row in m]
-
-
 unimodular = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                                  st.integers(-2, 2), st.booleans()),
-                       max_size=8).map(lambda ops: _elementary_product(n, ops)))
+                       max_size=8).map(lambda ops: elementary_product(n, ops)))
 
 
 @SETTINGS
@@ -156,6 +136,21 @@ def test_invert_unimodular_rejects_other_determinants(rows):
     else:
         with pytest.raises(ValueError):
             invert_unimodular(rows)
+
+
+@SETTINGS
+@given(any_matrix)
+def test_lattice_split_is_unimodular_with_kernel_half(rows):
+    image, kernel = lattice_split(rows)
+    ncols = len(rows[0])
+    assert len(kernel) == ncols - minor_rank(rows)
+    assert len(image) + len(kernel) == ncols
+    for k in kernel:
+        assert all(x == 0 for x in matvec(rows, k))
+    columns = image + kernel
+    assert all(type(x) is int for col in columns for x in col)
+    assert abs(leibniz(columns)) == 1
+    assert integer_kernel_basis(rows) == sorted(kernel)
 
 
 def test_empty_matrices():

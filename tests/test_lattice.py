@@ -8,19 +8,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     HEX_NABLA,
     P2_DELTA,
     P3_DELTA,
     boundary_lattice_count,
+    elementary_product,
     in_convex_hull_oracle,
     random_lattice_polygon,
     random_reflexive_polygon,
     shoelace_area,
 )
 from nefmirror.errors import DomainError, InputError
-from nefmirror.intlin import det
+from nefmirror.intlin import det, dot
 from nefmirror.lattice import (
     cayley_polytope,
     cone_contains,
@@ -87,6 +90,63 @@ def test_hull_against_membership_oracle():
             for p in set(pts):
                 if p not in poly.vertices:
                     assert in_convex_hull_oracle(p, list(poly.vertices))
+
+
+def test_equality_reads_vertices_only():
+    pts = [(-2, -1, 2, -1), (0, 0, 0, 0), (0, 2, -2, -1), (2, -1, 0, 2)]
+    poly = convex_hull(pts)
+    again = convex_hull(poly.vertices)
+    assert poly.dim < poly.ambient_dim
+    assert poly == again
+    assert hash(poly) == hash(again)
+
+
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def lower_dimensional_sets(draw):
+    """Lattice points p + sum c_j v_j on an affine span of dimension below
+    d, with a unimodular change of coordinates and a translation of R^d."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, d - 1))
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    base = draw(vec)
+    dirs = draw(st.lists(vec, min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                           min_size=1, max_size=7))
+    pts = [tuple(b + sum(c * v[i] for c, v in zip(cs, dirs))
+                 for i, b in enumerate(base)) for cs in coeffs]
+    g = elementary_product(d, draw(st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2),
+                  st.booleans()), max_size=8)))
+    shift = draw(vec)
+    return pts, g, shift
+
+
+@SETTINGS
+@given(lower_dimensional_sets())
+def test_lower_dimensional_hull_holds_its_points(case):
+    pts, _, _ = case
+    poly = convex_hull(pts)
+    assert poly.dim < poly.ambient_dim
+    assert len(poly.equations) == poly.ambient_dim - poly.dim
+    for p in pts:
+        assert all(dot(p, n) >= -c for n, c in poly.facets)
+        assert all(dot(p, n) == rhs for n, rhs in poly.equations)
+        assert poly.contains(p)
+
+
+@SETTINGS
+@given(lower_dimensional_sets())
+def test_lower_dimensional_volume_is_unimodular_invariant(case):
+    pts, g, shift = case
+    poly = convex_hull(pts)
+    moved = convex_hull([tuple(dot(row, p) + t for row, t in zip(g, shift))
+                         for p in pts])
+    assert moved.dim == poly.dim
+    assert moved.nvolume == poly.nvolume
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +474,13 @@ def test_polytope_json_rejects_garbage():
         polytope_from_json("{not json")
     with pytest.raises(InputError):
         polytope_from_json('{"dim": 2, "vertices": [[1, 2, 3]]}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 2, "vertices": [[1.5, 0], [0, 1], [0, 0]]}',
+    '{"dim": 2, "vertices": [[true, 0], [0, 1], [0, 0]]}',
+    '{"dim": 2.0, "vertices": [[1, 0], [0, 1], [0, 0]]}',
+])
+def test_polytope_json_rejects_non_integers(text):
+    with pytest.raises(InputError):
+        polytope_from_json(text)

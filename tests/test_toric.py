@@ -1,8 +1,13 @@
 """Toric layer: fans, MPCP, Hodge numbers, divisors, the projective
 bundle / contraction pipeline for compactified line bundles."""
-import pytest
+from itertools import combinations
+from math import gcd
 
-from conftest import HEX_NABLA, P2_DELTA, P3_DELTA
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import HEX_NABLA, P2_DELTA, P3_DELTA, leibniz
 from nefmirror.errors import DomainError, InputError, SmoothnessError
 from nefmirror.lattice import (
     convex_hull,
@@ -91,6 +96,34 @@ def test_determinant_two_cone_not_smooth():
                    [(0, 1), (1, 2), (0, 2)])
     assert is_complete(fan) and is_simplicial(fan)
     assert not is_smooth(fan)
+
+
+def _primitive(v):
+    g = 0
+    for x in v:
+        g = gcd(g, x)
+    return tuple(x // g for x in v)
+
+
+@st.composite
+def small_cones(draw):
+    d = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-3, 3), min_size=d, max_size=d).filter(any)
+    rays = draw(st.lists(vec.map(_primitive), min_size=1, max_size=d, unique=True))
+    return rays
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(small_cones())
+def test_is_smooth_is_gcd_of_maximal_minors(rays):
+    """A cone is smooth iff its rays extend to a Z-basis: the gcd of the
+    k x k minors of the k x d ray matrix is 1."""
+    d = len(rays[0])
+    g = 0
+    for cols in combinations(range(d), len(rays)):
+        g = gcd(g, int(leibniz([[r[c] for c in cols] for r in rays])))
+    fan = make_fan(rays, [tuple(range(len(rays)))])
+    assert is_smooth(fan) == (g == 1)
 
 
 def test_incomplete_fan():
@@ -431,3 +464,12 @@ def test_fan_json_roundtrip():
     assert fan_from_json(text) == HEX_FAN
     with pytest.raises(InputError):
         fan_from_json('{"dim": 2}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 1, "rays": [[1.0], [-1]], "max_cones": [[0], [1]]}',
+    '{"dim": 1, "rays": [[1], [-1]], "max_cones": [[false], [1]]}',
+])
+def test_fan_json_rejects_non_integers(text):
+    with pytest.raises(InputError):
+        fan_from_json(text)
