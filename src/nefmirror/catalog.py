@@ -15,7 +15,7 @@ from importlib import resources
 
 from .errors import GoldenMismatchError, InputError
 from .invariants import surface_node_count, verify_mirror_duality
-from .lattice import convex_hull, normalized_volume
+from .lattice import convex_hull, json_int, normalized_volume
 from .nefpart import (
     cayley_cone_duality_check,
     nef_partition_from_doc,
@@ -67,14 +67,56 @@ def load_catalog(path=None):
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load catalog {path}: {exc}") from exc
-    entries = [CatalogEntry(e["name"], e["nef_partition"], e.get("expected", {}))
-               for e in doc.get("entries", [])]
+    if not isinstance(doc, dict):
+        raise InputError(f"catalog {path}: the top level must be an object")
+    entries = doc.get("entries", [])
+    if not isinstance(entries, list):
+        raise InputError(f"catalog {path}: 'entries' must be a list")
+    entries = [_catalog_entry(i, e) for i, e in enumerate(entries)]
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
         raise InputError("catalog entry names are not unique")
-    return {"entries": entries,
-            "bundle_example": doc.get("bundle_example"),
-            "taut_golden": doc.get("taut_golden")}
+    bundle = doc.get("bundle_example")
+    if bundle:
+        _check_fields(bundle, "bundle_example",
+                      {"delta_vertices": 2, "bundle_coeffs": 1, "r": 0})
+        if not isinstance(bundle.get("name"), str):
+            raise InputError("catalog bundle_example: field 'name' must be a string")
+    taut = doc.get("taut_golden")
+    if taut:
+        _check_fields(taut, "taut_golden", {"degrees": 1, "dim": 0})
+    return {"entries": entries, "bundle_example": bundle, "taut_golden": taut}
+
+
+def _catalog_entry(index, doc):
+    name = doc.get("name") if isinstance(doc, dict) else None
+    if not isinstance(name, str):
+        raise InputError(f"catalog entry {index}: field 'name' must be a string")
+    if not isinstance(doc.get("nef_partition"), dict):
+        raise InputError(
+            f"catalog entry {name!r}: field 'nef_partition' must be an object")
+    return CatalogEntry(name, doc["nef_partition"], doc.get("expected", {}))
+
+
+def _check_fields(doc, where, depths):
+    """Each field of ``doc`` named in ``depths`` is an int (depth 0), a list
+    of ints (1) or a list of lists of ints (2), as ``json_int`` reads them."""
+    def walk(value, depth):
+        if depth == 0:
+            json_int(value)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, depth - 1)
+        else:
+            raise InputError(f"expected a list, got {value!r}")
+
+    if not isinstance(doc, dict):
+        raise InputError(f"catalog {where} must be an object")
+    for field, depth in depths.items():
+        try:
+            walk(doc.get(field), depth)
+        except InputError as exc:
+            raise InputError(f"catalog {where}: field {field!r}: {exc}") from None
 
 
 def find_entry(name, catalog=None):

@@ -442,14 +442,6 @@ def cone_hrep(generators):
     return ineqs, sorted(n for n, _ in hull.equations)
 
 
-def cone_contains(cone, vector):
-    if not cone.generators:
-        return all(Fraction(x) == 0 for x in vector)
-    ineqs, eqs = cone_hrep(cone.generators)
-    return (all(dot(vector, n) >= 0 for n in ineqs)
-            and all(dot(vector, e) == 0 for e in eqs))
-
-
 def dual_cone(cone):
     """Dual cone {u : <v,u> >= 0 for all v in C} of a full-dimensional cone;
     generators are the primitive inner facet normals of C."""

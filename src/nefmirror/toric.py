@@ -20,7 +20,6 @@ from .intlin import (
     canon_vec,
     det,
     dot,
-    invert_unimodular,
     is_integral,
     lattice_split,
     matrix_rank,
@@ -141,18 +140,6 @@ def normal_fan(polytope):
     return make_fan(rays, cones)
 
 
-def face_fan(polytope):
-    """Face fan of a reflexive polytope: cones over its facets, with all
-    boundary lattice points that happen to be vertices as rays."""
-    if not is_reflexive(polytope):
-        raise DomainError("face fan implemented for reflexive polytopes")
-    rays = list(polytope.vertices)
-    index = {r: i for i, r in enumerate(rays)}
-    cones = [tuple(index[v] for v in polytope.vertices if dot(v, n) == -c)
-             for n, c in polytope.facets]
-    return make_fan(rays, cones)
-
-
 # ---------------------------------------------------------------------------
 # fan predicates
 # ---------------------------------------------------------------------------
@@ -179,86 +166,42 @@ def is_smooth(fan):
     return all(_cone_extends_to_basis(fan.cone_rays(c)) for c in fan.max_cones)
 
 
-def _cone_facet_data(fan, cone):
-    """Facets of a maximal cone: list of (inner normal, frozenset of the
-    cone's ray indices lying on the facet)."""
-    gens = fan.cone_rays(cone)
-    ineqs, _ = cone_hrep(gens)
-    out = []
-    for n in ineqs:
-        on = frozenset(i for i in cone if dot(fan.rays[i], n) == 0)
-        out.append((n, on))
-    return out
-
-
 def is_complete(fan):
-    """Exact completeness test: full-dimensional maximal cones, every ridge
-    shared by exactly two of them, and a deterministic sample of directions
-    covered by the fan's support."""
+    """Exact test that the maximal cones form a complete fan, read from
+    each cone's ``cone_hrep``:
+
+    - every cone is full-dimensional and strongly convex (no equations,
+      facet normals of rank n);
+    - pseudomanifold: each facet, keyed by the set of the cone's rays on
+      it, lies in exactly two cones, and their two normals are opposite;
+    - degree one: the moment-curve vector v = (1, t, ..., t^{n-1}) lies
+      strictly inside exactly one cone.  With t = 1 + the largest absolute
+      entry of any normal, Cauchy's root bound gives <v, h> != 0 for every
+      normal h, so v is generic.
+
+    Full-dimensional cells meeting along ridges in pairs from opposite
+    sides, with one generic point covered once, cover every generic point
+    once and meet in common faces (De Loera-Rambau-Santos, Triangulations,
+    2010, section 4.5)."""
     n = fan.ambient_dim
-    facet_normals = {}
-    ridge_tally = {}
+    cone_normals = []
+    ridges = {}
     for cone in fan.max_cones:
-        gens = fan.cone_rays(cone)
-        if matrix_rank(gens) != n:
+        ineqs, eqs = cone_hrep(fan.cone_rays(cone))
+        if eqs or matrix_rank(ineqs) != n:
             return False
-        data = _cone_facet_data(fan, cone)
-        facet_normals[cone] = [normal for normal, _ in data]
-        for _, ridge in data:
-            ridge_tally[ridge] = ridge_tally.get(ridge, 0) + 1
-    if any(count != 2 for count in ridge_tally.values()):
-        return False
-
-    def covered(v):
-        return any(all(dot(v, h) >= 0 for h in facet_normals[cone])
-                   for cone in fan.max_cones)
-
-    samples = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        samples.append(e)
-        samples.append(tuple(-x for x in e))
-    samples.extend(fan.rays)
-    for r, s in combinations(fan.rays, 2):
-        v = tuple(a + b for a, b in zip(r, s))
-        if any(x != 0 for x in v):
-            samples.append(v)
-    return all(covered(v) for v in samples)
-
-
-def fan_cones_by_dim(fan):
-    """All cones of a simplicial fan, keyed by dimension, as frozensets of
-    ray indices (the empty set is the trivial cone)."""
-    if not is_simplicial(fan):
-        raise InputError("cone enumeration implemented for simplicial fans")
-    cones = {k: set() for k in range(fan.ambient_dim + 1)}
-    for cone in fan.max_cones:
-        for k in range(len(cone) + 1):
-            for sub in combinations(cone, k):
-                cones[k].add(frozenset(sub))
-    return cones
-
-
-def fan_validate(fan):
-    """Deep structural validation used by the test-suite: strongly convex
-    maximal cones and pairwise intersections that are faces of both."""
-    for cone in fan.max_cones:
-        gens = fan.cone_rays(cone)
-        ineqs, _ = cone_hrep(gens)
-        for g in gens:
-            if all(dot(g, h) == 0 for h in ineqs):
-                raise ConsistencyError("maximal cone is not strongly convex")
-    for c1, c2 in combinations(fan.max_cones, 2):
-        common = sorted(set(c1) & set(c2))
-        for cone in (c1, c2):
-            data = _cone_facet_data(fan, cone)
-            active = [n for n, on in data if set(common) <= on]
-            face = [i for i in cone
-                    if all(dot(fan.rays[i], n) == 0 for n in active)]
-            if sorted(face) != common:
-                raise ConsistencyError(
-                    f"cones {c1} and {c2} do not meet in a common face")
-    return True
+        cone_normals.append(ineqs)
+        for h in ineqs:
+            key = frozenset(i for i in cone if dot(fan.rays[i], h) == 0)
+            ridges.setdefault(key, []).append(h)
+    for normals in ridges.values():
+        if len(normals) != 2 or normals[0] != tuple(-x for x in normals[1]):
+            return False
+    t = 1 + max((abs(x) for normals in cone_normals for h in normals for x in h),
+                default=0)
+    v = tuple(t ** k for k in range(n))
+    return sum(all(dot(v, h) > 0 for h in normals)
+               for normals in cone_normals) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +232,10 @@ def hodge_numbers_smooth_toric(fan):
     if not is_complete(fan):
         raise InputError("hodge numbers need a complete fan")
     n = fan.ambient_dim
-    counts = {k: len(v) for k, v in fan_cones_by_dim(fan).items()}
+    # a smooth fan is simplicial: its k-cones are the k-subsets of its
+    # maximal cones' ray sets
+    counts = [len({sub for cone in fan.max_cones for sub in combinations(cone, k)})
+              for k in range(n + 1)]
     h = []
     for p in range(n + 1):
         h.append(sum((-1) ** (i - p) * comb(i, p) * counts[n - i]
@@ -506,33 +452,3 @@ def is_calabi_yau_cover(fan, bundle_divisor, r):
         raise InputError("cyclic cover degree must be at least 2")
     scaled = ToricDivisor(fan, tuple((r - 1) * a for a in bundle_divisor.coeffs))
     return linearly_equivalent(scaled, anticanonical(fan))
-
-
-# ---------------------------------------------------------------------------
-# GL(Z) normal form (optional comparison helper)
-# ---------------------------------------------------------------------------
-
-def gl_canonical_form(fan):
-    """A canonical representative of a smooth complete fan under GL(Z):
-    minimize the (rays, cones) pair over coordinate changes sending some
-    maximal cone to the standard positive orthant."""
-    n = fan.ambient_dim
-    best = None
-    from itertools import permutations
-    for cone in fan.max_cones:
-        if len(cone) != n:
-            continue
-        for perm in permutations(cone):
-            rows = [fan.rays[i] for i in perm]
-            if abs(det(rows)) != 1:
-                continue
-            inv = invert_unimodular(rows)
-            new_rays = [tuple(sum(r[i] * inv[i][j] for i in range(n))
-                              for j in range(n)) for r in fan.rays]
-            candidate = make_fan(new_rays, fan.max_cones)
-            key = (candidate.rays, candidate.max_cones)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        raise DomainError("GL(Z) normal form implemented for smooth fans")
-    return best

@@ -10,9 +10,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from nefmirror.errors import InputError
-from nefmirror.intlin import primitivize, solve_linear
-from nefmirror.lattice import convex_hull, is_reflexive, lattice_points
+from nefmirror.errors import DomainError, InputError
+from nefmirror.intlin import det, dot, invert_unimodular, primitivize, solve_linear
+from nefmirror.lattice import cone_hrep, convex_hull, is_reflexive, lattice_points
 from nefmirror.nefpart import build_nef_partition
 from nefmirror.toric import make_fan, normal_fan
 
@@ -180,6 +180,52 @@ def smooth_surface_fan(polygon):
     rays = sorted({r for pair in pairs for r in pair})
     index = {r: i for i, r in enumerate(rays)}
     return make_fan(rays, [tuple(sorted((index[u], index[v]))) for u, v in pairs])
+
+
+def face_fan(polytope):
+    """Face fan of a reflexive polytope: cones over its facets, with all
+    boundary lattice points that happen to be vertices as rays."""
+    if not is_reflexive(polytope):
+        raise DomainError("face fan implemented for reflexive polytopes")
+    rays = list(polytope.vertices)
+    index = {r: i for i, r in enumerate(rays)}
+    cones = [tuple(index[v] for v in polytope.vertices if dot(v, n) == -c)
+             for n, c in polytope.facets]
+    return make_fan(rays, cones)
+
+
+def cone_contains(cone, vector):
+    """Membership in a Cone, from the H-representation of its generators."""
+    if not cone.generators:
+        return all(Fraction(x) == 0 for x in vector)
+    ineqs, eqs = cone_hrep(cone.generators)
+    return (all(dot(vector, n) >= 0 for n in ineqs)
+            and all(dot(vector, e) == 0 for e in eqs))
+
+
+def gl_canonical_form(fan):
+    """A canonical representative of a smooth complete fan under GL(Z):
+    minimize the (rays, cones) pair over coordinate changes sending some
+    maximal cone to the standard positive orthant."""
+    n = fan.ambient_dim
+    best = None
+    for cone in fan.max_cones:
+        if len(cone) != n:
+            continue
+        for perm in permutations(cone):
+            rows = [fan.rays[i] for i in perm]
+            if abs(det(rows)) != 1:
+                continue
+            inv = invert_unimodular(rows)
+            new_rays = [tuple(sum(r[i] * inv[i][j] for i in range(n))
+                              for j in range(n)) for r in fan.rays]
+            candidate = make_fan(new_rays, fan.max_cones)
+            key = (candidate.rays, candidate.max_cones)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        raise DomainError("GL(Z) normal form implemented for smooth fans")
+    return best
 
 
 @pytest.fixture

@@ -202,3 +202,46 @@ def test_tautgen_rejects_bad_arguments(degrees, dim):
     assert result.returncode == 2
     assert json.loads(result.stderr)["error"] == "input"
     assert result.stdout == ""
+
+
+def _float_bundle(doc):
+    doc["bundle_example"]["bundle_coeffs"] = [0.0, 0.0, 1.0]
+    doc["bundle_example"]["r"] = 4.0
+    return doc
+
+
+def _no_name(doc):
+    del doc["entries"][1]["name"]
+    return doc
+
+
+def _bundle_without_name(doc):
+    del doc["bundle_example"]["name"]
+    return doc
+
+
+def _float_degree(doc):
+    doc["taut_golden"]["degrees"][4] = 2.0
+    return doc
+
+
+@pytest.mark.parametrize("corrupt, words", [
+    (_float_bundle, ["bundle_example", "bundle_coeffs"]),
+    (_no_name, ["entry 1", "name"]),
+    (lambda doc: doc["entries"], ["top level"]),
+    (_float_degree, ["taut_golden", "degrees"]),
+    (_bundle_without_name, ["bundle_example", "name"]),
+], ids=["float-bundle", "entry-without-name", "top-level-list", "float-degree",
+        "bundle-without-name"])
+def test_catalog_file_validated_at_load(tmp_path, corrupt, words):
+    from nefmirror.catalog import catalog_path
+    with open(catalog_path(), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(corrupt(doc)))
+    result = run_cli("catalog", env_extra={"NEFMIRROR_CATALOG": str(path)})
+    assert result.returncode == 2
+    diag = json.loads(result.stderr)
+    assert diag["error"] == "input"
+    assert all(word in diag["message"] for word in words)
+    assert result.stdout == ""

@@ -16,6 +16,7 @@ from conftest import (
     P2_DELTA,
     P3_DELTA,
     boundary_lattice_count,
+    cone_contains,
     elementary_product,
     in_convex_hull_oracle,
     random_lattice_polygon,
@@ -26,7 +27,6 @@ from nefmirror.errors import DomainError, InputError
 from nefmirror.intlin import det, dot
 from nefmirror.lattice import (
     cayley_polytope,
-    cone_contains,
     convex_hull,
     dual_cone,
     is_reflexive,

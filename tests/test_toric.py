@@ -1,18 +1,30 @@
 """Toric layer: fans, MPCP, Hodge numbers, divisors, the projective
 bundle / contraction pipeline for compactified line bundles."""
+import json
 from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import HEX_NABLA, P2_DELTA, P3_DELTA, leibniz
+from conftest import (
+    HEX_NABLA,
+    P2_DELTA,
+    P3_DELTA,
+    cone_contains,
+    face_fan,
+    gl_canonical_form,
+    leibniz,
+    smooth_surface_fan,
+)
+from nefmirror.catalog import load_catalog
 from nefmirror.errors import DomainError, InputError, SmoothnessError
 from nefmirror.lattice import (
     convex_hull,
     is_reflexive,
     lattice_points,
+    make_cone,
     normalized_volume,
     polar_dual,
 )
@@ -23,11 +35,8 @@ from nefmirror.toric import (
     cartier_data,
     divisor_from_polytope,
     divisor_polytope,
-    face_fan,
     fan_from_json,
     fan_to_json,
-    fan_validate,
-    gl_canonical_form,
     hodge_numbers_smooth_toric,
     is_ample,
     is_calabi_yau_cover,
@@ -133,7 +142,65 @@ def test_incomplete_fan():
 
 def test_fan_validate_catalog():
     for fan in (P2_FAN, HEX_FAN):
-        assert fan_validate(fan)
+        assert is_complete(fan)
+
+
+# Cone i joins ray i to ray i+1: a smooth 2-D "fan" winding twice round
+# the origin.  Every ray lies in two cones, on opposite sides.
+WOUND_RAYS = [(1, 0), (-2, 1), (-1, 0), (-2, -1), (-1, -1),
+              (-1, -2), (1, 1), (0, 1), (-1, 1), (0, -1)]
+WOUND_JSON = json.dumps({"dim": 2, "rays": [list(r) for r in WOUND_RAYS],
+                         "max_cones": [[i, (i + 1) % 10] for i in range(10)]})
+
+
+@pytest.mark.parametrize("fan", [
+    fan_from_json(WOUND_JSON),
+    # the half-planes y >= 0 and y <= 0, and the whole plane as one
+    # cone: not strongly convex
+    make_fan([(1, 0), (-1, 0), (0, 1), (0, -1)], [(0, 1, 2), (0, 1, 3)]),
+    make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1, 2)]),
+    # a chain of cones that folds back at (-1,-2): the generic point lies
+    # in one cone, the directions between (-2,-1) and (-1,-2) in three
+    make_fan([(1, 0), (-1, 2), (-1, -2), (-2, -1), (2, -1)],
+             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),
+    # the fourth quadrant twice, whole and split: rays in three cones
+    make_fan([(1, 0), (0, 1), (-1, 0), (0, -1), (1, -1)],
+             [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (3, 0)]),
+    make_fan([(1,)], [(0,)]),
+], ids=["wound", "half-planes", "whole-plane", "folded", "overlap", "lone-ray"])
+def test_not_complete_counterexamples(fan):
+    assert not is_complete(fan)
+
+
+def test_hodge_rejects_wound_fan():
+    fan = fan_from_json(WOUND_JSON)
+    assert is_smooth(fan)
+    with pytest.raises(InputError):
+        hodge_numbers_smooth_toric(fan)
+
+
+def _complete_and_each_cone_needed(fan):
+    assert is_complete(fan)
+    for i in range(len(fan.max_cones)):
+        assert not is_complete(
+            make_fan(fan.rays, fan.max_cones[:i] + fan.max_cones[i + 1:]))
+
+
+@pytest.mark.parametrize("entry", load_catalog()["entries"],
+                         ids=lambda entry: entry.name)
+def test_catalog_mpcp_fans_complete(entry):
+    np_ = entry.build()
+    for side in (np_, np_.dual.nef_partition):
+        _complete_and_each_cone_needed(side.mpcp[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=3, max_size=8))
+def test_smooth_surface_fans_complete(points):
+    poly = convex_hull(points)
+    assume(poly.dim == 2)
+    _complete_and_each_cone_needed(smooth_surface_fan(poly))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +234,7 @@ def test_mpcp_refines_face_fan_with_all_dual_points():
     boundary = [p for p in lattice_points(dual) if p != (0, 0)]
     assert set(fan.rays) == set(boundary)
     assert len(fan.max_cones) == normalized_volume(dual)
-    assert fan_validate(fan)
+    assert is_complete(fan)
 
 
 def test_mpcp_rejects_non_reflexive():
@@ -310,7 +377,6 @@ def test_bundle_fan_p2():
     assert set(fan.rays) == {(1, 0, 1), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)}
     assert len(fan.max_cones) == 6
     assert is_smooth(fan) and is_complete(fan)
-    assert fan_validate(fan)
 
 
 def test_bundle_fan_trivial_is_product():
@@ -455,7 +521,6 @@ def test_normal_fan_refines_divisor_normal_fan():
 
 
 def _in_cone(fan, cone, vector):
-    from nefmirror.lattice import cone_contains, make_cone
     return cone_contains(make_cone(fan.cone_rays(cone)), vector)
 
 
