@@ -32,9 +32,9 @@ from .toric import (
     ToricDivisor,
     anticanonical,
     bundle_nef_divisor,
+    is_ample,
     is_calabi_yau_cover,
     is_complete,
-    is_fano,
     is_smooth,
     linearly_equivalent,
     normal_fan,
@@ -181,8 +181,10 @@ def run_bundle_example(doc):
     h_div = bundle_nef_divisor(bundle_fan, base, bundle_div)
     contracted = semiample_contraction(bundle_fan, h_div)
     check("contracted smooth", is_smooth(contracted))
-    check("contracted complete", is_complete(contracted))
-    check("contracted fano", is_fano(contracted))
+    contracted_complete = is_complete(contracted)
+    check("contracted complete", contracted_complete)
+    check("contracted fano",
+          contracted_complete and is_ample(anticanonical(contracted)))
     if "contracted_n_rays" in expected:
         check("contracted ray count",
               len(contracted.rays) == expected["contracted_n_rays"])

@@ -4,12 +4,13 @@ No floats anywhere: entries are ints or fractions.Fraction.  Elimination
 runs over the integers in two routines: fraction-free Bareiss row
 elimination for rank, solve, nullspace and determinant, and unimodular
 column reduction (:func:`lattice_split`) for integer kernels and lattice
-charts.  Fraction enters only through rational inputs, which are scaled
-once by a common denominator, and through results that are genuinely
-rational.  Vectors are
-tuples, matrices are lists/tuples of row tuples.  This is deliberately
-small-scale code (dimensions <= 8, a few dozen rows) written for clarity
-and determinism, not asymptotics.
+charts.  Integer input stays ``int`` throughout: :func:`canon_vec` and
+:func:`primitivize` build no Fraction for it, and :func:`nullspace`
+returns integer vectors.  Fraction enters only through rational inputs,
+which are scaled once by a common denominator, and through results that
+are genuinely rational.  Vectors are tuples, matrices are lists/tuples of
+row tuples.  This is deliberately small-scale code (dimensions <= 8, a few
+dozen rows) written for clarity and determinism, not asymptotics.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ def canon_num(x):
 
 
 def canon_vec(v):
-    return tuple(canon_num(Fraction(x)) for x in v)
+    return tuple(x if type(x) is int else canon_num(Fraction(x)) for x in v)
 
 
 def dot(u, v):
@@ -42,25 +43,19 @@ def is_integral(v):
     return all(isinstance(canon_num(x), int) for x in v)
 
 
-def vec_gcd(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
-
-
 def primitivize(v):
     """Scale a nonzero rational vector to the primitive integer vector on
-    the same ray.  Raises on the zero vector."""
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
+    the same ray.  Raises on the zero vector.  An integer vector is only
+    divided by its gcd; rational entries are first scaled by the lcm of
+    their denominators."""
+    if not all(type(x) is int for x in v):
+        fracs = [Fraction(x) for x in v]
+        scale = lcm(*(x.denominator for x in fracs))
+        v = [int(x * scale) for x in fracs]
+    g = gcd(*v)
+    if g == 0:
         raise ValueError("cannot primitivize the zero vector")
-    lcm_den = 1
-    for x in fracs:
-        lcm_den = lcm_den * x.denominator // gcd(lcm_den, x.denominator)
-    ints = [int(x * lcm_den) for x in fracs]
-    g = vec_gcd(ints)
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
 
 
 def _eliminate(rows):
@@ -132,7 +127,11 @@ def solve_linear(rows, rhs):
 
 
 def nullspace(rows):
-    """Rational basis of {x : rows @ x = 0}, one vector per free column."""
+    """Integer basis of {x : rows @ x = 0}, one vector per free column f:
+    the rref kernel vector with x_f = 1, scaled by the final Bareiss pivot
+    so that no division is needed.  The vectors need not be primitive and
+    do not in general span the kernel lattice (see
+    :func:`integer_kernel_basis` for that)."""
     if not rows:
         return []
     ncols = len(rows[0])
@@ -141,9 +140,9 @@ def nullspace(rows):
     basis = []
     for f in free:
         v = [0] * ncols
-        v[f] = 1
+        v[f] = last
         for row, c in zip(m, pivots):
-            v[c] = _quotient(-row[f], last)
+            v[c] = -row[f]
         basis.append(tuple(v))
     return basis
 

@@ -210,6 +210,12 @@ def surface_node_count_from(fan, polytopes):
         raise InputError("node counts are for surfaces")
     if not (is_smooth(fan) and is_complete(fan)):
         raise SmoothnessError("node counts assume a smooth complete surface")
+    return _node_sum(fan, polytopes)
+
+
+def _node_sum(fan, polytopes):
+    """The sum of :func:`surface_node_count_from` over a fan already known
+    to be a smooth complete surface fan."""
     count = 0
     for cone in fan.max_cones:
         if len(cone) == 2:
@@ -241,5 +247,5 @@ def surface_node_count(nef_partition):
     six-line K3 configuration)."""
     if nef_partition.dim != 2:
         raise InputError("node counts are for surfaces")
-    fan, _ = nef_partition.mpcp
-    return surface_node_count_from(fan, list(nef_partition.section_polytopes))
+    fan, _ = nef_partition.mpcp  # checked smooth and complete when built
+    return _node_sum(fan, list(nef_partition.section_polytopes))

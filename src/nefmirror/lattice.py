@@ -1,12 +1,15 @@
 """Exact rational polyhedral kernel.
 
 Lattice points are plain int tuples, rational vectors are tuples of ints
-and fractions.Fraction; every predicate is exact.  Polytopes are built
-exclusively through :func:`convex_hull`, which produces an irredundant
-V- and H-representation together with the normalized volume measured in
-the polytope's affine span against the induced lattice: in an integer
-chart of the span, from one unimodular column reduction of its
-affine-basis directions, when the polytope is lower-dimensional.
+and fractions.Fraction; every predicate is exact.  On lattice input the
+hull and the pulling triangulation build no Fraction: the hull orients its
+facets by an integer multiple of an interior point, and the pulling test
+is cross-multiplied.  Polytopes are built exclusively through
+:func:`convex_hull`, which produces an irredundant V- and H-representation
+together with the normalized volume measured in the polytope's affine span
+against the induced lattice: in an integer chart of the span, from one
+unimodular column reduction of its affine-basis directions, when the
+polytope is lower-dimensional.
 
 Conventions
 -----------
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import ceil, floor
 
 from .errors import ConsistencyError, DomainError, InputError
 from .intlin import (
@@ -133,13 +137,14 @@ def _affine_basis_indices(points):
 
 def _facet_hyperplane(points, interior_ref):
     """Hyperplane through d affinely independent points of R^d, oriented so
-    that the interior reference point strictly satisfies the inequality."""
+    that the interior point interior_ref / (d + 1) strictly satisfies the
+    inequality."""
     base = points[0]
     rows = [vsub(p, base) for p in points[1:]]
     kernel = nullspace(rows) if rows else [(1,)]
     normal = primitivize(kernel[0])
-    offset = canon_num(-Fraction(dot(base, normal)))
-    if dot(interior_ref, normal) + offset < 0:
+    offset = canon_num(-dot(base, normal))
+    if dot(interior_ref, normal) + (len(base) + 1) * offset < 0:
         normal = tuple(-x for x in normal)
         offset = -offset
     return normal, offset
@@ -150,14 +155,14 @@ def _full_dim_hull(points, start):
     point set whose affine basis indices are ``start``.
 
     Returns (vertices, facets, nvolume).  Facets are merged geometric
-    facets, oriented by the interior reference point ``ref``; the
-    triangulated surface built along the way gives the normalized volume as
-    a sum of simplex determinants coned from the first point, a vertex,
-    which keeps them integral for lattice polytopes.
+    facets, oriented by the interior reference ``ref``: the sum of the
+    affine basis points, (d + 1) times their centroid, which is integral
+    for lattice input.  The triangulated surface built along the way gives
+    the normalized volume as a sum of simplex determinants coned from the
+    first point, a vertex, which keeps them integral for lattice polytopes.
     """
     d = len(points[0])
-    ref = tuple(canon_num(sum(Fraction(points[i][k]) for i in start) / (d + 1))
-                for k in range(d))
+    ref = tuple(sum(points[i][k] for i in start) for k in range(d))
 
     # facet: frozenset of point indices -> (normal, offset)
     facets = {}
@@ -290,7 +295,8 @@ def polar_dual(polytope):
         raise DomainError("polar dual needs a full-dimensional polytope")
     if any(offset <= 0 for _, offset in polytope.facets):
         raise DomainError("origin is not strictly interior")
-    duals = [tuple(Fraction(x, 1) / offset for x in normal)
+    duals = [tuple(x // offset if x % offset == 0 else Fraction(x, offset)
+                   for x in normal)
              for normal, offset in polytope.facets]
     return convex_hull(duals)
 
@@ -317,23 +323,13 @@ def _scan_lattice_points(polytope):
     the desk-scale polytopes in scope."""
     verts = polytope.vertices
     d = polytope.ambient_dim
-    lo = [min(_floor(v[i]) for v in verts) for i in range(d)]
-    hi = [max(_ceil(v[i]) for v in verts) for i in range(d)]
+    lo = [min(floor(v[i]) for v in verts) for i in range(d)]
+    hi = [max(ceil(v[i]) for v in verts) for i in range(d)]
     out = []
     for candidate in product(*[range(lo[i], hi[i] + 1) for i in range(d)]):
         if polytope.contains(candidate):
             out.append(candidate)
     return out
-
-
-def _floor(x):
-    f = Fraction(x)
-    return f.numerator // f.denominator
-
-
-def _ceil(x):
-    f = Fraction(x)
-    return -((-f.numerator) // f.denominator)
 
 
 def normalized_volume(polytope):
@@ -412,8 +408,7 @@ def pyramid(polytope, apex):
 def make_cone(generators, ambient_dim=None):
     """Canonical cone from rational generators: primitive, extremal,
     lexicographically sorted.  Requires a strongly convex cone."""
-    gens = sorted({primitivize(g) for g in generators
-                   if any(Fraction(x) != 0 for x in g)})
+    gens = sorted({primitivize(g) for g in generators if any(g)})
     if not gens:
         d = ambient_dim if ambient_dim is not None else 0
         return Cone(d, (), 0)
@@ -463,6 +458,12 @@ def pulling_triangulation(points):
     and the result restricts to each face as the pulling of that face in
     the same order, so facets pulled in one global order glue into a fan.
     Returns simplices as sorted index tuples.
+
+    With h_H(x) = <x, n_H> + c_H >= 0 on the cell for each facet H and a
+    the pulled point, a cell point q joins conv(a ∪ G) iff the ray from a
+    through q leaves the cell through G: h_G(q) < h_G(a) and
+    h_G(a) * h_H(q) >= h_G(q) * h_H(a) for every facet H.  The test is
+    cross-multiplied, so it stays in ``int`` on lattice input.
     """
     pts = [canon_vec(p) for p in points]
     f = len(pts[0])
@@ -476,7 +477,7 @@ def pulling_triangulation(points):
             hull_cache[cell] = convex_hull([pts[i] for i in cell])
         return hull_cache[cell]
 
-    for a, pa in enumerate(pts):
+    for a in range(len(pts)):
         next_cells = []
         for cell in cells:
             if a not in cell or len(cell) == f + 1:
@@ -485,21 +486,17 @@ def pulling_triangulation(points):
             hull = cell_hull(cell)
             if hull.dim != f:
                 raise ConsistencyError("pulling produced a degenerate cell")
-            for normal, offset in hull.facets:
-                ha = dot(pa, normal) + offset
-                if ha == 0:
+            values = {q: [dot(pts[q], n) + c for n, c in hull.facets]
+                      for q in cell}
+            h_a = values.pop(a)
+            for g, a_g in enumerate(h_a):
+                if a_g == 0:
                     continue  # facet contains the pulled point
                 members = [a]
-                for q in cell:
-                    if q == a:
-                        continue
-                    x = pts[q]
-                    lam = (Fraction(dot(x, normal)) + offset) / ha
-                    if lam >= 1:
-                        continue  # on or beyond the pulled point's level
-                    z = tuple((Fraction(xc) - lam * pc) / (1 - lam)
-                              for xc, pc in zip(x, pa))
-                    if all(dot(z, n2) + c2 >= 0 for n2, c2 in hull.facets):
+                for q, h_q in values.items():
+                    q_g = h_q[g]
+                    if q_g < a_g and all(a_g * q_h >= q_g * a_h
+                                         for q_h, a_h in zip(h_q, h_a)):
                         members.append(q)
                 next_cells.append(tuple(sorted(members)))
         cells = next_cells

@@ -3,21 +3,32 @@
 The oracles here are deliberately independent of the package internals:
 polygon areas come from the shoelace formula after an exact angular sort,
 membership tests from Caratheodory-style barycentric solves, and the
-smooth surface completion from elementary 2-cone subdivision.
+smooth surface completion from elementary 2-cone subdivision.  The
+pulling reference keeps the ray-shooting form, in Fraction arithmetic, of
+the package's cross-multiplied integer test.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from nefmirror.errors import DomainError, InputError
-from nefmirror.intlin import det, dot, invert_unimodular, primitivize, solve_linear
+from nefmirror.errors import ConsistencyError, DomainError, InputError
+from nefmirror.intlin import (
+    canon_vec,
+    det,
+    dot,
+    invert_unimodular,
+    primitivize,
+    solve_linear,
+)
 from nefmirror.lattice import cone_hrep, convex_hull, is_reflexive, lattice_points
 from nefmirror.nefpart import build_nef_partition
 from nefmirror.toric import make_fan, normal_fan
 
 P2_DELTA = [(2, -1), (-1, 2), (-1, -1)]
 P3_DELTA = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
+P4_DELTA = [(4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1),
+            (-1, -1, -1, 4), (-1, -1, -1, -1)]
 HEX_NABLA = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
 
 
@@ -226,6 +237,47 @@ def gl_canonical_form(fan):
     if best is None:
         raise DomainError("GL(Z) normal form implemented for smooth fans")
     return best
+
+
+def reference_pulling(points):
+    """Iterated pulling triangulation by ray shooting in Fraction
+    arithmetic: pulling a into a cell, q joins the cell conv(a ∪ G) iff
+    q is below a's level over the facet G (lam < 1) and the point z where
+    the ray from a through q leaves the cell satisfies every facet
+    inequality.  Points are pulled in the order given."""
+    pts = [canon_vec(p) for p in points]
+    f = len(pts[0])
+    if f == 0:
+        return [(0,)]
+    cells = [tuple(range(len(pts)))]
+    for a, pa in enumerate(pts):
+        next_cells = []
+        for cell in cells:
+            if a not in cell or len(cell) == f + 1:
+                next_cells.append(cell)
+                continue
+            hull = convex_hull([pts[i] for i in cell])
+            if hull.dim != f:
+                raise ConsistencyError("pulling produced a degenerate cell")
+            for normal, offset in hull.facets:
+                ha = dot(pa, normal) + offset
+                if ha == 0:
+                    continue
+                members = [a]
+                for q in cell:
+                    if q == a:
+                        continue
+                    x = pts[q]
+                    lam = (Fraction(dot(x, normal)) + offset) / ha
+                    if lam >= 1:
+                        continue
+                    z = tuple((Fraction(xc) - lam * pc) / (1 - lam)
+                              for xc, pc in zip(x, pa))
+                    if all(dot(z, n2) + c2 >= 0 for n2, c2 in hull.facets):
+                        members.append(q)
+                next_cells.append(tuple(sorted(members)))
+        cells = next_cells
+    return sorted(cells)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Each nef-partition dualizes once and builds each MPCP fan once, each
 catalog check or ``invariants`` command computes the double-cover
-invariants once, and a hull finds the affine basis of each point set once.
+invariants once, a catalog run tests each fan's completeness once, and a
+hull finds the affine basis of each point set once.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -12,13 +13,23 @@ from collections import Counter
 import pytest
 
 from nefmirror import cli, lattice
-from nefmirror.catalog import find_entry, load_catalog, run_entry
+from nefmirror.catalog import catalog_run, find_entry, load_catalog, run_entry
 from nefmirror.invariants import double_cover_invariants
 from nefmirror.nefpart import cayley_cone_duality_check, dualize
 from nefmirror.periods import gkz_data
-from nefmirror.toric import mpcp_fan
+from nefmirror.toric import is_complete, mpcp_fan
 
 ENTRY_NAMES = [entry.name for entry in load_catalog()["entries"]]
+
+
+def replace_everywhere(monkeypatch, wrappers):
+    """Rebind every ``nefmirror.*`` module attribute bound to a function
+    ``fn`` to ``wrappers[id(fn)]``."""
+    for name, module in list(sys.modules.items()):
+        if name == "nefmirror" or name.startswith("nefmirror."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[id(value)])
 
 
 def count_calls(monkeypatch, functions):
@@ -30,12 +41,7 @@ def count_calls(monkeypatch, functions):
             return fn(*args, **kwargs)
         return wrapper
 
-    wrappers = {id(fn): counting(fn) for fn in functions}
-    for name, module in list(sys.modules.items()):
-        if name == "nefmirror" or name.startswith("nefmirror."):
-            for attr, value in list(vars(module).items()):
-                if id(value) in wrappers:
-                    monkeypatch.setattr(module, attr, wrappers[id(value)])
+    replace_everywhere(monkeypatch, {id(fn): counting(fn) for fn in functions})
     return counts
 
 
@@ -80,6 +86,20 @@ def test_cli_invariants_computes_invariants_once(invariant_calls, tmp_path):
     argv = ["invariants", "--input", "p3-(12)(34)", "--output", str(out)]
     assert cli.main(argv) == 0
     assert invariant_calls == {"double_cover_invariants": 1}
+
+
+def test_catalog_run_tests_each_fan_complete_once(monkeypatch):
+    # the MPCP fans, the bundle fan, its base and its contraction: the node
+    # count and the Fano test reuse the completeness already established
+    fans = []
+
+    def recording(fan):
+        fans.append(fan)
+        return is_complete(fan)
+
+    replace_everywhere(monkeypatch, {id(is_complete): recording})
+    assert catalog_run()[0]
+    assert len(fans) == len({id(fan) for fan in fans}) == 15
 
 
 @pytest.mark.parametrize("points, point_sets", [

@@ -7,6 +7,7 @@ int or Fraction entries.
 """
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from nefmirror.intlin import (
     lattice_split,
     matrix_rank,
     nullspace,
+    primitivize,
     solve_linear,
 )
 
@@ -79,6 +81,20 @@ def test_det_of_integer_matrix_is_int(rows):
 @given(any_matrix)
 def test_rank_is_largest_nonzero_minor(rows):
     assert matrix_rank(rows) == minor_rank(rows)
+
+
+@SETTINGS
+@given(st.lists(entries, min_size=1, max_size=5).filter(any))
+def test_primitivize_is_the_primitive_vector_on_the_ray(v):
+    p = primitivize(v)
+    assert all(type(x) is int for x in p)
+    assert gcd(*p) == 1
+    i = next(i for i, x in enumerate(v) if x)
+    t = p[i] / Fraction(v[i])
+    assert t > 0
+    assert all(a == t * b for a, b in zip(p, v))
+    with pytest.raises(ValueError):
+        primitivize([0 * x for x in v])
 
 
 @SETTINGS

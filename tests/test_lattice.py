@@ -4,27 +4,31 @@ Derived expected values are frozen after being computed by the in-test
 oracles (shoelace areas, Pick counts, Caratheodory membership); the
 oracles stay independent of the code paths they check.
 """
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     HEX_NABLA,
     P2_DELTA,
     P3_DELTA,
+    P4_DELTA,
     boundary_lattice_count,
     cone_contains,
     elementary_product,
     in_convex_hull_oracle,
     random_lattice_polygon,
     random_reflexive_polygon,
+    reference_pulling,
     shoelace_area,
 )
 from nefmirror.errors import DomainError, InputError
-from nefmirror.intlin import det, dot
+from nefmirror.intlin import det, dot, primitivize, vsub
 from nefmirror.lattice import (
     cayley_polytope,
     convex_hull,
@@ -39,8 +43,10 @@ from nefmirror.lattice import (
     polar_dual,
     polytope_from_json,
     polytope_to_json,
+    pulling_triangulation,
     pyramid,
 )
+from nefmirror.nefpart import build_nef_partition
 
 UNIT_TRIANGLE = [(0, 0), (1, 0), (0, 1)]
 
@@ -147,6 +153,52 @@ def test_lower_dimensional_volume_is_unimodular_invariant(case):
                          for p in pts])
     assert moved.dim == poly.dim
     assert moved.nvolume == poly.nvolume
+
+
+@st.composite
+def full_dimensional_sets(draw, max_extra=5):
+    """Distinct lattice points spanning R^d, d = 1..3, in drawn order."""
+    d = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d),
+                        min_size=d + 1, max_size=d + 1 + max_extra,
+                        unique=True))
+    assume(convex_hull(pts).dim == d)
+    return pts
+
+
+@SETTINGS
+@given(full_dimensional_sets(), st.sampled_from([2, 3]))
+def test_rational_hull_is_the_scaled_integer_hull(pts, k):
+    poly = convex_hull(pts)
+    scaled = convex_hull([tuple(Fraction(x, k) for x in p) for p in pts])
+    assert [n for n, _ in scaled.facets] == [n for n, _ in poly.facets]
+    assert [c for _, c in scaled.facets] == [Fraction(c, k) for _, c in poly.facets]
+    assert scaled.vertices == tuple(tuple(Fraction(x, k) for x in v)
+                                    for v in poly.vertices)
+    assert scaled.nvolume == Fraction(poly.nvolume, k ** poly.dim)
+    for normal, _ in scaled.facets + poly.facets:
+        assert all(type(x) is int for x in normal)
+        assert primitivize(normal) == normal
+
+
+def test_integer_hull_and_pulling_build_no_fraction(monkeypatch):
+    delta_points = lattice_points(convex_hull(P4_DELTA))
+    simplex_points = lattice_points(convex_hull(
+        [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)]))
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert convex_hull(delta_points).vertices == tuple(sorted(P4_DELTA))
+    assert len(built) == 0
+    assert len(pulling_triangulation(simplex_points)) == 27
+    assert len(built) == 0
+    Fraction(1, 2)
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +471,45 @@ def test_lower_dimensional_cone():
 def test_make_cone_rejects_lines():
     with pytest.raises(DomainError):
         make_cone([(1, 0), (-1, 0), (0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# pulling triangulation
+# ---------------------------------------------------------------------------
+
+@SETTINGS
+@given(full_dimensional_sets(), st.sampled_from([2, 3]))
+def test_pulling_matches_ray_shooting_reference(pts, k):
+    for order in (sorted(pts), pts):
+        simplices = pulling_triangulation(order)
+        assert simplices == reference_pulling(order)
+        assert pulling_triangulation(
+            [tuple(Fraction(x, k) for x in p) for p in order]) == simplices
+        # every point is a vertex, and the simplices fill the hull
+        assert {i for s in simplices for i in s} == set(range(len(order)))
+        assert sum(abs(det([vsub(order[i], order[s[0]]) for i in s[1:]]))
+                   for s in simplices) == convex_hull(order).nvolume
+
+
+def test_pulling_square_with_centre():
+    square = [(0, 0), (0, 2), (2, 0), (2, 2)]
+    assert pulling_triangulation([(1, 1)] + square) == [
+        (0, 1, 2), (0, 1, 3), (0, 2, 4), (0, 3, 4)]
+    assert pulling_triangulation(square + [(1, 1)]) == [
+        (0, 1, 4), (0, 2, 4), (1, 3, 4), (2, 3, 4)]
+
+
+def test_two_part_p4_mpcp_triangulations_are_pinned():
+    np_ = build_nef_partition(convex_hull(P4_DELTA), [[0, 1], [2, 3, 4]])
+    found = []
+    for delta in (np_.delta, np_.dual.nef_partition.delta):
+        tri = maximal_boundary_triangulation(polar_dual(delta))
+        digest = hashlib.sha256(json.dumps(sorted(tri.simplices)).encode())
+        found.append((len(tri.simplices), digest.hexdigest()))
+    assert found == [
+        (5, "d6fbc7bb7c22ec5ccab04714a0f864674046cc9309371e4d9afea70c02594414"),
+        (211, "262c0dfef6fbc57a3ffb0ef9a8d4778b3f9e82a56d1e6cf3628f85777e5993d9"),
+    ]
 
 
 # ---------------------------------------------------------------------------
