@@ -259,7 +259,11 @@ def taut_system(bundle_degrees, dim):
             operators.append(make_operator(terms, 1 if u == v_idx else 0))
 
     # Box operators: all binomial relations between unordered coefficient
-    # pairs with equal bundle multiset and equal total monomial.
+    # pairs with equal bundle multiset and equal total monomial.  Each is
+    # built directly in make_operator's normal form: the pairs are sorted
+    # label tuples, distinct and ascending within a bucket, so d(p1) - d(p2)
+    # has its terms in canonical order.  The +1 and -1 term of each pair is
+    # built once and shared by every operator that uses the pair.
     buckets = {}
     for v1, v2 in combinations_with_replacement(variables, 2):
         key = (tuple(sorted((v1.bundle, v2.bundle))),
@@ -267,8 +271,9 @@ def taut_system(bundle_degrees, dim):
         buckets.setdefault(key, []).append(tuple(sorted((v1.label, v2.label))))
     for key in sorted(buckets):
         pairs = sorted(set(buckets[key]))
-        for p1, p2 in combinations(pairs, 2):
-            operators.append(make_operator([(1, p1, ""), (-1, p2, "")]))
+        terms = [(DiffTerm(1, p, ""), DiffTerm(-1, p, "")) for p in pairs]
+        for (plus, _), (_, minus) in combinations(terms, 2):
+            operators.append(DiffOperator((plus, minus), 0))
     return operators
 
 

@@ -32,6 +32,7 @@ from .lattice import (
     is_reflexive,
     json_int,
     maximal_boundary_triangulation,
+    normalized_volume,
     polar_dual,
 )
 
@@ -212,13 +213,18 @@ def mpcp_fan(polytope):
     """Maximal projective crepant partial desingularization of the toric
     variety of a reflexive polytope: the normal fan refined by all nonzero
     lattice points of the polar dual, via the maximal boundary
-    triangulation.  Returns (fan, unimodular_flag)."""
+    triangulation.  Returns (fan, unimodular_flag).
+
+    A unimodular triangulation has one maximal cone per unit of the polar
+    dual's normalized volume; that count is checked against the volume."""
     if not is_reflexive(polytope):
         raise DomainError("mpcp_fan needs a reflexive polytope")
     dual = polar_dual(polytope)
     tri = maximal_boundary_triangulation(dual)
     rays = tri.uses_points[1:]
     cones = [tuple(i - 1 for i in simplex if i != 0) for simplex in tri.simplices]
+    if tri.unimodular and len(cones) != normalized_volume(dual):
+        raise ConsistencyError("maximal-cone count disagrees with polar volume")
     return make_fan(rays, cones), tri.unimodular
 
 

@@ -1,7 +1,8 @@
 """Each nef-partition dualizes once and builds each MPCP fan once, each
-catalog check or ``invariants`` command computes the double-cover
-invariants once, a catalog run tests each fan's completeness once, and a
-hull finds the affine basis of each point set once.
+MPCP side builds its polar dual once, each catalog check or
+``invariants`` command computes the double-cover invariants once, a
+catalog run tests each fan's completeness once, and a hull finds the
+affine basis of each point set once.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -17,6 +18,7 @@ from nefmirror.catalog import catalog_run, find_entry, load_catalog, run_entry
 from nefmirror.invariants import double_cover_invariants
 from nefmirror.nefpart import cayley_cone_duality_check, dualize
 from nefmirror.periods import gkz_data
+from nefmirror.lattice import polar_dual
 from nefmirror.toric import is_complete, mpcp_fan
 
 ENTRY_NAMES = [entry.name for entry in load_catalog()["entries"]]
@@ -73,6 +75,18 @@ def test_cone_duality_and_primal_gkz_build_no_mpcp_fan(calls):
     assert cayley_cone_duality_check(np_)
     gkz_data(np_, side="primal")
     assert calls == {"dualize": 1}
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_mpcp_builds_the_polar_dual_once(monkeypatch, name):
+    # the cone-count check reads the volume of the hull mpcp_fan built
+    np_ = find_entry(name).build()
+    dual_side = np_.dual.nef_partition
+    counts = count_calls(monkeypatch, (polar_dual,))
+    np_.mpcp
+    assert counts == {"polar_dual": 1}
+    dual_side.mpcp
+    assert counts == {"polar_dual": 2}
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)

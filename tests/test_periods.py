@@ -218,6 +218,41 @@ def test_symmetry_count_general():
         assert len(symmetry) == (dim + 1) ** 2
 
 
+def box_operators(degrees, dim):
+    """The box operators of taut_system: those after the Euler and
+    symmetry operators."""
+    return taut_system(degrees, dim)[len(degrees) + (dim + 1) ** 2:]
+
+
+@pytest.mark.parametrize("degrees, dim", [
+    ([2], 1), ([1, 1, 1, 1, 2], 2), ([2, 3], 2), ([3], 3), ([1, 2], 3),
+    ([2, 2], 3),
+])
+def test_box_operators_are_in_normal_form(degrees, dim):
+    """Box operators skip make_operator; each must be what make_operator
+    makes of its own terms, with int coefficients, and survive a text
+    round trip unchanged."""
+    box = box_operators(degrees, dim)
+    assert box
+    for op in box:
+        terms = [(t.coeff, t.derivs, t.multiplier) for t in op.terms]
+        assert repr(op) == repr(make_operator(terms, op.constant))
+        assert [t.coeff for t in op.terms] == [1, -1]
+        assert all(type(t.coeff) is int for t in op.terms)
+        assert type(op.constant) is int and op.constant == 0
+    parsed = parse_operators(serialize_operators(box))
+    assert parsed == box
+    assert repr(parsed) == repr(box)
+
+
+def test_box_operators_share_their_terms():
+    """Each distinct box term is one object, shared by every box operator
+    that uses it."""
+    terms = [t for op in box_operators([6], 3) for t in op.terms]
+    assert len(terms) > len(set(terms))
+    assert len({id(t) for t in terms}) == len(set(terms))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
@@ -296,8 +331,9 @@ def test_serialize_roundtrip_property(ops):
     ([6], 3, "eccf757e4b62b814d6150d1803711a9cae4d987ef97cb4f661f8e406ae6d1b62"),
     ([3, 3], 4,
      "0bafc4a17032f687a48d93f58b330a3af8765c99919afb7bb00d75a54ca57740"),
+    ([5], 4, "6b1cc290c96373c0bffee8b2d5c712ae1649a74728ad3357f654705022c89beb"),
 ])
 def test_taut_system_bytes_pinned(degrees, dim, digest):
-    """The tautgen output of two large systems, byte for byte."""
+    """The tautgen output of three large systems, byte for byte."""
     text = serialize_operators(taut_system(degrees, dim)) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
