@@ -18,7 +18,6 @@ from nefmirror.catalog import catalog_run, find_entry, load_catalog, run_entry
 from nefmirror.invariants import double_cover_invariants
 from nefmirror.nefpart import cayley_cone_duality_check, dualize
 from nefmirror.periods import gkz_data
-from nefmirror.lattice import polar_dual
 from nefmirror.toric import is_complete, mpcp_fan
 
 ENTRY_NAMES = [entry.name for entry in load_catalog()["entries"]]
@@ -82,7 +81,7 @@ def test_mpcp_builds_the_polar_dual_once(monkeypatch, name):
     # the cone-count check reads the volume of the hull mpcp_fan built
     np_ = find_entry(name).build()
     dual_side = np_.dual.nef_partition
-    counts = count_calls(monkeypatch, (polar_dual,))
+    counts = count_calls(monkeypatch, (lattice.polar_dual,))
     np_.mpcp
     assert counts == {"polar_dual": 1}
     dual_side.mpcp
