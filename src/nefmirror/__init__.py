@@ -19,7 +19,7 @@ from .lattice import (
     Cone,
     LatticePolytope,
     Triangulation,
-    cayley_polytope,
+    cayley_pyramid,
     convex_hull,
     dual_cone,
     is_reflexive,
@@ -32,7 +32,6 @@ from .lattice import (
     polar_dual,
     polytope_from_json,
     polytope_to_json,
-    pyramid,
 )
 from .toric import (
     CartierData,
@@ -69,7 +68,6 @@ from .nefpart import (
     dualize,
     nef_partition_from_json,
     nef_partition_to_json,
-    s_polytope,
 )
 from .invariants import (
     CoverInvariants,
@@ -97,8 +95,8 @@ __all__ = [
     "ConsistencyError", "GoldenMismatchError",
     "LatticePolytope", "Cone", "Triangulation",
     "convex_hull", "polar_dual", "is_reflexive", "lattice_points",
-    "normalized_volume", "minkowski_sum", "mixed_area", "cayley_polytope",
-    "pyramid", "dual_cone", "make_cone", "maximal_boundary_triangulation",
+    "normalized_volume", "minkowski_sum", "mixed_area", "cayley_pyramid",
+    "dual_cone", "make_cone", "maximal_boundary_triangulation",
     "polytope_to_json", "polytope_from_json",
     "Fan", "ToricDivisor", "CartierData",
     "make_fan", "normal_fan", "mpcp_fan", "is_smooth", "is_complete",
@@ -109,7 +107,7 @@ __all__ = [
     "linear_equivalence_witness", "is_calabi_yau_cover",
     "fan_to_json", "fan_from_json",
     "NefPartition", "DualNefPartition", "build_nef_partition", "dualize",
-    "double_dual_check", "cayley_cone", "s_polytope",
+    "double_dual_check", "cayley_cone",
     "nef_partition_to_json", "nef_partition_from_json",
     "CoverInvariants", "dk_euler", "branched_cover_euler",
     "double_cover_invariants", "verify_mirror_duality", "surface_node_count",

@@ -16,11 +16,7 @@ from importlib import resources
 from .errors import GoldenMismatchError, InputError
 from .invariants import surface_node_count, verify_mirror_duality
 from .lattice import convex_hull, json_int, normalized_volume
-from .nefpart import (
-    cayley_cone_duality_check,
-    nef_partition_from_doc,
-    s_polytope,
-)
+from .nefpart import cayley_cone_duality_check, nef_partition_from_doc
 from .periods import (
     gkz_data,
     gkz_equal_up_to_group_permutation,
@@ -214,7 +210,7 @@ def run_entry(entry):
         if key in expected and getattr(inv, key) != expected[key]:
             failures.append(f"{key}: computed {getattr(inv, key)}, "
                             f"expected {expected[key]}")
-    s_vol = normalized_volume(s_polytope(np_))
+    s_vol = normalized_volume(np_.cayley_pyramid)
     if "s_volume" in expected and s_vol != expected["s_volume"]:
         failures.append(f"s_volume: computed {s_vol}, "
                         f"expected {expected['s_volume']}")

@@ -99,7 +99,7 @@ def _invariants_doc(np_):
         "chi_Xdual": inv.chi_Xdual,
         "chi_Y": inv.chi_Y,
         "chi_Ydual": inv.chi_Ydual,
-        "duality_ok": bool(ok and inv.duality_ok),
+        "duality_ok": bool(ok),
         "hodge": hodge,
         "dk_terms": report["dk_terms"],
     }

@@ -19,11 +19,10 @@ from itertools import combinations
 from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
 from .intlin import dot
 from .lattice import (
-    cayley_polytope,
+    cayley_pyramid,
     lattice_points,
     mixed_area,
     normalized_volume,
-    pyramid,
 )
 from .toric import (
     divisor_from_polytope,
@@ -50,32 +49,35 @@ class CoverInvariants:
     hodge_offdiag: tuple  # tuple of ((p, q), value), sorted
     h11_Y: object
     h21_Y: object
-    duality_ok: bool
 
 
 # ---------------------------------------------------------------------------
 # Danilov-Khovanskii
 # ---------------------------------------------------------------------------
 
+def _full_volume(lam):
+    """Normalized volume of a Cayley pyramid in its full ambient space:
+    zero when it is not full-dimensional."""
+    return normalized_volume(lam) if lam.dim == lam.ambient_dim else 0
+
+
 def cayley_pyramid_volume(polytopes):
-    """vol_{n+|J|}(Lambda_J): normalized volume of the pyramid with apex 0
-    over the Cayley polytope, in the full ambient R^|J| x M_R (zero when
-    the pyramid is not full-dimensional)."""
-    cayley = cayley_polytope(polytopes)
-    apex = tuple(0 for _ in range(cayley.ambient_dim))
-    lam = pyramid(cayley, apex)
-    if lam.dim != lam.ambient_dim:
-        return 0
-    return normalized_volume(lam)
+    """vol_{n+|J|}(Lambda_J): normalized volume of the Cayley pyramid of
+    the polytopes in the full ambient R^|J| x M_R (zero when the pyramid
+    is not full-dimensional)."""
+    return _full_volume(cayley_pyramid(polytopes))
 
 
-def _pyramid_volumes(polytopes):
+def _pyramid_volumes(polytopes, lam):
     """vol_{n+|J|}(Lambda_J) for every nonempty J, keyed by the index
-    tuple J."""
+    tuple J; ``lam`` is the already-built Cayley pyramid of all the
+    polytopes, the term of the full index set."""
     k = len(polytopes)
-    return {subset: cayley_pyramid_volume([polytopes[j] for j in subset])
-            for size in range(1, k + 1)
-            for subset in combinations(range(k), size)}
+    volumes = {subset: cayley_pyramid_volume([polytopes[j] for j in subset])
+               for size in range(1, k)
+               for subset in combinations(range(k), size)}
+    volumes[tuple(range(k))] = _full_volume(lam)
+    return volumes
 
 
 def _dk_sum(n, volumes, indices):
@@ -101,7 +103,8 @@ def dk_euler(fan, divisors):
             raise InputError("divisor lives on a different fan")
         if not is_nef(d):
             raise DomainError("dk_euler needs nef divisors")
-    volumes = _pyramid_volumes([divisor_polytope(d) for d in divisors])
+    polytopes = [divisor_polytope(d) for d in divisors]
+    volumes = _pyramid_volumes(polytopes, cayley_pyramid(polytopes))
     return _dk_sum(fan.ambient_dim, volumes, tuple(range(len(divisors))))
 
 
@@ -142,13 +145,13 @@ def double_cover_invariants(nef_partition):
     return CoverInvariants(
         n=n, chi_X=chi_x, chi_Xdual=chi_xd, chi_Y=chi_y, chi_Ydual=chi_yd,
         hodge_offdiag=tuple(sorted(offdiag)),
-        h11_Y=h11, h21_Y=h21,
-        duality_ok=(chi_y == sign * chi_yd))
+        h11_Y=h11, h21_Y=h21)
 
 
 def verify_mirror_duality(nef_partition):
-    """Recompute chi(Y) through the DK/inclusion-exclusion route and the
-    closed form, and check both against (-1)^n chi(Y_dual).
+    """Recompute chi(Y) through the DK/inclusion-exclusion route and check
+    it against the closed form chi(X) + (-1)^n chi(X_dual), which equals
+    (-1)^n chi(Y_dual) by construction.
 
     Returns (ok, report); the report lists every intermediate pyramid
     volume vol_{n+|J|}(Lambda_J), and its "invariants" entry is the
@@ -171,14 +174,16 @@ def verify_mirror_duality(nef_partition):
         if poly != section:
             raise ConsistencyError("pullback changed a section polytope")
 
-    volumes = _pyramid_volumes(polytopes)
+    # the pulled-back polytopes are the sections, so their Cayley pyramid
+    # is the one the nef-partition keeps
+    volumes = _pyramid_volumes(polytopes, np_.cayley_pyramid)
     chi_union = 0
     for subset in volumes:
         chi_union += (-1) ** (len(subset) - 1) * _dk_sum(n, volumes, subset)
 
     chi_branch = inv.chi_X + chi_union
     chi_y_dk = branched_cover_euler(inv.chi_X, chi_branch, 2)
-    ok = (chi_y_dk == inv.chi_Y == (-1) ** n * inv.chi_Ydual)
+    ok = chi_y_dk == inv.chi_Y
     report = {
         "n": n,
         "r": r,

@@ -373,32 +373,22 @@ def mixed_area(p, q):
                      - euclidean_area(p) - euclidean_area(q))
 
 
-def cayley_polytope(polys):
-    """Cayley polytope Conv(e_1 x P_1, ..., e_k x P_k) in R^k x R^n."""
+def cayley_pyramid(polys):
+    """Cayley pyramid Conv({0} u e_1 x P_1 u ... u e_k x P_k) in R^k x R^n.
+
+    The Cayley points (e_j, v) lie on the hyperplane where the first k
+    coordinates sum to 1, so the apex 0 is never in their affine span."""
     if not polys:
-        raise InputError("cayley_polytope needs at least one polytope")
+        raise InputError("cayley_pyramid needs at least one polytope")
     n = polys[0].ambient_dim
     if any(p.ambient_dim != n for p in polys):
         raise InputError("Cayley factors must share an ambient dimension")
     k = len(polys)
-    pts = []
+    pts = [tuple(0 for _ in range(k + n))]
     for i, p in enumerate(polys):
         e = tuple(1 if j == i else 0 for j in range(k))
         pts.extend(e + v for v in p.vertices)
     return convex_hull(pts)
-
-
-def pyramid(polytope, apex):
-    """Hull of P and an apex outside P's affine span; dim goes up by one."""
-    apex = canon_vec(apex)
-    in_span = (polytope.dim == polytope.ambient_dim
-               or all(dot(apex, n) == rhs for n, rhs in polytope.equations))
-    if in_span:
-        raise DomainError("apex lies in the affine span of the base")
-    out = convex_hull(list(polytope.vertices) + [apex])
-    if out.dim != polytope.dim + 1:
-        raise ConsistencyError("pyramid did not raise the dimension")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,11 @@ from functools import cached_property
 
 from .errors import ConsistencyError, InputError, SmoothnessError
 from .lattice import (
+    Cone,
+    cayley_pyramid,
     convex_hull,
-    dual_cone,
     is_reflexive,
     json_int,
-    lattice_points,
-    make_cone,
     minkowski_sum_all,
     polar_dual,
 )
@@ -39,9 +38,10 @@ class NefPartition:
     """A reflexive polytope with a nef ray partition and the derived
     section polytopes (in the order of the parts).
 
-    The Batyrev-Borisov dual (``dual``) and the MPCP side (``mpcp``) are
-    computed on first read and kept on the object; equality and hashing
-    use the four fields only."""
+    The Batyrev-Borisov dual (``dual``), the MPCP side (``mpcp``) and the
+    Cayley pyramid of the sections (``cayley_pyramid``) are computed on
+    first read and kept on the object; equality and hashing use the four
+    fields only."""
 
     delta: object
     fan: object            # normal fan of delta
@@ -72,6 +72,15 @@ class NefPartition:
                 "MPCP fan is not unimodular; the smoothness assumption fails")
         h_vector, _chi = hodge_numbers_smooth_toric(fan)
         return fan, h_vector
+
+    @cached_property
+    def cayley_pyramid(self):
+        """Lambda = Conv({0} u e_1 x Delta_1 u ... u e_r x Delta_r) in
+        R^r x M_R.  It is the polytope S of the volume identity (a lattice
+        polytope is the hull of its lattice points), the cone over it is
+        the Gorenstein cone sigma_Delta, and its volume is the top
+        Danilov-Khovanskii term."""
+        return cayley_pyramid(self.section_polytopes)
 
     def __repr__(self):
         return f"NefPartition(dim={self.dim}, r={self.r}, parts={self.parts})"
@@ -176,36 +185,23 @@ def double_dual_check(nef_partition):
 
 
 def cayley_cone(nef_partition):
-    """Gorenstein cone over the Cayley polytope of the section polytopes:
-    generated by (e_i, w) for w a vertex of Delta_i, inside R^r x M_R."""
-    np_ = nef_partition
-    r = np_.r
-    gens = []
-    for i, poly in enumerate(np_.section_polytopes):
-        e = tuple(1 if j == i else 0 for j in range(r))
-        gens.extend(e + v for v in poly.vertices)
-    return make_cone(gens)
+    """Gorenstein cone sigma_Delta over the Cayley polytope of the section
+    polytopes inside R^r x M_R: generated by the nonzero vertices of the
+    Cayley pyramid, which are the (e_i, w) for w a vertex of Delta_i."""
+    lam = nef_partition.cayley_pyramid
+    return Cone(lam.ambient_dim, tuple(v for v in lam.vertices if any(v)), lam.dim)
 
 
 def cayley_cone_duality_check(nef_partition):
     """dual_cone(sigma_Delta) == sigma_nabla, the reflexive Gorenstein cone
-    pair of index r.  sigma_nabla is the Cayley cone of the dual partition,
-    whose section polytopes dualize asserts to be the nabla_k."""
+    pair of index r.  The generators of the dual cone are the inner normals
+    of the Cayley pyramid's facets through the apex; sigma_nabla is the
+    Cayley cone of the dual partition, whose section polytopes dualize
+    asserts to be the nabla_k."""
     sigma_nabla = cayley_cone(nef_partition.dual.nef_partition)
-    return dual_cone(cayley_cone(nef_partition)) == sigma_nabla
-
-
-def s_polytope(nef_partition):
-    """S = Conv({0} u e_i x (Delta_i cap M)): its normalized volume equals
-    the normalized volume of Conv(Delta_1,...,Delta_r)."""
-    np_ = nef_partition
-    r = np_.r
-    n = np_.dim
-    pts = [tuple(0 for _ in range(r + n))]
-    for i, poly in enumerate(np_.section_polytopes):
-        e = tuple(1 if j == i else 0 for j in range(r))
-        pts.extend(e + q for q in lattice_points(poly))
-    return convex_hull(pts)
+    apex_normals = sorted(n for n, c in nef_partition.cayley_pyramid.facets
+                          if c == 0)
+    return tuple(apex_normals) == sigma_nabla.generators
 
 
 # ---------------------------------------------------------------------------

@@ -205,13 +205,14 @@ def coefficient_variables(bundle_degrees, dim):
     """One CoeffVar per monomial per bundle.  Bundles of equal degree share
     a letter ('a' for the first distinct degree, 'b' for the next, ...);
     the label is letter + monomial index + bundle index within its class,
-    giving the familiar a_ij / b_i1 names."""
+    giving the familiar a_ij / b_i1 names.  Two variables with one label
+    (11 or more bundles and monomials in a class) are an InputError."""
     if not bundle_degrees or dim < 0:
         raise InputError("need a bundle degree and a dimension >= 0")
     n_vars = dim + 1
     letters = {}
     class_counter = {}
-    variables = []
+    by_label = {}
     for bundle, degree in enumerate(bundle_degrees):
         if degree <= 0:
             raise InputError("bundle degrees must be positive")
@@ -221,8 +222,12 @@ def coefficient_variables(bundle_degrees, dim):
         class_counter[degree] = class_counter.get(degree, 0) + 1
         within = class_counter[degree]
         for m_idx, exp in enumerate(monomials_of_degree(degree, n_vars), start=1):
-            variables.append(CoeffVar(f"{letter}{m_idx}{within}", bundle, exp))
-    return variables
+            var = CoeffVar(f"{letter}{m_idx}{within}", bundle, exp)
+            other = by_label.setdefault(var.label, var)
+            if other is not var:
+                raise InputError(f"coefficient label {var.label!r} names two "
+                                 f"variables: {other} and {var}")
+    return list(by_label.values())
 
 
 def taut_system(bundle_degrees, dim):

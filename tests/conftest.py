@@ -5,7 +5,10 @@ polygon areas come from the shoelace formula after an exact angular sort,
 membership tests from Caratheodory-style barycentric solves, and the
 smooth surface completion from elementary 2-cone subdivision.  The
 pulling reference keeps the ray-shooting form, in Fraction arithmetic, of
-the package's cross-multiplied integer test.
+the package's cross-multiplied integer test.  The Cayley references build
+the Cayley pyramid in two hulls (the Cayley polytope, then the pyramid
+over it) and the S-polytope from lattice points, the routes the package's
+single Cayley pyramid hull replaced.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -203,6 +206,45 @@ def face_fan(polytope):
     cones = [tuple(index[v] for v in polytope.vertices if dot(v, n) == -c)
              for n, c in polytope.facets]
     return make_fan(rays, cones)
+
+
+def cayley_polytope(polys):
+    """Cayley polytope Conv(e_1 x P_1, ..., e_k x P_k) in R^k x R^n."""
+    if not polys:
+        raise InputError("cayley_polytope needs at least one polytope")
+    n = polys[0].ambient_dim
+    if any(p.ambient_dim != n for p in polys):
+        raise InputError("Cayley factors must share an ambient dimension")
+    k = len(polys)
+    pts = []
+    for i, p in enumerate(polys):
+        e = tuple(1 if j == i else 0 for j in range(k))
+        pts.extend(e + v for v in p.vertices)
+    return convex_hull(pts)
+
+
+def pyramid(polytope, apex):
+    """Hull of P and an apex outside P's affine span; dim goes up by one."""
+    apex = canon_vec(apex)
+    in_span = (polytope.dim == polytope.ambient_dim
+               or all(dot(apex, n) == rhs for n, rhs in polytope.equations))
+    if in_span:
+        raise DomainError("apex lies in the affine span of the base")
+    out = convex_hull(list(polytope.vertices) + [apex])
+    if out.dim != polytope.dim + 1:
+        raise ConsistencyError("pyramid did not raise the dimension")
+    return out
+
+
+def s_polytope(nef_partition):
+    """S = Conv({0} u e_i x (Delta_i cap M)), hulled from lattice points."""
+    np_ = nef_partition
+    r = np_.r
+    pts = [tuple(0 for _ in range(r + np_.dim))]
+    for i, poly in enumerate(np_.section_polytopes):
+        e = tuple(1 if j == i else 0 for j in range(r))
+        pts.extend(e + q for q in lattice_points(poly))
+    return convex_hull(pts)
 
 
 def cone_contains(cone, vector):

@@ -12,6 +12,7 @@ from conftest import (
     random_nef_partition,
     random_reflexive_polygon,
     random_lattice_polygon,
+    s_polytope,
     smooth_surface_fan,
 )
 from nefmirror.catalog import (
@@ -31,11 +32,7 @@ from nefmirror.lattice import (
     make_cone,
     normalized_volume,
 )
-from nefmirror.nefpart import (
-    cayley_cone,
-    dualize,
-    s_polytope,
-)
+from nefmirror.nefpart import cayley_cone, dualize
 from nefmirror.periods import (
     gkz_data,
     gkz_equal_up_to_group_permutation,

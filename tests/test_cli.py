@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import nefmirror
+from nefmirror import cli, invariants
 
 CLI = [sys.executable, "-m", "nefmirror.cli"]
 # The source root of the package under test, so the CLI child imports the
@@ -202,6 +203,48 @@ def test_tautgen_rejects_bad_arguments(degrees, dim):
     assert result.returncode == 2
     assert json.loads(result.stderr)["error"] == "input"
     assert result.stdout == ""
+
+
+def test_tautgen_ambiguous_labels_exit_2():
+    result = run_cli("tautgen", "--degrees", ",".join(["1"] * 11), "--dim", "10")
+    assert result.returncode == 2
+    diag = json.loads(result.stderr)
+    assert diag["error"] == "input" and "a111" in diag["message"]
+    assert result.stdout == ""
+
+
+@pytest.fixture
+def dk_top_term_plus_one(monkeypatch):
+    """Make the DK route disagree with the closed form: add 1 to the
+    volume of the Cayley pyramid of the full index set."""
+    volumes = invariants._pyramid_volumes
+
+    def plus_one(polytopes, lam):
+        out = volumes(polytopes, lam)
+        out[tuple(range(len(polytopes)))] += 1
+        return out
+
+    monkeypatch.setattr(invariants, "_pyramid_volumes", plus_one)
+
+
+def test_invariants_reports_a_failed_dk_cross_check(dk_top_term_plus_one,
+                                                    tmp_path):
+    out = tmp_path / "inv"
+    assert cli.main(["invariants", "--input", "p2-triple",
+                     "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["duality_ok"] is False
+    assert cli.main(["invariants", "--input", "p2-triple", "--format", "md",
+                     "--output", str(out)]) == 0
+    assert "(-1)^n chi(Y_dual): FAILED" in out.read_text()
+
+
+def test_catalog_reports_a_failed_dk_cross_check(dk_top_term_plus_one,
+                                                 tmp_path):
+    out = tmp_path / "catalog.txt"
+    assert cli.main(["catalog", "--output", str(out)]) == 4
+    text = out.read_text()
+    assert "FAIL p2-triple\n    mirror duality cross-check failed" in text
+    assert "FAILURES present" in text
 
 
 def _float_bundle(doc):

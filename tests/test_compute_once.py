@@ -1,8 +1,9 @@
 """Each nef-partition dualizes once and builds each MPCP fan once, each
 MPCP side builds its polar dual once, each catalog check or
 ``invariants`` command computes the double-cover invariants once, a
-catalog run tests each fan's completeness once, and a hull finds the
-affine basis of each point set once.
+catalog check hulls the Cayley pyramid of each side once, a catalog run
+tests each fan's completeness once, and a hull finds the affine basis of
+each point set once.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -14,6 +15,7 @@ from collections import Counter
 import pytest
 
 from nefmirror import cli, lattice
+from nefmirror.intlin import canon_vec
 from nefmirror.catalog import catalog_run, find_entry, load_catalog, run_entry
 from nefmirror.invariants import double_cover_invariants
 from nefmirror.nefpart import cayley_cone_duality_check, dualize
@@ -99,6 +101,28 @@ def test_cli_invariants_computes_invariants_once(invariant_calls, tmp_path):
     argv = ["invariants", "--input", "p3-(12)(34)", "--output", str(out)]
     assert cli.main(argv) == 0
     assert invariant_calls == {"double_cover_invariants": 1}
+
+
+def test_run_entry_hulls_the_cayley_pyramid_once(monkeypatch):
+    # S, the Gorenstein cone sigma_Delta and the top DK term all read the
+    # hull of {0} u e_i x vertices(Delta_i)
+    entry = find_entry("p2-triple")
+    np_ = entry.build()
+    r = np_.r
+    lam_points = {tuple(0 for _ in range(r + np_.dim))}
+    for i, poly in enumerate(np_.section_polytopes):
+        e = tuple(1 if j == i else 0 for j in range(r))
+        lam_points.update(e + v for v in poly.vertices)
+    hulled = []
+    convex_hull = lattice.convex_hull
+
+    def recording(points, ambient_dim=None):
+        hulled.append({canon_vec(p) for p in points})
+        return convex_hull(points, ambient_dim)
+
+    replace_everywhere(monkeypatch, {id(convex_hull): recording})
+    assert run_entry(entry) == []
+    assert hulled.count(lam_points) == 1
 
 
 def test_catalog_run_tests_each_fan_complete_once(monkeypatch):

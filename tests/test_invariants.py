@@ -13,6 +13,7 @@ from conftest import (
     random_reflexive_polygon,
     smooth_surface_fan,
 )
+from nefmirror import invariants
 from nefmirror.errors import DomainError, InputError, SmoothnessError
 from nefmirror.invariants import (
     branched_cover_euler,
@@ -132,7 +133,7 @@ def test_invariants_p2_triple():
     inv = double_cover_invariants(TRIPLE)
     assert (inv.chi_X, inv.chi_Xdual) == (3, 6)
     assert inv.chi_Y == inv.chi_Ydual == 9
-    assert inv.duality_ok
+    assert verify_mirror_duality(TRIPLE)[0]
 
 
 def test_invariants_p3():
@@ -140,7 +141,7 @@ def test_invariants_p3():
     v = normalized_volume(dualize(P3_12_34).nabla_polar)
     assert inv.chi_Y == 4 - v
     assert inv.chi_Ydual == v - 4
-    assert inv.duality_ok
+    assert verify_mirror_duality(P3_12_34)[0]
 
 
 def test_invariants_square_r1():
@@ -157,9 +158,10 @@ def test_invariants_p4_two_parts_in_sheared_coordinates():
     # ways here, and the MPCP fan came out incomplete.
     delta = convex_hull([(-4, 1, 1, -5), (1, 1, 1, 5), (1, 1, -4, 0),
                          (1, -4, 1, 0), (1, 1, 1, 0)])
-    inv = double_cover_invariants(build_nef_partition(delta, [[2, 4], [0, 1, 3]]))
+    np_ = build_nef_partition(delta, [[2, 4], [0, 1, 3]])
+    inv = double_cover_invariants(np_)
     assert inv.chi_Y == inv.chi_Ydual == 216
-    assert inv.duality_ok
+    assert verify_mirror_duality(np_)[0]
 
 
 def test_invariants_off_middle_hodge():
@@ -222,6 +224,22 @@ def test_verify_random_reflexive_polygons():
 def test_lambda_volume_zero_when_degenerate():
     point = convex_hull([(0, 0)])
     assert cayley_pyramid_volume([point]) == 0
+
+
+def test_verify_fails_when_a_pyramid_volume_is_off(monkeypatch):
+    # the DK route is the one that can disagree with the closed form
+    volumes = invariants._pyramid_volumes
+
+    def top_term_plus_one(polytopes, lam):
+        out = volumes(polytopes, lam)
+        out[tuple(range(len(polytopes)))] += 1
+        return out
+
+    monkeypatch.setattr(invariants, "_pyramid_volumes", top_term_plus_one)
+    ok, report = verify_mirror_duality(TRIPLE)
+    assert not ok
+    assert not report["duality_ok"]
+    assert report["chi_Y_dk"] != report["chi_Y_closed_form"] == 9
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ from conftest import (
     P3_DELTA,
     P4_DELTA,
     boundary_lattice_count,
+    cayley_polytope,
     cone_contains,
     elementary_product,
     in_convex_hull_oracle,
     random_lattice_polygon,
+    pyramid,
     random_reflexive_polygon,
     reference_pulling,
     shoelace_area,
@@ -30,7 +32,7 @@ from conftest import (
 from nefmirror.errors import DomainError, InputError
 from nefmirror.intlin import det, dot, primitivize, vsub
 from nefmirror.lattice import (
-    cayley_polytope,
+    cayley_pyramid,
     convex_hull,
     dual_cone,
     is_reflexive,
@@ -44,7 +46,6 @@ from nefmirror.lattice import (
     polytope_from_json,
     polytope_to_json,
     pulling_triangulation,
-    pyramid,
 )
 from nefmirror.nefpart import build_nef_partition
 
@@ -364,7 +365,7 @@ def test_mixed_area_symmetry_translation():
 
 
 # ---------------------------------------------------------------------------
-# cayley_polytope / pyramid
+# cayley_pyramid, and the two-hull reference cayley_polytope / pyramid
 # ---------------------------------------------------------------------------
 
 def test_cayley_single():
@@ -421,6 +422,43 @@ def test_pyramid_apex_in_span():
     poly = cayley_polytope([convex_hull(UNIT_TRIANGLE)])
     with pytest.raises(DomainError):
         pyramid(poly, (1, 0, 0))
+
+
+def test_cayley_pyramid_p2_partition():
+    t1 = convex_hull([(0, 0), (-1, 0), (-1, 1)])
+    t2 = convex_hull([(0, 0), (0, -1), (1, -1)])
+    t3 = convex_hull(UNIT_TRIANGLE)
+    lam = cayley_pyramid([t1, t2, t3])
+    assert (lam.ambient_dim, lam.dim, len(lam.vertices)) == (5, 5, 10)
+    assert lam.vertices[0] == (0, 0, 0, 0, 0)
+    assert normalized_volume(lam) == 6  # = the hexagon volume
+
+
+def test_cayley_pyramid_rejects_bad_factors():
+    with pytest.raises(InputError):
+        cayley_pyramid([])
+    with pytest.raises(InputError):
+        cayley_pyramid([convex_hull([(0,)]), convex_hull(UNIT_TRIANGLE)])
+
+
+@st.composite
+def cayley_factors(draw):
+    """1-3 lattice polytopes in a common R^d, d = 1..3, each the hull of
+    1-4 points: points, segments and polygons among them."""
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    return [convex_hull(draw(st.lists(point, min_size=1, max_size=4)))
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@SETTINGS
+@given(cayley_factors())
+def test_cayley_pyramid_is_the_pyramid_over_the_cayley_polytope(polys):
+    lam = cayley_pyramid(polys)
+    ref = pyramid(cayley_polytope(polys), (0,) * lam.ambient_dim)
+    assert lam == ref
+    assert (lam.dim, lam.nvolume) == (ref.dim, ref.nvolume)
+    assert (lam.facets, lam.equations) == (ref.facets, ref.equations)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,16 @@ from conftest import (
     P2_DELTA,
     random_nef_partition,
     random_reflexive_polygon,
+    s_polytope,
 )
+from nefmirror.catalog import load_catalog
 from nefmirror.errors import InputError
 from nefmirror.intlin import dot
 from nefmirror.lattice import (
     convex_hull,
+    dual_cone,
     lattice_points,
+    make_cone,
     minkowski_sum_all,
     normalized_volume,
     polar_dual,
@@ -26,7 +30,6 @@ from nefmirror.nefpart import (
     dualize,
     nef_partition_from_json,
     nef_partition_to_json,
-    s_polytope,
 )
 DELTA = convex_hull(P2_DELTA)
 # canonical ray order of the plane fan is (-1,-1), (0,1), (1,0); with the
@@ -165,7 +168,7 @@ def test_gorenstein_cone_duality():
 
 
 def test_s_polytope_triple():
-    s = s_polytope(TRIPLE)
+    s = TRIPLE.cayley_pyramid
     assert s.dim == 5
     assert normalized_volume(s) == 6
 
@@ -175,8 +178,38 @@ def test_s_polytope_volume_identity():
     # Delta itself, so the common value is 9 (not vol(Delta dual) = 3)
     for np_, expected in ((TRIPLE, 6), (SPLIT_12_3, 7), (TRIVIAL, 9)):
         dual = dualize(np_)
-        vol_s = normalized_volume(s_polytope(np_))
+        vol_s = normalized_volume(np_.cayley_pyramid)
         assert vol_s == normalized_volume(dual.nabla_polar) == expected
+
+
+CATALOG_PARTITIONS = {entry.name: entry.build()
+                      for entry in load_catalog()["entries"]}
+
+
+def cayley_generators(np_):
+    """The (e_i, w), w a vertex of Delta_i, listed part by part."""
+    gens = []
+    for i, poly in enumerate(np_.section_polytopes):
+        e = tuple(1 if j == i else 0 for j in range(np_.r))
+        gens.extend(e + v for v in poly.vertices)
+    return gens
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARTITIONS))
+def test_cayley_pyramid_is_the_lattice_point_s_polytope(name):
+    np_ = CATALOG_PARTITIONS[name]
+    lam, ref = np_.cayley_pyramid, s_polytope(np_)
+    assert lam == ref
+    assert (lam.facets, lam.dim, lam.nvolume) == (ref.facets, ref.dim, ref.nvolume)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARTITIONS))
+def test_cayley_cone_reads_the_cayley_pyramid(name):
+    np_ = CATALOG_PARTITIONS[name]
+    sigma = make_cone(cayley_generators(np_))
+    assert cayley_cone(np_) == sigma
+    apex_normals = [n for n, c in np_.cayley_pyramid.facets if c == 0]
+    assert tuple(apex_normals) == dual_cone(sigma).generators
 
 
 def test_s_polytope_degenerate_factor_is_simplex_factor():

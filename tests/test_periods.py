@@ -158,6 +158,15 @@ def test_variable_labels():
     assert labels[-6:] == ["b11", "b21", "b31", "b41", "b51", "b61"]
 
 
+def test_variable_labels_must_be_unique():
+    # monomial 11 of bundle 1 and monomial 1 of bundle 11 both read a111
+    with pytest.raises(InputError, match="a111") as exc:
+        coefficient_variables([1] * 11, 10)
+    assert "bundle=0" in str(exc.value) and "bundle=10" in str(exc.value)
+    # ten bundles stay unambiguous at the same dimension
+    assert len({v.label for v in coefficient_variables([1] * 10, 10)}) == 110
+
+
 def test_taut_system_counts():
     ops = taut_system([1, 1, 1, 1, 2], 2)
     euler, symmetry, box = ops[:5], ops[5:14], ops[14:]
