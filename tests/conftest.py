@@ -7,14 +7,15 @@ smooth surface completion from elementary 2-cone subdivision.  The
 pulling reference keeps the ray-shooting form, in Fraction arithmetic, of
 the package's cross-multiplied integer test.  The Cayley references build
 the Cayley pyramid in two hulls (the Cayley polytope, then the pyramid
-over it) and the S-polytope from lattice points, the routes the package's
-single Cayley pyramid hull replaced.
+over it) and the S-polytope from lattice points, apart from the package's
+single hull.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
+from nefmirror import invariants
 from nefmirror.errors import ConsistencyError, DomainError, InputError
 from nefmirror.intlin import (
     canon_vec,
@@ -208,6 +209,16 @@ def face_fan(polytope):
     return make_fan(rays, cones)
 
 
+def cayley_points(polys):
+    """The points (e_i, v), v a vertex of P_i, listed factor by factor."""
+    k = len(polys)
+    pts = []
+    for i, p in enumerate(polys):
+        e = tuple(1 if j == i else 0 for j in range(k))
+        pts.extend(e + v for v in p.vertices)
+    return pts
+
+
 def cayley_polytope(polys):
     """Cayley polytope Conv(e_1 x P_1, ..., e_k x P_k) in R^k x R^n."""
     if not polys:
@@ -215,12 +226,7 @@ def cayley_polytope(polys):
     n = polys[0].ambient_dim
     if any(p.ambient_dim != n for p in polys):
         raise InputError("Cayley factors must share an ambient dimension")
-    k = len(polys)
-    pts = []
-    for i, p in enumerate(polys):
-        e = tuple(1 if j == i else 0 for j in range(k))
-        pts.extend(e + v for v in p.vertices)
-    return convex_hull(pts)
+    return convex_hull(cayley_points(polys))
 
 
 def pyramid(polytope, apex):
@@ -320,6 +326,20 @@ def reference_pulling(points):
                 next_cells.append(tuple(sorted(members)))
         cells = next_cells
     return sorted(cells)
+
+
+@pytest.fixture
+def dk_top_term_plus_one(monkeypatch):
+    """Make the DK route disagree with the closed form: add 1 to the
+    volume of the Cayley pyramid of the full index set."""
+    volumes = invariants._pyramid_volumes
+
+    def plus_one(polytopes, lam):
+        out = volumes(polytopes, lam)
+        out[tuple(range(len(polytopes)))] += 1
+        return out
+
+    monkeypatch.setattr(invariants, "_pyramid_volumes", plus_one)
 
 
 @pytest.fixture

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import nefmirror
-from nefmirror import cli, invariants
+from nefmirror import cli
 
 CLI = [sys.executable, "-m", "nefmirror.cli"]
 # The source root of the package under test, so the CLI child imports the
@@ -211,20 +211,6 @@ def test_tautgen_ambiguous_labels_exit_2():
     diag = json.loads(result.stderr)
     assert diag["error"] == "input" and "a111" in diag["message"]
     assert result.stdout == ""
-
-
-@pytest.fixture
-def dk_top_term_plus_one(monkeypatch):
-    """Make the DK route disagree with the closed form: add 1 to the
-    volume of the Cayley pyramid of the full index set."""
-    volumes = invariants._pyramid_volumes
-
-    def plus_one(polytopes, lam):
-        out = volumes(polytopes, lam)
-        out[tuple(range(len(polytopes)))] += 1
-        return out
-
-    monkeypatch.setattr(invariants, "_pyramid_volumes", plus_one)
 
 
 def test_invariants_reports_a_failed_dk_cross_check(dk_top_term_plus_one,

@@ -1,9 +1,9 @@
 """Each nef-partition dualizes once and builds each MPCP fan once, each
 MPCP side builds its polar dual once, each catalog check or
 ``invariants`` command computes the double-cover invariants once, a
-catalog check hulls the Cayley pyramid of each side once, a catalog run
-tests each fan's completeness once, and a hull finds the affine basis of
-each point set once.
+catalog check hulls the nef-partition's Cayley pyramid once, a catalog
+run tests each fan's completeness once, and a hull finds the affine basis
+of each point set once.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -14,9 +14,10 @@ from collections import Counter
 
 import pytest
 
+from conftest import cayley_points
 from nefmirror import cli, lattice
-from nefmirror.intlin import canon_vec
 from nefmirror.catalog import catalog_run, find_entry, load_catalog, run_entry
+from nefmirror.intlin import canon_vec
 from nefmirror.invariants import double_cover_invariants
 from nefmirror.nefpart import cayley_cone_duality_check, dualize
 from nefmirror.periods import gkz_data
@@ -108,11 +109,7 @@ def test_run_entry_hulls_the_cayley_pyramid_once(monkeypatch):
     # hull of {0} u e_i x vertices(Delta_i)
     entry = find_entry("p2-triple")
     np_ = entry.build()
-    r = np_.r
-    lam_points = {tuple(0 for _ in range(r + np_.dim))}
-    for i, poly in enumerate(np_.section_polytopes):
-        e = tuple(1 if j == i else 0 for j in range(r))
-        lam_points.update(e + v for v in poly.vertices)
+    lam_points = {(0,) * (np_.r + np_.dim), *cayley_points(np_.section_polytopes)}
     hulled = []
     convex_hull = lattice.convex_hull
 

@@ -13,7 +13,6 @@ from conftest import (
     random_reflexive_polygon,
     smooth_surface_fan,
 )
-from nefmirror import invariants
 from nefmirror.errors import DomainError, InputError, SmoothnessError
 from nefmirror.invariants import (
     branched_cover_euler,
@@ -226,16 +225,8 @@ def test_lambda_volume_zero_when_degenerate():
     assert cayley_pyramid_volume([point]) == 0
 
 
-def test_verify_fails_when_a_pyramid_volume_is_off(monkeypatch):
+def test_verify_fails_when_a_pyramid_volume_is_off(dk_top_term_plus_one):
     # the DK route is the one that can disagree with the closed form
-    volumes = invariants._pyramid_volumes
-
-    def top_term_plus_one(polytopes, lam):
-        out = volumes(polytopes, lam)
-        out[tuple(range(len(polytopes)))] += 1
-        return out
-
-    monkeypatch.setattr(invariants, "_pyramid_volumes", top_term_plus_one)
     ok, report = verify_mirror_duality(TRIPLE)
     assert not ok
     assert not report["duality_ok"]

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     HEX_NABLA,
     P2_DELTA,
+    cayley_points,
     random_nef_partition,
     random_reflexive_polygon,
     s_polytope,
@@ -186,15 +187,6 @@ CATALOG_PARTITIONS = {entry.name: entry.build()
                       for entry in load_catalog()["entries"]}
 
 
-def cayley_generators(np_):
-    """The (e_i, w), w a vertex of Delta_i, listed part by part."""
-    gens = []
-    for i, poly in enumerate(np_.section_polytopes):
-        e = tuple(1 if j == i else 0 for j in range(np_.r))
-        gens.extend(e + v for v in poly.vertices)
-    return gens
-
-
 @pytest.mark.parametrize("name", sorted(CATALOG_PARTITIONS))
 def test_cayley_pyramid_is_the_lattice_point_s_polytope(name):
     np_ = CATALOG_PARTITIONS[name]
@@ -206,7 +198,7 @@ def test_cayley_pyramid_is_the_lattice_point_s_polytope(name):
 @pytest.mark.parametrize("name", sorted(CATALOG_PARTITIONS))
 def test_cayley_cone_reads_the_cayley_pyramid(name):
     np_ = CATALOG_PARTITIONS[name]
-    sigma = make_cone(cayley_generators(np_))
+    sigma = make_cone(cayley_points(np_.section_polytopes))
     assert cayley_cone(np_) == sigma
     apex_normals = [n for n, c in np_.cayley_pyramid.facets if c == 0]
     assert tuple(apex_normals) == dual_cone(sigma).generators
