@@ -61,7 +61,7 @@ def load_catalog(path=None):
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot load catalog {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"catalog {path}: the top level must be an object")

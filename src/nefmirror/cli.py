@@ -50,8 +50,12 @@ EXIT_GOLDEN = 4
 def _resolve_nef_partition(spec):
     """A path to a nef-partition JSON file, or a catalog entry name."""
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as handle:
-            return nef_partition_from_json(handle.read()), None
+        try:
+            with open(spec, encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read {spec}: {exc}") from exc
+        return nef_partition_from_json(text), None
     entry = find_entry(spec)
     return entry.build(), entry
 
@@ -116,7 +120,7 @@ def _invariants_markdown(doc):
         f"- dimension n = {doc['n']}",
         f"- chi(X) = {doc['chi_X']}, chi(X_dual) = {doc['chi_Xdual']}",
         f"- chi(Y) = {doc['chi_Y']}, chi(Y_dual) = {doc['chi_Ydual']}",
-        f"- duality chi(Y) = (-1)^n chi(Y_dual): "
+        f"- DK route chi(Y) = closed form: "
         f"{'ok' if doc['duality_ok'] else 'FAILED'}",
     ]
     if "h11_Y" in doc:

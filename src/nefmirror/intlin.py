@@ -9,8 +9,8 @@ charts.  Integer input stays ``int`` throughout: :func:`canon_vec` and
 returns integer vectors.  Fraction enters only through rational inputs,
 which are scaled once by a common denominator, and through results that
 are genuinely rational.  Vectors are tuples, matrices are lists/tuples of
-row tuples.  This is deliberately small-scale code (dimensions <= 8, a few
-dozen rows) written for clarity and determinism, not asymptotics.
+row tuples.  This is deliberately small-scale code (a few dozen rows)
+written for clarity and determinism, not asymptotics.
 """
 from __future__ import annotations
 

@@ -45,8 +45,6 @@ from .intlin import (
     vsub,
 )
 
-HULL_DIM_CAP = 8
-
 
 # ---------------------------------------------------------------------------
 # core types
@@ -239,7 +237,7 @@ def convex_hull(points, ambient_dim=None):
 
     Incremental beneath-beyond with exact orientation predicates; handles
     lower-dimensional hulls through an affine chart over the induced
-    lattice.  Ambient dimension is capped at 8.
+    lattice.
     """
     pts = sorted({canon_vec(p) for p in points})
     if not pts:
@@ -249,8 +247,6 @@ def convex_hull(points, ambient_dim=None):
         raise InputError("points of mixed dimension")
     if ambient_dim is not None and ambient_dim != d:
         raise InputError(f"points have dimension {d}, expected {ambient_dim}")
-    if d > HULL_DIM_CAP:
-        raise InputError(f"ambient dimension {d} exceeds cap {HULL_DIM_CAP}")
 
     basis_idx = _affine_basis_indices(pts)
     dim = len(basis_idx) - 1

@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from conftest import P4_DELTA
 import nefmirror
 from nefmirror import cli
 
@@ -80,6 +82,23 @@ def test_invariants_markdown():
     result = run_cli("invariants", "--input", "p2-triple", "--format", "md")
     assert result.returncode == 0
     assert "chi(Y) = 9" in result.stdout
+
+
+def test_invariants_five_part_p4(tmp_path):
+    # the Cayley pyramids of five parts lie in R^(5+4) = R^9
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps({"delta_vertices": P4_DELTA,
+                                "parts": [[0], [1], [2], [3], [4]]}))
+    result = run_cli("invariants", "--input", str(path))
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert (doc["chi_X"], doc["chi_Xdual"]) == (5, 70)
+    assert doc["chi_Y"] == doc["chi_Ydual"] == 75
+    assert doc["duality_ok"] is True
+    assert len(doc["dk_terms"]) == 31
+    # Lambda_J is the Cayley pyramid of |J| unit 4-simplices
+    assert all(term["volume"] == comb(len(term["J"]) + 3, 4)
+               for term in doc["dk_terms"])
 
 
 def test_invariants_non_smooth_4d_exits_3(tmp_path):
@@ -197,6 +216,29 @@ def test_catalog_entry_without_parts_exits_2(tmp_path):
     assert diag["error"] == "input" and "parts" in diag["message"]
 
 
+@pytest.mark.parametrize("content", [None, b'{"parts": "\xe9"}'],
+                         ids=["directory", "non-utf8-file"])
+def test_invariants_unreadable_input_exits_2(tmp_path, content):
+    path = tmp_path
+    if content is not None:
+        path = tmp_path / "np.json"
+        path.write_bytes(content)
+    result = run_cli("invariants", "--input", str(path))
+    assert result.returncode == 2
+    assert json.loads(result.stderr)["error"] == "input"
+    assert result.stdout == ""
+
+
+def test_catalog_non_utf8_file_exits_2(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(b'{"entries": "\xe9"}')
+    result = run_cli("catalog", env_extra={"NEFMIRROR_CATALOG": str(path)})
+    assert result.returncode == 2
+    diag = json.loads(result.stderr)
+    assert diag["error"] == "input" and "catalog" in diag["message"]
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("degrees, dim", [("a", "2"), ("1", "-1"), (",", "2")])
 def test_tautgen_rejects_bad_arguments(degrees, dim):
     result = run_cli("tautgen", "--degrees", degrees, "--dim", dim)
@@ -221,7 +263,7 @@ def test_invariants_reports_a_failed_dk_cross_check(dk_top_term_plus_one,
     assert json.loads(out.read_text())["duality_ok"] is False
     assert cli.main(["invariants", "--input", "p2-triple", "--format", "md",
                      "--output", str(out)]) == 0
-    assert "(-1)^n chi(Y_dual): FAILED" in out.read_text()
+    assert "DK route chi(Y) = closed form: FAILED" in out.read_text()
 
 
 def test_catalog_reports_a_failed_dk_cross_check(dk_top_term_plus_one,

@@ -7,12 +7,14 @@ import pytest
 from conftest import (
     P2_DELTA,
     P3_DELTA,
+    P4_DELTA,
     boundary_lattice_count,
     random_lattice_polygon,
     random_nef_partition,
     random_reflexive_polygon,
     smooth_surface_fan,
 )
+from nefmirror.catalog import CatalogEntry, run_entry
 from nefmirror.errors import DomainError, InputError, SmoothnessError
 from nefmirror.invariants import (
     branched_cover_euler,
@@ -24,7 +26,7 @@ from nefmirror.invariants import (
     verify_mirror_duality,
 )
 from nefmirror.lattice import convex_hull, lattice_points, normalized_volume
-from nefmirror.nefpart import build_nef_partition, dualize
+from nefmirror.nefpart import build_nef_partition, double_dual_check, dualize
 from nefmirror.toric import (
     ToricDivisor,
     anticanonical,
@@ -161,6 +163,18 @@ def test_invariants_p4_two_parts_in_sheared_coordinates():
     inv = double_cover_invariants(np_)
     assert inv.chi_Y == inv.chi_Ydual == 216
     assert verify_mirror_duality(np_)[0]
+
+
+def test_five_part_p4_passes_every_catalog_check():
+    # both Cayley pyramids lie in R^9: S-volume identity, Gorenstein cone
+    # duality and the DK sum all hull there
+    entry = CatalogEntry(
+        "p4-5parts",
+        {"delta_vertices": [list(v) for v in P4_DELTA],
+         "parts": [[0], [1], [2], [3], [4]]},
+        {"chi_X": 5, "chi_Xdual": 70, "chi_Y": 75, "chi_Ydual": 75})
+    assert run_entry(entry) == []
+    assert double_dual_check(entry.build())
 
 
 def test_invariants_off_middle_hodge():

@@ -8,6 +8,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -106,6 +107,24 @@ def test_equality_reads_vertices_only():
     assert poly.dim < poly.ambient_dim
     assert poly == again
     assert hash(poly) == hash(again)
+
+
+def test_hull_of_the_cross_polytope_in_r9():
+    # conv(+-e_i) has the 2^9 facets <x, s> >= -1, s in {+-1}^9, and
+    # normalized volume 9! * 2^9 / 9!
+    units = [tuple(int(i == j) for j in range(9)) for i in range(9)]
+    poly = convex_hull(units + [tuple(-x for x in e) for e in units])
+    assert len(poly.vertices) == 18
+    assert sorted(poly.facets) == [(s, 1) for s in product((-1, 1), repeat=9)]
+    assert normalized_volume(poly) == 512
+
+
+def test_hull_of_the_unit_simplex_in_r12():
+    units = [tuple(int(i == j) for j in range(12)) for i in range(12)]
+    poly = convex_hull([(0,) * 12] + units)
+    assert len(poly.vertices) == 13
+    assert len(poly.facets) == 13
+    assert normalized_volume(poly) == 1
 
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
