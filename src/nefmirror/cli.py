@@ -64,8 +64,11 @@ def _emit(text, output):
     if not text.endswith("\n"):
         text += "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -67,6 +67,7 @@ class LatticePolytope:
     equations: tuple = field(compare=False)
     dim: int = field(compare=False)
     nvolume: object = field(compare=False)  # normalized volume in the span
+    boundary: tuple = field(compare=False)  # simplices triangulating the boundary
 
     @cached_property
     def is_lattice(self):
@@ -152,12 +153,13 @@ def _full_dim_hull(points, start):
     """Incremental beneath-beyond hull of a full-dimensional, lex-sorted
     point set whose affine basis indices are ``start``.
 
-    Returns (vertices, facets, nvolume).  Facets are merged geometric
-    facets, oriented by the interior reference ``ref``: the sum of the
-    affine basis points, (d + 1) times their centroid, which is integral
-    for lattice input.  The triangulated surface built along the way gives
-    the normalized volume as a sum of simplex determinants coned from the
-    first point, a vertex, which keeps them integral for lattice polytopes.
+    Returns (vertices, facets, nvolume, boundary).  Facets are merged
+    geometric facets, oriented by the interior reference ``ref``: the sum
+    of the affine basis points, (d + 1) times their centroid, which is
+    integral for lattice input.  The boundary, the triangulated surface
+    built along the way as lex-sorted d-point tuples, gives the normalized
+    volume as a sum of simplex determinants coned from the first point, a
+    vertex, which keeps them integral for lattice polytopes.
     """
     d = len(points[0])
     ref = tuple(sum(points[i][k] for i in start) for k in range(d))
@@ -207,17 +209,18 @@ def _full_dim_hull(points, start):
 
     # merge coplanar simplicial facets into geometric facets
     merged = sorted(set(facets.values()))
+    boundary = tuple(tuple(points[i] for i in sorted(fs)) for fs in facets)
     apex = points[0]
     volume = 0
-    for fs in facets:
-        volume += abs(det([vsub(points[i], apex) for i in sorted(fs)]))
+    for simplex in boundary:
+        volume += abs(det([vsub(p, apex) for p in simplex]))
     # vertices: points whose active facet normals span R^d
     vertices = []
     for i, p in enumerate(points):
         active = [n for n, c in merged if dot(p, n) + c == 0]
         if len(active) >= d and matrix_rank(active) == d:
             vertices.append(p)
-    return sorted(set(vertices)), tuple(merged), canon_num(volume)
+    return sorted(set(vertices)), tuple(merged), canon_num(volume), boundary
 
 
 def _chart(points, basis_idx):
@@ -254,27 +257,28 @@ def convex_hull(points, ambient_dim=None):
     if dim == 0:
         eqs = tuple((tuple(1 if i == j else 0 for i in range(d)), pts[0][j])
                     for j in range(d))
-        return LatticePolytope(d, (pts[0],), (), eqs, 0, 1)
+        return LatticePolytope(d, (pts[0],), (), eqs, 0, 1, ())
 
     if dim == d:
-        vertices, facets, volume = _full_dim_hull(pts, basis_idx)
-        return LatticePolytope(d, tuple(vertices), facets, (), d, volume)
+        vertices, facets, volume, boundary = _full_dim_hull(pts, basis_idx)
+        return LatticePolytope(d, tuple(vertices), facets, (), d, volume, boundary)
 
     # A chart facet <y, n> >= -c lifts to <x, a> >= <pts[0], a> - c with
     # a = sum_j n_j image_j, primitive because the transform is unimodular.
     image, kernel, coords = _chart(pts, basis_idx)
     back = dict(zip(coords, pts))
     chart_pts = sorted(back)
-    vertices_c, facets_c, volume = _full_dim_hull(
+    vertices_c, facets_c, volume, boundary_c = _full_dim_hull(
         chart_pts, _affine_basis_indices(chart_pts))
     vertices = sorted(back[v] for v in vertices_c)
+    boundary = tuple(tuple(sorted(back[q] for q in s)) for s in boundary_c)
     facets = []
     for n, c in facets_c:
         a = tuple(dot(n, row) for row in zip(*image))
         facets.append((a, canon_num(c - dot(pts[0], a))))
     equations = sorted((k, canon_num(dot(pts[0], k))) for k in kernel)
     return LatticePolytope(d, tuple(vertices), tuple(sorted(facets)),
-                           tuple(equations), dim, volume)
+                           tuple(equations), dim, volume, boundary)
 
 
 # ---------------------------------------------------------------------------

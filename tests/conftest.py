@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import strategies as st
 
 from nefmirror import invariants
 from nefmirror.errors import ConsistencyError, DomainError, InputError
@@ -217,6 +218,16 @@ def cayley_points(polys):
         e = tuple(1 if j == i else 0 for j in range(k))
         pts.extend(e + v for v in p.vertices)
     return pts
+
+
+@st.composite
+def cayley_factors(draw):
+    """1-3 lattice polytopes in a common R^d, d = 1..3, each the hull of
+    1-4 points: points, segments and polygons among them."""
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    return [convex_hull(draw(st.lists(point, min_size=1, max_size=4)))
+            for _ in range(draw(st.integers(1, 3)))]
 
 
 def cayley_polytope(polys):

@@ -1,4 +1,5 @@
 """Command-line interface: commands, exit codes, determinism."""
+import hashlib
 import json
 import os
 import subprocess
@@ -227,6 +228,40 @@ def test_invariants_unreadable_input_exits_2(tmp_path, content):
     assert result.returncode == 2
     assert json.loads(result.stderr)["error"] == "input"
     assert result.stdout == ""
+
+
+def test_invariants_unwritable_output_exits_2(tmp_path):
+    out = tmp_path / "missing" / "out.json"
+    result = run_cli("invariants", "--input", "p2-triple", "--output", str(out))
+    assert result.returncode == 2
+    diag = json.loads(result.stderr)
+    assert diag["error"] == "input" and str(out) in diag["message"]
+    assert result.stdout == ""
+
+
+# sha256 of the stdout of `nefmirror invariants --input <entry>`; the JSON
+# and markdown carry every dk_terms volume.
+INVARIANTS_SHA256 = {
+    ("p2-triple", "json"): "d731ecd23ce14bd6b48cd20ad0d0507741b0c1e437c23cbed4aac59027a62ca7",
+    ("p2-triple", "md"): "9f0371e8899921827d7b0252fc143186e3889a07fc8a0b476ad08c444e28fe8f",
+    ("p2-(12)(3)", "json"): "84290a9ce0fd799b887a34877b7be6286ceba014508daad19897b4442709163f",
+    ("p2-(12)(3)", "md"): "b16998d43318e06a31a00ff6480e7e5b723da1a4faf3e5acd607b62d5928f815",
+    ("p2-(3)(12)", "json"): "7ec8c20d59eea84008acef5cec8afe7cce88ad39de12ad4882df86af9c3823d6",
+    ("p2-(3)(12)", "md"): "49ac5df7146765577349ffc3364af2a91a32138b061f5f7259ee78bd23152a54",
+    ("p1-legendre", "json"): "9803feaaf7d1488a6d9c6a92a5a1c5cc879b41566df94cd18fa8bb6f7b3ee9fc",
+    ("p1-legendre", "md"): "4d94b9e0285f5f58ee4ed0add22bb561195d97494ca37d27271441500419d505",
+    ("p3-(12)(34)", "json"): "f7bfb8aea8af9ac4b35fcaabedaa5e25382352d71a1b72eea2ad3206ff50882f",
+    ("p3-(12)(34)", "md"): "c42ba95c12b1af1880a9c0199ca0e132c308430cc849bc029d483dea94b3f857",
+    ("p3-(123)(4)", "json"): "faec52432b17a8df97ae74a66ee4abf81b00831fd72bcc8c4bcd74132575d0a1",
+    ("p3-(123)(4)", "md"): "99e3d304a89a13aab1a1de8e6a9c11c914de39791fca87addb1c0dd902b16f73",
+}
+
+
+def test_invariants_output_bytes_are_pinned(capsys):
+    for (name, fmt), digest in INVARIANTS_SHA256.items():
+        assert cli.main(["invariants", "--input", name, "--format", fmt]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == digest, (name, fmt)
 
 
 def test_catalog_non_utf8_file_exits_2(tmp_path):

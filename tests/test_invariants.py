@@ -3,20 +3,25 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     P2_DELTA,
     P3_DELTA,
     P4_DELTA,
     boundary_lattice_count,
+    cayley_factors,
     random_lattice_polygon,
     random_nef_partition,
     random_reflexive_polygon,
     smooth_surface_fan,
 )
-from nefmirror.catalog import CatalogEntry, run_entry
+from nefmirror.catalog import CatalogEntry, load_catalog, run_entry
 from nefmirror.errors import DomainError, InputError, SmoothnessError
 from nefmirror.invariants import (
+    _dk_sum,
+    _pyramid_volumes,
     branched_cover_euler,
     cayley_pyramid_volume,
     dk_euler,
@@ -25,7 +30,12 @@ from nefmirror.invariants import (
     surface_node_count_from,
     verify_mirror_duality,
 )
-from nefmirror.lattice import convex_hull, lattice_points, normalized_volume
+from nefmirror.lattice import (
+    cayley_pyramid,
+    convex_hull,
+    lattice_points,
+    normalized_volume,
+)
 from nefmirror.nefpart import build_nef_partition, double_dual_check, dualize
 from nefmirror.toric import (
     ToricDivisor,
@@ -46,6 +56,8 @@ TRIVIAL = build_nef_partition(DELTA, [[0, 1, 2]])
 DELTA3 = convex_hull(P3_DELTA)
 P3_12_34 = build_nef_partition(DELTA3, [[3, 2], [1, 0]])
 P3_123_4 = build_nef_partition(DELTA3, [[3, 2, 1], [0]])
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
+                    database=None)
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +113,63 @@ def test_dk_pick_oracle_random():
         boundary = boundary_lattice_count(poly)
         interior = len(lattice_points(poly)) - boundary
         assert dk_euler(fan, [divisor]) == 2 - 2 * interior - boundary
+
+
+def _assert_faces_are_the_pyramids(polytopes, lam):
+    """Every vol(Lambda_J) read from lam equals the volume of Lambda_J
+    hulled on its own."""
+    volumes = _pyramid_volumes(polytopes, lam)
+    k = len(polytopes)
+    assert set(volumes) == {subset for size in range(1, k + 1)
+                            for subset in combinations(range(k), size)}
+    for subset, volume in volumes.items():
+        assert volume == cayley_pyramid_volume([polytopes[j] for j in subset])
+
+
+P4_TWO_PARTS = CatalogEntry(
+    "p4-2parts",
+    {"delta_vertices": [list(v) for v in P4_DELTA], "parts": [[0, 1], [2, 3, 4]]},
+    {})
+
+
+@pytest.mark.parametrize("entry", load_catalog()["entries"] + [P4_TWO_PARTS],
+                         ids=lambda entry: entry.name)
+def test_pyramid_volumes_are_faces_of_the_cayley_pyramid(entry):
+    np_ = entry.build()
+    for side in (np_, np_.dual.nef_partition):
+        _assert_faces_are_the_pyramids(list(side.section_polytopes),
+                                       side.cayley_pyramid)
+
+
+@SETTINGS
+@given(cayley_factors())
+def test_pyramid_volumes_of_random_factors(polys):
+    # points and segments among the factors make Lambda and some Lambda_J
+    # lower-dimensional
+    _assert_faces_are_the_pyramids(polys, cayley_pyramid(polys))
+
+
+@st.composite
+def volume_tables(draw):
+    """n, r and an integer vol(Lambda_J) for every nonempty J of r indices."""
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 5))
+    subsets = [subset for size in range(1, r + 1)
+               for subset in combinations(range(r), size)]
+    values = draw(st.lists(st.integers(-50, 50), min_size=len(subsets),
+                           max_size=len(subsets)))
+    return n, r, dict(zip(subsets, values))
+
+
+@SETTINGS
+@given(volume_tables())
+def test_dk_inclusion_exclusion_cancels_to_the_top_term(table):
+    # the Cayley trick: chi of the union of the D_j with the torus reads
+    # only vol(Lambda)
+    n, r, volumes = table
+    union = sum((-1) ** (len(subset) - 1) * _dk_sum(n, volumes, subset)
+                for subset in volumes)
+    assert union == (-1) ** (n + 1) * volumes[tuple(range(r))]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ oracles stay independent of the code paths they check.
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -20,6 +21,7 @@ from conftest import (
     P3_DELTA,
     P4_DELTA,
     boundary_lattice_count,
+    cayley_factors,
     cayley_polytope,
     cone_contains,
     elementary_product,
@@ -31,7 +33,7 @@ from conftest import (
     shoelace_area,
 )
 from nefmirror.errors import DomainError, InputError
-from nefmirror.intlin import det, dot, primitivize, vsub
+from nefmirror.intlin import det, dot, matrix_rank, primitivize, vsub
 from nefmirror.lattice import (
     cayley_pyramid,
     convex_hull,
@@ -199,6 +201,42 @@ def test_rational_hull_is_the_scaled_integer_hull(pts, k):
     for normal, _ in scaled.facets + poly.facets:
         assert all(type(x) is int for x in normal)
         assert primitivize(normal) == normal
+
+
+def _assert_boundary_triangulates(poly):
+    """Each boundary simplex holds dim affinely independent points of one
+    facet, each ridge lies on two simplices, and a full-dimensional hull's
+    volume is the sum of the simplices coned from its first vertex."""
+    ridges = Counter(simplex[:i] + simplex[i + 1:]
+                     for simplex in poly.boundary for i in range(poly.dim))
+    assert set(ridges.values()) <= {2}
+    for simplex in poly.boundary:
+        assert len(simplex) == poly.dim
+        assert list(simplex) == sorted(simplex)
+        if poly.dim > 1:
+            assert matrix_rank([vsub(p, simplex[0]) for p in simplex[1:]]) \
+                == poly.dim - 1
+        assert any(all(dot(p, n) == -c for p in simplex)
+                   for n, c in poly.facets)
+    if poly.dim == poly.ambient_dim:
+        apex = poly.vertices[0]
+        assert sum(abs(det([vsub(p, apex) for p in simplex]))
+                   for simplex in poly.boundary) == poly.nvolume
+
+
+@SETTINGS
+@given(full_dimensional_sets())
+def test_boundary_triangulates_a_full_dimensional_hull(pts):
+    _assert_boundary_triangulates(convex_hull(pts))
+
+
+@SETTINGS
+@given(lower_dimensional_sets())
+def test_boundary_triangulates_a_lower_dimensional_hull(case):
+    pts, _, _ = case
+    poly = convex_hull(pts)
+    assert poly.dim < poly.ambient_dim
+    _assert_boundary_triangulates(poly)
 
 
 def test_integer_hull_and_pulling_build_no_fraction(monkeypatch):
@@ -458,16 +496,6 @@ def test_cayley_pyramid_rejects_bad_factors():
         cayley_pyramid([])
     with pytest.raises(InputError):
         cayley_pyramid([convex_hull([(0,)]), convex_hull(UNIT_TRIANGLE)])
-
-
-@st.composite
-def cayley_factors(draw):
-    """1-3 lattice polytopes in a common R^d, d = 1..3, each the hull of
-    1-4 points: points, segments and polygons among them."""
-    d = draw(st.integers(1, 3))
-    point = st.tuples(*[st.integers(-2, 2)] * d)
-    return [convex_hull(draw(st.lists(point, min_size=1, max_size=4)))
-            for _ in range(draw(st.integers(1, 3)))]
 
 
 @SETTINGS
