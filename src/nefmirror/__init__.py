@@ -55,6 +55,7 @@ from .toric import (
     linearly_equivalent,
     make_fan,
     mpcp_fan,
+    nef_polytope,
     normal_fan,
     projective_bundle_fan,
     semiample_contraction,
@@ -101,8 +102,8 @@ __all__ = [
     "Fan", "ToricDivisor", "CartierData",
     "make_fan", "normal_fan", "mpcp_fan", "is_smooth", "is_complete",
     "is_simplicial", "hodge_numbers_smooth_toric", "divisor_polytope",
-    "divisor_from_polytope", "cartier_data", "is_nef", "is_ample",
-    "anticanonical", "is_fano", "projective_bundle_fan",
+    "divisor_from_polytope", "cartier_data", "is_nef", "nef_polytope",
+    "is_ample", "anticanonical", "is_fano", "projective_bundle_fan",
     "semiample_contraction", "linearly_equivalent",
     "linear_equivalence_witness", "is_calabi_yau_cover",
     "fan_to_json", "fan_from_json",

@@ -191,14 +191,3 @@ def integer_kernel_basis(rows):
     """Sorted basis of the lattice {x in Z^m : rows @ x = 0}."""
     return sorted(lattice_split(rows)[1])
 
-
-def invert_unimodular(rows):
-    """Exact inverse of an integer matrix with determinant +-1, from one
-    elimination of [rows | I]."""
-    n = len(rows)
-    m, pivots, last, _, _ = _eliminate(
-        [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(rows)])
-    if pivots != list(range(n)) or any(x % last for row in m for x in row[n:]):
-        raise ValueError("matrix is not unimodular")
-    return [tuple(x // last for x in row[n:]) for row in m]

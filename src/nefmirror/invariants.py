@@ -22,10 +22,9 @@ from .intlin import det, dot
 from .lattice import cayley_pyramid, lattice_points, mixed_area
 from .toric import (
     divisor_from_polytope,
-    divisor_polytope,
     is_complete,
-    is_nef,
     is_smooth,
+    nef_polytope,
 )
 
 
@@ -99,12 +98,12 @@ def dk_euler(fan, divisors):
     """
     if not (is_smooth(fan) and is_complete(fan)):
         raise SmoothnessError("dk_euler assumes a smooth complete fan")
-    for d in divisors:
-        if d.fan != fan:
-            raise InputError("divisor lives on a different fan")
-        if not is_nef(d):
-            raise DomainError("dk_euler needs nef divisors")
-    polytopes = [divisor_polytope(d) for d in divisors]
+    if any(d.fan != fan for d in divisors):
+        raise InputError("divisor lives on a different fan")
+    try:
+        polytopes = [nef_polytope(d) for d in divisors]
+    except DomainError as exc:
+        raise DomainError("dk_euler needs nef divisors") from exc
     volumes = _pyramid_volumes(polytopes, cayley_pyramid(polytopes))
     return _dk_sum(fan.ambient_dim, volumes, tuple(range(len(divisors))))
 
@@ -163,21 +162,20 @@ def verify_mirror_duality(nef_partition):
     n = np_.dim
     r = np_.r
     inv = double_cover_invariants(np_)
-    fan_x, _ = np_.mpcp
+    fan_x, _ = np_.mpcp  # checked complete when built
 
-    divisors = [divisor_from_polytope(fan_x, poly)
-                for poly in np_.section_polytopes]
-    for d in divisors:
-        if not is_nef(d):
-            raise ConsistencyError("pulled-back nef-partition divisor is not nef")
-    polytopes = [divisor_polytope(d) for d in divisors]
-    for poly, section in zip(polytopes, np_.section_polytopes):
-        if poly != section:
-            raise ConsistencyError("pullback changed a section polytope")
+    try:
+        pulled = tuple(nef_polytope(divisor_from_polytope(fan_x, poly))
+                       for poly in np_.section_polytopes)
+    except DomainError as exc:
+        raise ConsistencyError(
+            "pulled-back nef-partition divisor is not nef") from exc
+    if pulled != np_.section_polytopes:
+        raise ConsistencyError("pullback changed a section polytope")
 
     # the pulled-back polytopes are the sections, so their Cayley pyramid
     # is the one the nef-partition keeps
-    volumes = _pyramid_volumes(polytopes, np_.cayley_pyramid)
+    volumes = _pyramid_volumes(np_.section_polytopes, np_.cayley_pyramid)
     # inclusion-exclusion of the DK sums over the D_j cancels to the top
     # term (the Cayley trick)
     chi_union = (-1) ** (n + 1) * volumes[tuple(range(r))]

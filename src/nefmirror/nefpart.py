@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConsistencyError, InputError, SmoothnessError
+from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
 from .lattice import (
     Cone,
     cayley_pyramid,
@@ -25,10 +25,9 @@ from .lattice import (
 )
 from .toric import (
     ToricDivisor,
-    divisor_polytope,
     hodge_numbers_smooth_toric,
-    is_nef,
     mpcp_fan,
+    nef_polytope,
     normal_fan,
 )
 
@@ -108,7 +107,7 @@ def build_nef_partition(polytope, parts):
     mismatch is an internal consistency error (it is a theorem)."""
     if not is_reflexive(polytope):
         raise InputError("nef-partitions need a reflexive polytope")
-    fan = normal_fan(polytope)
+    fan = normal_fan(polytope)  # complete: the polytope is full-dimensional
     n_rays = len(fan.rays)
     seen = []
     for part in parts:
@@ -119,11 +118,11 @@ def build_nef_partition(polytope, parts):
     parts = tuple(tuple(sorted(part)) for part in parts)
     sections = []
     for s, part in enumerate(parts):
-        divisor = part_divisor(fan, part)
-        if not is_nef(divisor):
+        try:
+            sections.append(nef_polytope(part_divisor(fan, part)))
+        except DomainError as exc:
             raise InputError(f"part {s} is not nef: E_{s} has non-convex or "
-                             "non-integral Cartier data")
-        sections.append(divisor_polytope(divisor))
+                             "non-integral Cartier data") from exc
     total = minkowski_sum_all(sections)
     if total != polytope:
         raise ConsistencyError("section polytopes do not Minkowski-sum to Delta")

@@ -1,6 +1,8 @@
 """Fans and toric computations: normal fans, smoothness/completeness,
 Hodge numbers of smooth complete toric varieties, divisor polytopes and
 Cartier data, projective-bundle fans, semiample contractions, Fano tests.
+On a complete fan a nef divisor's section polytope is the hull of its
+Cartier data (``nef_polytope``); ``divisor_polytope`` is exact on any fan.
 
 Sign convention: a divisor D = sum a_rho D_rho has polytope
 ``{m : <m, rho> >= -a_rho}`` and support function ``psi(u) = min_{m in
@@ -257,38 +259,27 @@ def hodge_numbers_smooth_toric(fan):
 # ---------------------------------------------------------------------------
 
 def divisor_polytope(divisor):
-    """Section polytope {m : <m, rho> >= -a_rho}, with the irredundant
-    V-representation computed exactly.  Raises DomainError when unbounded."""
+    """Section polytope {m : <m, rho> >= -a_rho} on any fan, with the
+    irredundant V-representation computed exactly: ``nef_polytope`` for a
+    nef divisor on a complete fan, else every vertex solving n of the ray
+    equalities.  Raises DomainError when unbounded."""
     fan = divisor.fan
+    if is_nef(divisor) and is_complete(fan):
+        return nef_polytope(divisor)
     n = fan.ambient_dim
     hull_of_rays = convex_hull(fan.rays)
     if hull_of_rays.dim != n or any(c <= 0 for _, c in hull_of_rays.facets):
         raise DomainError("divisor polytope is unbounded (rays do not span)")
 
     ineqs = list(zip(fan.rays, divisor.coeffs))
-
-    def feasible(m):
-        return all(dot(m, rho) >= -a for rho, a in ineqs)
-
     candidates = set()
-    complete_fast = True
-    for cone in fan.max_cones:
-        rows = [fan.rays[i] for i in cone]
-        rhs = [-divisor.coeffs[i] for i in cone]
-        m = solve_linear(rows, rhs)
-        if m is None or not feasible(m):
-            complete_fast = False
-            break
-        candidates.add(m)
-    if not complete_fast:
-        candidates = set()
-        for subset in combinations(range(len(ineqs)), n):
-            rows = [fan.rays[i] for i in subset]
-            if matrix_rank(rows) != n:
-                continue
-            m = solve_linear(rows, [-divisor.coeffs[i] for i in subset])
-            if m is not None and feasible(m):
-                candidates.add(m)
+    for subset in combinations(range(len(ineqs)), n):
+        rows = [fan.rays[i] for i in subset]
+        if matrix_rank(rows) != n:
+            continue
+        m = solve_linear(rows, [-divisor.coeffs[i] for i in subset])
+        if m is not None and all(dot(m, rho) >= -a for rho, a in ineqs):
+            candidates.add(m)
     return convex_hull(sorted(candidates))
 
 
@@ -319,17 +310,31 @@ def cartier_data(divisor):
     return CartierData(divisor, tuple(per_cone))
 
 
-def is_nef(divisor):
-    """Nef = convex Cartier data: every m_sigma satisfies every ray
+def _is_convex(data):
+    """Nef test on Cartier data: every m_sigma satisfies every ray
     inequality of the divisor polytope."""
+    return all(dot(m, rho) >= -a
+               for m in data.per_cone
+               for rho, a in zip(data.divisor.fan.rays, data.divisor.coeffs))
+
+
+def is_nef(divisor):
+    """Nef = convex Cartier data."""
     try:
         data = cartier_data(divisor)
     except DomainError:
         return False
-    fan = divisor.fan
-    return all(dot(m, rho) >= -a
-               for m in data.per_cone
-               for rho, a in zip(fan.rays, divisor.coeffs))
+    return _is_convex(data)
+
+
+def nef_polytope(divisor):
+    """Section polytope conv(m_sigma) of a nef divisor on a complete fan
+    (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7); completeness is not
+    checked.  Raises DomainError when the divisor is not nef."""
+    data = cartier_data(divisor)
+    if not _is_convex(data):
+        raise DomainError("divisor is not nef: its Cartier data is not convex")
+    return convex_hull(sorted(set(data.per_cone)))
 
 
 def is_ample(divisor):
@@ -405,12 +410,12 @@ def bundle_nef_divisor(bundle_fan, base_fan, bundle_divisor):
 
 def semiample_contraction(fan, divisor):
     """Fan obtained by merging maximal cones that share a Cartier datum of
-    a nef divisor with full-dimensional polytope; equals the normal fan of
-    the divisor polytope."""
+    a nef divisor on a complete fan with full-dimensional polytope
+    conv(m_sigma); equals the normal fan of that polytope."""
     data = cartier_data(divisor)
-    if not is_nef(divisor):
+    if not _is_convex(data):
         raise DomainError("semiample contraction needs a nef divisor")
-    polytope = divisor_polytope(divisor)
+    polytope = convex_hull(sorted(set(data.per_cone)))
     if polytope.dim != fan.ambient_dim:
         raise DomainError("divisor polytope is not full-dimensional")
     contracted = normal_fan(polytope)
@@ -418,12 +423,9 @@ def semiample_contraction(fan, divisor):
     if not ray_set <= set(fan.rays):
         raise ConsistencyError("contracted fan has rays outside the original fan")
     vertex_set = set(polytope.vertices)
-    for cone, m in zip(fan.max_cones, data.per_cone):
+    for m in data.per_cone:
         if m not in vertex_set:
             raise ConsistencyError("Cartier datum is not a vertex of the polytope")
-        for i in cone:
-            if dot(m, fan.rays[i]) != -divisor.coeffs[i]:
-                raise ConsistencyError("cone not contained in its merged cone")
     return contracted
 
 

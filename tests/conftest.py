@@ -8,7 +8,8 @@ pulling reference keeps the ray-shooting form, in Fraction arithmetic, of
 the package's cross-multiplied integer test.  The Cayley references build
 the Cayley pyramid in two hulls (the Cayley polytope, then the pyramid
 over it) and the S-polytope from lattice points, apart from the package's
-single hull.
+single hull.  ``invert_unimodular``, which ``gl_canonical_form`` uses, runs
+on the package's integer elimination.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -19,10 +20,10 @@ from hypothesis import strategies as st
 from nefmirror import invariants
 from nefmirror.errors import ConsistencyError, DomainError, InputError
 from nefmirror.intlin import (
+    _eliminate,
     canon_vec,
     det,
     dot,
-    invert_unimodular,
     primitivize,
     solve_linear,
 )
@@ -271,6 +272,18 @@ def cone_contains(cone, vector):
     ineqs, eqs = cone_hrep(cone.generators)
     return (all(dot(vector, n) >= 0 for n in ineqs)
             and all(dot(vector, e) == 0 for e in eqs))
+
+
+def invert_unimodular(rows):
+    """Exact inverse of an integer matrix with determinant +-1, from one
+    elimination of [rows | I]."""
+    n = len(rows)
+    m, pivots, last, _, _ = _eliminate(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(rows)])
+    if pivots != list(range(n)) or any(x % last for row in m for x in row[n:]):
+        raise ValueError("matrix is not unimodular")
+    return [tuple(x // last for x in row[n:]) for row in m]
 
 
 def gl_canonical_form(fan):

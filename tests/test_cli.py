@@ -257,11 +257,30 @@ INVARIANTS_SHA256 = {
 }
 
 
+# dualize checks the nabla parts it prints against the dual side's section
+# polytopes, which are read from Cartier data
+DUALIZE_SHA256 = {
+    "p2-triple": "d8633beacd82000bc31636f18ce48e2a7eb8a451538381509c0d0b14f6bcf833",
+    "p2-(12)(3)": "72dfdae7e57f9f147a42818f92dd8d629ea52c749e1a6f80439b700dbdd61d89",
+    "p2-(3)(12)": "f35315fba0981e48d9f947e191bd1dd022d78d8539ec49f47b0a58aebf0fc176",
+    "p1-legendre": "02d315b074860a5da9fc38c819ea4a3fdf0a317a2b3c5ca256833437694e8881",
+    "p3-(12)(34)": "7c982a6ef13b8c799c5d089b4fa9f77e0d5ab253ed94f3baf3841fe0ae1c6d2b",
+    "p3-(123)(4)": "9d334a1beb3496cd943dd5b6f081b8bf58007a9dbefad4a8d42ae364af6c31d8",
+}
+
+
 def test_invariants_output_bytes_are_pinned(capsys):
     for (name, fmt), digest in INVARIANTS_SHA256.items():
         assert cli.main(["invariants", "--input", name, "--format", fmt]) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == digest, (name, fmt)
+
+
+def test_dualize_output_bytes_are_pinned(capsys):
+    for name, digest in DUALIZE_SHA256.items():
+        assert cli.main(["dualize", "--input", name]) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == digest, name
 
 
 def test_catalog_non_utf8_file_exits_2(tmp_path):

@@ -2,8 +2,9 @@
 MPCP side builds its polar dual once, each catalog check or
 ``invariants`` command computes the double-cover invariants once, a
 catalog check hulls the nef-partition's Cayley pyramid once, a catalog
-run tests each fan's completeness once, and a hull finds the affine basis
-of each point set once.
+run tests each fan's completeness once, a hull finds the affine basis
+of each point set once, and each section polytope is read from Cartier
+data solved once per divisor.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -15,13 +16,23 @@ from collections import Counter
 import pytest
 
 from conftest import cayley_points
-from nefmirror import cli, lattice
+from nefmirror import cli, lattice, toric
 from nefmirror.catalog import catalog_run, find_entry, load_catalog, run_entry
 from nefmirror.intlin import canon_vec
 from nefmirror.invariants import double_cover_invariants
 from nefmirror.nefpart import cayley_cone_duality_check, dualize
 from nefmirror.periods import gkz_data
-from nefmirror.toric import is_complete, mpcp_fan
+from nefmirror.toric import (
+    ToricDivisor,
+    bundle_nef_divisor,
+    cartier_data,
+    divisor_polytope,
+    is_complete,
+    mpcp_fan,
+    normal_fan,
+    projective_bundle_fan,
+    semiample_contraction,
+)
 
 ENTRY_NAMES = [entry.name for entry in load_catalog()["entries"]]
 
@@ -134,6 +145,43 @@ def test_catalog_run_tests_each_fan_complete_once(monkeypatch):
     replace_everywhere(monkeypatch, {id(is_complete): recording})
     assert catalog_run()[0]
     assert len(fans) == len({id(fan) for fan in fans}) == 15
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_run_entry_reads_sections_from_cartier_data(monkeypatch, name):
+    # every fan of a catalog entry is complete, so each section polytope,
+    # the pulled-back ones included, is conv(m_sigma): no divisor_polytope
+    # call, and no hull of a fan's rays to test boundedness
+    counts = count_calls(monkeypatch, (divisor_polytope,))
+    fans = []
+    ray_hulls = []
+    make_fan = toric.make_fan
+    convex_hull = lattice.convex_hull
+
+    def recording_fan(*args, **kwargs):
+        fans.append(make_fan(*args, **kwargs))
+        return fans[-1]
+
+    def recording_hull(points, ambient_dim=None):
+        ray_hulls.extend(fan for fan in fans if points is fan.rays)
+        return convex_hull(points, ambient_dim)
+
+    replace_everywhere(monkeypatch, {id(make_fan): recording_fan,
+                                     id(convex_hull): recording_hull})
+    assert run_entry(find_entry(name)) == []
+    assert fans and not counts and not ray_hulls
+
+
+def test_semiample_contraction_solves_the_cones_once(monkeypatch):
+    doc = load_catalog()["bundle_example"]
+    delta = lattice.convex_hull([tuple(v) for v in doc["delta_vertices"]])
+    base = normal_fan(delta)
+    bundle_div = ToricDivisor(base, tuple(doc["bundle_coeffs"]))
+    bundle_fan = projective_bundle_fan(base, bundle_div)
+    h_div = bundle_nef_divisor(bundle_fan, base, bundle_div)
+    counts = count_calls(monkeypatch, (cartier_data,))
+    semiample_contraction(bundle_fan, h_div)
+    assert counts == {"cartier_data": 1}
 
 
 @pytest.mark.parametrize("points, point_sets", [

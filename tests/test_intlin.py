@@ -13,11 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import elementary_product, leibniz
+from conftest import elementary_product, invert_unimodular, leibniz
 from nefmirror.intlin import (
     det,
     integer_kernel_basis,
-    invert_unimodular,
     lattice_split,
     matrix_rank,
     nullspace,

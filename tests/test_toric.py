@@ -49,6 +49,7 @@ from nefmirror.toric import (
     linearly_equivalent,
     make_fan,
     mpcp_fan,
+    nef_polytope,
     normal_fan,
     projective_bundle_fan,
     semiample_contraction,
@@ -318,6 +319,39 @@ def test_divisor_polytope_non_nef_fallback():
     assert not is_nef(divisor)
     poly = divisor_polytope(divisor)
     assert poly.vertices == ((0, 0),)
+    with pytest.raises(DomainError):
+        nef_polytope(divisor)
+
+
+def test_divisor_polytope_nef_on_incomplete_fan():
+    # P^2's rays with the one cone {e1, e2}: the divisor is nef, but the
+    # fan is not complete, so the Cartier datum (-1, -1) alone is not its
+    # section polytope
+    fan = make_fan([(1, 0), (0, 1), (-1, -1)], [(0, 1)])
+    assert fan.cone_rays(fan.max_cones[0]) == ((0, 1), (1, 0))
+    divisor = ToricDivisor(fan, (1, 1, 1))
+    assert is_nef(divisor) and not is_complete(fan)
+    assert divisor_polytope(divisor).vertices == ((-1, -1), (-1, 2), (2, -1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                min_size=3, max_size=8),
+       st.data())
+def test_divisor_polytope_exact_on_incomplete_fans(points, data):
+    # a lattice polygon is the section polytope of its divisor on any fan
+    # whose rays include its facet normals, whichever cones the fan keeps
+    poly = convex_hull(points)
+    assume(poly.dim == 2)
+    fan = smooth_surface_fan(poly)
+    divisor = divisor_from_polytope(fan, poly)
+    assert nef_polytope(divisor) == poly
+    assert divisor_polytope(divisor) == poly
+    kept = data.draw(st.sets(st.sampled_from(fan.max_cones), min_size=1,
+                             max_size=len(fan.max_cones) - 1))
+    part = make_fan(fan.rays, kept)
+    assert not is_complete(part)
+    assert divisor_polytope(divisor_from_polytope(part, poly)) == poly
 
 
 def test_cartier_data_anticanonical(p2_delta):
