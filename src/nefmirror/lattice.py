@@ -2,14 +2,16 @@
 
 Lattice points are plain int tuples, rational vectors are tuples of ints
 and fractions.Fraction; every predicate is exact.  On lattice input the
-hull and the pulling triangulation build no Fraction: the hull orients its
-facets by an integer multiple of an interior point, and the pulling test
-is cross-multiplied.  Polytopes are built exclusively through
-:func:`convex_hull`, which produces an irredundant V- and H-representation
-together with the normalized volume measured in the polytope's affine span
-against the induced lattice: in an integer chart of the span, from one
-unimodular column reduction of its affine-basis directions, when the
-polytope is lower-dimensional.
+hull and the pulling triangulation build no Fraction.  The hull orients
+the facets of its first simplex by an integer multiple of an interior
+point, grows every later facet from a horizon ridge as an integer
+combination of the two facets that meet there, and reads vertices from
+facet incidence; the pulling test is cross-multiplied.  Polytopes are
+built exclusively through :func:`convex_hull`, which produces an
+irredundant V- and H-representation together with the normalized volume
+measured in the polytope's affine span against the induced lattice: in an
+integer chart of the span, from one unimodular column reduction of its
+affine-basis directions, when the polytope is lower-dimensional.
 
 Conventions
 -----------
@@ -153,74 +155,73 @@ def _full_dim_hull(points, start):
     """Incremental beneath-beyond hull of a full-dimensional, lex-sorted
     point set whose affine basis indices are ``start``.
 
-    Returns (vertices, facets, nvolume, boundary).  Facets are merged
-    geometric facets, oriented by the interior reference ``ref``: the sum
-    of the affine basis points, (d + 1) times their centroid, which is
-    integral for lattice input.  The boundary, the triangulated surface
-    built along the way as lex-sorted d-point tuples, gives the normalized
-    volume as a sum of simplex determinants coned from the first point, a
-    vertex, which keeps them integral for lattice polytopes.
+    Returns (vertices, facets, nvolume, boundary).  Only the d + 1 facets
+    of the first simplex come from an elimination.  Each later facet
+    R u {p} grows from a horizon ridge R between a facet F that p sees
+    (h_F(p) < 0, with h(x) = <x, n> + c) and a facet G that it does not:
+    its functional h_G(p) h_F - h_F(p) h_G vanishes on R and at p, and as
+    a nonnegative combination of two inward functionals it needs no
+    orientation test.  A point is a vertex iff no other point lies on
+    every facet through it, since the intersection of those facets, the
+    smallest face containing it, has its vertices among the points.  The
+    boundary, the triangulated surface built along the way as a lex-sorted
+    tuple of lex-sorted d-point tuples, gives the normalized volume as a
+    sum of simplex determinants coned from the first point, a vertex,
+    which keeps them integral for lattice polytopes.
     """
     d = len(points[0])
     ref = tuple(sum(points[i][k] for i in start) for k in range(d))
 
-    # facet: frozenset of point indices -> (normal, offset)
+    # facet: frozenset of point indices -> (normal, offset); ridge -> facets
     facets = {}
-    ridge_count = {}
+    ridges = {}
 
-    def add_facet(idx_set):
-        hp = _facet_hyperplane([points[i] for i in sorted(idx_set)], ref)
-        facets[idx_set] = hp
+    def add_facet(idx_set, hyperplane):
+        facets[idx_set] = hyperplane
         for i in idx_set:
-            ridge = idx_set - {i}
-            ridge_count[ridge] = ridge_count.get(ridge, 0) + 1
-
-    def drop_facet(idx_set):
-        del facets[idx_set]
-        for i in idx_set:
-            ridge = idx_set - {i}
-            ridge_count[ridge] -= 1
+            ridges.setdefault(idx_set - {i}, []).append(idx_set)
 
     for combo in range(d + 1):
-        add_facet(frozenset(start) - {start[combo]})
+        simplex = frozenset(start) - {start[combo]}
+        add_facet(simplex, _facet_hyperplane(
+            [points[i] for i in sorted(simplex)], ref))
 
     for i in range(len(points)):
         if i in start:
             continue
         p = points[i]
-        visible = [fs for fs, (n, c) in facets.items() if dot(p, n) + c < 0]
-        if not visible:
-            continue
-        horizon = []
-        for fs in visible:
+        values = {fs: dot(p, n) + c for fs, (n, c) in facets.items()}
+        for fs, h_f in [(fs, h) for fs, h in values.items() if h < 0]:
+            n_f = facets.pop(fs)[0]
             for q in fs:
                 ridge = fs - {q}
-                if ridge_count[ridge] == 2:
-                    # shared with exactly one other facet; on the horizon
-                    # iff that other facet is not visible
-                    horizon.append(ridge)
-        vis_set = set(visible)
-        horizon = [r for r in set(horizon)
-                   if sum(1 for fs in vis_set if r < fs) == 1]
-        for fs in visible:
-            drop_facet(fs)
-        for ridge in horizon:
-            add_facet(ridge | {i})
+                pair = ridges.pop(ridge, None)
+                if pair is None:
+                    continue  # between two visible facets, met from the other
+                g = pair[1] if pair[0] == fs else pair[0]
+                h_g = values[g]
+                if h_g < 0:
+                    continue
+                normal = primitivize(tuple(
+                    h_g * a - h_f * b for a, b in zip(n_f, facets[g][0])))
+                ridges[ridge] = [g]
+                add_facet(ridge | {i}, (normal, canon_num(-dot(p, normal))))
 
     # merge coplanar simplicial facets into geometric facets
     merged = sorted(set(facets.values()))
-    boundary = tuple(tuple(points[i] for i in sorted(fs)) for fs in facets)
+    boundary = tuple(sorted(tuple(points[i] for i in sorted(fs))
+                            for fs in facets))
     apex = points[0]
     volume = 0
     for simplex in boundary:
         volume += abs(det([vsub(p, apex) for p in simplex]))
-    # vertices: points whose active facet normals span R^d
-    vertices = []
-    for i, p in enumerate(points):
-        active = [n for n, c in merged if dot(p, n) + c == 0]
-        if len(active) >= d and matrix_rank(active) == d:
-            vertices.append(p)
-    return sorted(set(vertices)), tuple(merged), canon_num(volume), boundary
+    # vertices: points whose facet set (a bitmask) no other point's contains
+    masks = [sum(1 << k for k, (n, c) in enumerate(merged)
+                 if dot(p, n) + c == 0) for p in points]
+    vertices = [p for i, (p, mask) in enumerate(zip(points, masks))
+                if not any(o & mask == mask
+                           for j, o in enumerate(masks) if j != i)]
+    return vertices, tuple(merged), canon_num(volume), boundary
 
 
 def _chart(points, basis_idx):
@@ -271,7 +272,8 @@ def convex_hull(points, ambient_dim=None):
     vertices_c, facets_c, volume, boundary_c = _full_dim_hull(
         chart_pts, _affine_basis_indices(chart_pts))
     vertices = sorted(back[v] for v in vertices_c)
-    boundary = tuple(tuple(sorted(back[q] for q in s)) for s in boundary_c)
+    boundary = tuple(sorted(tuple(sorted(back[q] for q in s))
+                            for s in boundary_c))
     facets = []
     for n, c in facets_c:
         a = tuple(dot(n, row) for row in zip(*image))

@@ -36,6 +36,8 @@ P3_DELTA = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 P4_DELTA = [(4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1),
             (-1, -1, -1, 4), (-1, -1, -1, -1)]
 HEX_NABLA = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+NON_UNIMODULAR_4D = [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1),
+                     (1, 1, 2, 1), (-1, -1, -1, -2)]
 
 
 def leibniz(rows):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NON_UNIMODULAR_4D,
     P2_DELTA,
     P3_DELTA,
     P4_DELTA,
@@ -267,8 +268,7 @@ def test_invariants_threefold_hodge_diamond():
 
 
 def test_invariants_rejects_non_unimodular():
-    poly = convex_hull([(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1),
-                        (1, 1, 2, 1), (-1, -1, -1, -2)])
+    poly = convex_hull(NON_UNIMODULAR_4D)
     np_ = build_nef_partition(poly, [[0, 1, 2, 3, 4]])
     with pytest.raises(SmoothnessError):
         double_cover_invariants(np_)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     HEX_NABLA,
+    NON_UNIMODULAR_4D,
     P2_DELTA,
     P3_DELTA,
     P4_DELTA,
@@ -32,8 +33,18 @@ from conftest import (
     reference_pulling,
     shoelace_area,
 )
+from nefmirror import lattice
+from nefmirror.catalog import load_catalog
 from nefmirror.errors import DomainError, InputError
-from nefmirror.intlin import det, dot, matrix_rank, primitivize, vsub
+from nefmirror.intlin import (
+    canon_num,
+    det,
+    dot,
+    matrix_rank,
+    nullspace,
+    primitivize,
+    vsub,
+)
 from nefmirror.lattice import (
     cayley_pyramid,
     convex_hull,
@@ -204,9 +215,11 @@ def test_rational_hull_is_the_scaled_integer_hull(pts, k):
 
 
 def _assert_boundary_triangulates(poly):
-    """Each boundary simplex holds dim affinely independent points of one
-    facet, each ridge lies on two simplices, and a full-dimensional hull's
-    volume is the sum of the simplices coned from its first vertex."""
+    """The boundary simplices come in lex order, each holds dim affinely
+    independent points of one facet, each ridge lies on two simplices, and
+    a full-dimensional hull's volume is the sum of the simplices coned from
+    its first vertex."""
+    assert list(poly.boundary) == sorted(poly.boundary)
     ridges = Counter(simplex[:i] + simplex[i + 1:]
                      for simplex in poly.boundary for i in range(poly.dim))
     assert set(ridges.values()) <= {2}
@@ -237,6 +250,149 @@ def test_boundary_triangulates_a_lower_dimensional_hull(case):
     poly = convex_hull(pts)
     assert poly.dim < poly.ambient_dim
     _assert_boundary_triangulates(poly)
+
+
+def _assert_boundary_simplices_span_facets(poly):
+    """The hyperplane through each boundary simplex, a kernel vector of its
+    edges by ``nullspace`` oriented so that every vertex satisfies it, is
+    one of ``poly.facets``: the same primitive normal and offset on a
+    full-dimensional hull, the same values on the vertices up to a positive
+    factor on a lower-dimensional one (its normals are representatives
+    modulo the equations)."""
+    units = [tuple(int(i == j) for j in range(poly.ambient_dim))
+             for i in range(poly.ambient_dim)]
+    facet_values = [[dot(v, n) + c for v in poly.vertices]
+                    for n, c in poly.facets]
+    for simplex in poly.boundary:
+        base = simplex[0]
+        rows = [vsub(p, base) for p in simplex[1:]]
+        for normal in nullspace(rows) if rows else units:
+            values = [dot(v, normal) - dot(base, normal) for v in poly.vertices]
+            if any(values):
+                break
+        if min(values) < 0:
+            normal = tuple(-x for x in normal)
+            values = [-x for x in values]
+        assert min(values) == 0
+        normal = primitivize(normal)
+        if poly.dim == poly.ambient_dim:
+            assert (normal, canon_num(-dot(base, normal))) in poly.facets
+        else:
+            k = next(i for i, x in enumerate(values) if x)
+            assert any(row[k] > 0 and all(x * row[k] == y * values[k]
+                                          for x, y in zip(values, row))
+                       for row in facet_values)
+
+
+def _rank_vertices(poly, points):
+    """Vertex oracle by rank: a point of the hull is a vertex iff the
+    normals of the facets and equations through it span R^d."""
+    equations = [n for n, _ in poly.equations]
+    return tuple(p for p in sorted(set(points))
+                 if matrix_rank(equations + [n for n, c in poly.facets
+                                             if dot(p, n) + c == 0])
+                 == poly.ambient_dim)
+
+
+@SETTINGS
+@given(full_dimensional_sets(), st.sampled_from([1, 2, 3]))
+def test_full_dimensional_hull_matches_the_elimination_oracles(pts, k):
+    scaled = [tuple(Fraction(x, k) for x in p) for p in pts]
+    poly = convex_hull(scaled)
+    _assert_boundary_simplices_span_facets(poly)
+    assert poly.vertices == _rank_vertices(poly, scaled)
+
+
+@SETTINGS
+@given(lower_dimensional_sets())
+def test_lower_dimensional_hull_matches_the_elimination_oracles(case):
+    pts, _, _ = case
+    poly = convex_hull(pts)
+    _assert_boundary_simplices_span_facets(poly)
+    assert poly.vertices == _rank_vertices(poly, pts)
+
+
+@pytest.mark.parametrize("verts", [P2_DELTA, P3_DELTA, P4_DELTA,
+                                   NON_UNIMODULAR_4D],
+                         ids=["p2", "p3", "p4", "non-unimodular-4d"])
+def test_vertices_of_all_lattice_points_match_the_rank_oracle(verts):
+    # most lattice points lie on the boundary without being vertices
+    poly = convex_hull(verts)
+    for hull in (poly, polar_dual(poly)):
+        pts = lattice_points(hull)
+        again = convex_hull(pts)
+        assert again.vertices == hull.vertices == _rank_vertices(again, pts)
+
+
+def test_a_boundary_point_off_the_vertices_is_not_a_vertex():
+    # (1, 0) lies on a boundary simplex of the segment from (0, 0) to (2, 0)
+    pts = [(0, 0), (0, 1), (1, 0), (2, 0)]
+    poly = convex_hull(pts)
+    assert poly.vertices == ((0, 0), (0, 1), (2, 0))
+    assert poly.vertices == _rank_vertices(poly, pts)
+    assert any((1, 0) in simplex for simplex in poly.boundary)
+
+
+# sha256 of (vertices, facets, equations, dim, nvolume, sorted(boundary))
+HULL_SHA256 = {
+    "p2-triple": "b025d8fb432b7b2020ff0e2b44cb14bc8be4de7ac1e14b8501258ad0cdd78b20",
+    "p2-(12)(3)": "d3da6a28e82cd441f8c969a886e7c3e48b892f1e41ef84f2cd67b0296cb134e6",
+    "p2-(3)(12)": "d3da6a28e82cd441f8c969a886e7c3e48b892f1e41ef84f2cd67b0296cb134e6",
+    "p1-legendre": "68c82739467b0a1bb4cfd923705da7865849994baf7f4ea1496d6ac20a4c7ed6",
+    "p3-(12)(34)": "e204ff2184b83644914add54fb62052923412a43edd3e71aa62590e342caf536",
+    "p3-(123)(4)": "9f0679c21cae6288481ed7f0bb6d3c9c79fd91ec56ce0737f22502020f07c691",
+    "p4-2parts": "a95be370ca29eb239595c532ee0da008e95b90b0686df8caebeeb54a9a36b5e5",
+    "p4-5parts": "f327a5f27038fab7594389160c4b55a7914a027eb52ba7a4a4e20c1f85546e0a",
+}
+
+
+def _hull_digest(polys):
+    doc = [(p.vertices, p.facets, p.equations, p.dim, p.nvolume,
+            sorted(p.boundary)) for p in polys]
+    return hashlib.sha256(repr(doc).encode()).hexdigest()
+
+
+def test_hulls_are_pinned():
+    """Delta, nabla and both MPCP polar duals of every catalog entry, and
+    the Cayley pyramids of the two- and five-part P^4 (in R^6 and R^9).
+    The digests were computed at commit 720e60e, whose hull built every
+    facet by elimination and found vertices by rank, before the
+    horizon-ridge facets and the facet-incidence vertex test."""
+    found = {}
+    for entry in load_catalog()["entries"]:
+        np_ = entry.build()
+        nabla = np_.dual.nabla
+        found[entry.name] = _hull_digest(
+            [np_.delta, nabla, polar_dual(np_.delta), polar_dual(nabla)])
+    delta = convex_hull(P4_DELTA)
+    for name, parts in (("p4-2parts", [[0, 1], [2, 3, 4]]),
+                        ("p4-5parts", [[0], [1], [2], [3], [4]])):
+        found[name] = _hull_digest(
+            [build_nef_partition(delta, parts).cayley_pyramid])
+    assert found == HULL_SHA256
+
+
+@pytest.mark.parametrize("verts", [P3_DELTA, P4_DELTA], ids=["p3", "p4"])
+def test_full_dimensional_hull_eliminates_only_for_its_first_simplex(
+        monkeypatch, verts):
+    # every later facet grows from a horizon ridge, and vertices are read
+    # from facet incidence, so a regression to per-facet elimination or a
+    # per-point rank shows in the counts
+    pts = lattice_points(convex_hull(verts))
+    counts = Counter()
+
+    def counting(fn):
+        def wrapper(*args):
+            counts[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(lattice, "nullspace", counting(nullspace))
+    monkeypatch.setattr(lattice, "matrix_rank", counting(matrix_rank))
+    d = len(verts[0])
+    assert len(pts) > d + 1
+    assert convex_hull(pts).vertices == tuple(sorted(verts))
+    assert counts == {"nullspace": d + 1}
 
 
 def test_integer_hull_and_pulling_build_no_fraction(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     HEX_NABLA,
+    NON_UNIMODULAR_4D,
     P2_DELTA,
     P3_DELTA,
     cone_contains,
@@ -244,8 +245,7 @@ def test_mpcp_rejects_non_reflexive():
 
 
 def test_mpcp_non_unimodular_flag_4d():
-    poly = convex_hull([(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1),
-                        (1, 1, 2, 1), (-1, -1, -1, -2)])
+    poly = convex_hull(NON_UNIMODULAR_4D)
     assert is_reflexive(poly)
     _fan, unimodular = mpcp_fan(poly)
     assert not unimodular
