@@ -61,7 +61,6 @@ from .toric import (
     semiample_contraction,
 )
 from .nefpart import (
-    DualNefPartition,
     NefPartition,
     build_nef_partition,
     cayley_cone,
@@ -107,7 +106,7 @@ __all__ = [
     "semiample_contraction", "linearly_equivalent",
     "linear_equivalence_witness", "is_calabi_yau_cover",
     "fan_to_json", "fan_from_json",
-    "NefPartition", "DualNefPartition", "build_nef_partition", "dualize",
+    "NefPartition", "build_nef_partition", "dualize",
     "double_dual_check", "cayley_cone",
     "nef_partition_to_json", "nef_partition_from_json",
     "CoverInvariants", "dk_euler", "branched_cover_euler",

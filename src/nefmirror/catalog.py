@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 
 from .errors import GoldenMismatchError, InputError
@@ -37,6 +38,19 @@ from .toric import (
     projective_bundle_fan,
     semiample_contraction,
 )
+
+
+# The list depth of each field an entry's "expected" block may hold (0 for
+# an int, 2 for a list of int lists), and likewise for the bundle example.
+EXPECTED_DEPTHS = {
+    **dict.fromkeys(("chi_X", "chi_Xdual", "chi_Y", "chi_Ydual", "h11_Y",
+                     "h21_Y", "s_volume", "node_count"), 0),
+    "dual_fan_rays": 2,
+    "nabla_vertices": 2,
+}
+BUNDLE_EXPECTED_DEPTHS = dict.fromkeys(
+    ("bundle_n_rays", "bundle_n_max_cones", "contracted_n_rays",
+     "contracted_n_max_cones"), 0)
 
 
 @dataclass(frozen=True)
@@ -78,6 +92,8 @@ def load_catalog(path=None):
                       {"delta_vertices": 2, "bundle_coeffs": 1, "r": 0})
         if not isinstance(bundle.get("name"), str):
             raise InputError("catalog bundle_example: field 'name' must be a string")
+        _check_fields(bundle.get("expected", {}), "bundle_example expected",
+                      BUNDLE_EXPECTED_DEPTHS, optional=True)
     taut = doc.get("taut_golden")
     if taut:
         _check_fields(taut, "taut_golden", {"degrees": 1, "dim": 0})
@@ -91,12 +107,31 @@ def _catalog_entry(index, doc):
     if not isinstance(doc.get("nef_partition"), dict):
         raise InputError(
             f"catalog entry {name!r}: field 'nef_partition' must be an object")
-    return CatalogEntry(name, doc["nef_partition"], doc.get("expected", {}))
+    expected = doc.get("expected", {})
+    where = f"entry {name!r} expected"
+    _check_fields(expected, where, EXPECTED_DEPTHS, optional=True)
+    gkz = expected.get("gkz", {})
+    if not isinstance(gkz, dict) or not set(gkz) <= {"primal", "dual"}:
+        raise InputError(f"catalog {where}: field 'gkz' must be an object "
+                         "with keys among 'primal' and 'dual'")
+    for side, golden in gkz.items():
+        _check_fields(golden, f"{where} gkz {side}", {"A": 2})
+        beta = golden.get("beta")
+        try:
+            if not isinstance(beta, list):
+                raise ValueError
+            for b in beta:
+                Fraction(b if isinstance(b, str) else "")
+        except (ValueError, ZeroDivisionError):
+            raise InputError(f"catalog {where} gkz {side}: field 'beta' must be "
+                             f"a list of fraction strings, got {beta!r}") from None
+    return CatalogEntry(name, doc["nef_partition"], expected)
 
 
-def _check_fields(doc, where, depths):
+def _check_fields(doc, where, depths, optional=False):
     """Each field of ``doc`` named in ``depths`` is an int (depth 0), a list
-    of ints (1) or a list of lists of ints (2), as ``json_int`` reads them."""
+    of ints (1) or a list of lists of ints (2), as ``json_int`` reads them.
+    With ``optional`` a missing field passes."""
     def walk(value, depth):
         if depth == 0:
             json_int(value)
@@ -109,6 +144,8 @@ def _check_fields(doc, where, depths):
     if not isinstance(doc, dict):
         raise InputError(f"catalog {where} must be an object")
     for field, depth in depths.items():
+        if optional and field not in doc:
+            continue
         try:
             walk(doc.get(field), depth)
         except InputError as exc:
@@ -135,7 +172,9 @@ def golden_taut_operators():
 # ---------------------------------------------------------------------------
 
 def check_gkz_golden(nef_partition, side, golden):
-    data = gkz_data(nef_partition, side=side)
+    """``side`` is "primal" or "dual": the GKZ data of ``nef_partition`` or
+    of its dual."""
+    data = gkz_data(nef_partition.dual if side == "dual" else nef_partition)
     if not gkz_equal_up_to_group_permutation(data, golden["A"], golden["beta"]):
         raise GoldenMismatchError(
             f"GKZ {side} matrix differs from the stored golden")
@@ -214,8 +253,7 @@ def run_entry(entry):
     if "s_volume" in expected and s_vol != expected["s_volume"]:
         failures.append(f"s_volume: computed {s_vol}, "
                         f"expected {expected['s_volume']}")
-    dual = np_.dual
-    if s_vol != normalized_volume(dual.nabla_polar):
+    if s_vol != normalized_volume(np_.sections_hull):
         failures.append("volume identity vol(S) == vol(nabla polar) failed")
     if not cayley_cone_duality_check(np_):
         failures.append("Gorenstein cone duality failed")
@@ -225,11 +263,11 @@ def run_entry(entry):
             failures.append(f"node_count: computed {nodes}, "
                             f"expected {expected['node_count']}")
     if "dual_fan_rays" in expected:
-        rays = [list(r) for r in dual.nef_partition.fan.rays]
+        rays = [list(r) for r in np_.dual.fan.rays]
         if rays != expected["dual_fan_rays"]:
             failures.append("dual fan rays differ from expected list")
     if "nabla_vertices" in expected:
-        verts = [list(v) for v in dual.nabla.vertices]
+        verts = [list(v) for v in np_.dual.delta.vertices]
         if verts != expected["nabla_vertices"]:
             failures.append("nabla vertices differ from expected list")
     for side, golden in expected.get("gkz", {}).items():

@@ -85,12 +85,12 @@ def cmd_dualize(args):
     np_, _entry = _resolve_nef_partition(args.input)
     dual = np_.dual
     doc = {
-        "nabla_vertices": [list(v) for v in dual.nabla.vertices],
-        "parts": [list(p) for p in dual.nef_partition.parts],
-        "nabla_polar_vertices": [list(v) for v in dual.nabla_polar.vertices],
+        "nabla_vertices": [list(v) for v in dual.delta.vertices],
+        "parts": [list(p) for p in dual.parts],
+        "nabla_polar_vertices": [list(v) for v in np_.sections_hull.vertices],
         "nabla_part_vertices": [[list(v) for v in poly.vertices]
-                                for poly in dual.nabla_parts],
-        "fan": json.loads(fan_to_json(dual.nef_partition.fan)),
+                                for poly in dual.section_polytopes],
+        "fan": json.loads(fan_to_json(dual.fan)),
     }
     _emit(_dumps(doc), args.output)
     return EXIT_OK
@@ -159,7 +159,7 @@ def cmd_gkz(args):
                 f"no stored golden GKZ matrix for side {args.side!r} here")
         data = check_gkz_golden(np_, args.side, entry.expected["gkz"][args.side])
     else:
-        data = gkz_data(np_, side=args.side)
+        data = gkz_data(np_.dual if args.side == "dual" else np_)
     if args.format == "md":
         text = "```\n" + gkz_matrix_text(data) + "\n```\n" + \
             "beta = (" + ", ".join(str(b) for b in data.beta) + ")\n"

@@ -125,7 +125,7 @@ def double_cover_invariants(nef_partition):
     Batyrev-Borisov dual.  Requires smooth MPCP fans on both sides."""
     np_ = nef_partition
     n = np_.dim
-    dual = np_.dual.nef_partition
+    dual = np_.dual
     fan_x, h_x = np_.mpcp
     fan_xd, h_xd = dual.mpcp
     chi_x = len(fan_x.max_cones)

@@ -118,7 +118,6 @@ class Triangulation:
     every maximal simplex has determinant +-1.
     """
 
-    polytope: LatticePolytope
     simplices: tuple
     uses_points: tuple
     unimodular: bool
@@ -529,7 +528,7 @@ def maximal_boundary_triangulation(polytope):
         if abs(det(gens)) != 1:
             unimodular = False
             break
-    return Triangulation(polytope, simplices, uses, unimodular)
+    return Triangulation(simplices, uses, unimodular)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 A nef-partition on a reflexive polytope Delta is a partition of the rays
 of its normal fan such that each partial divisor sum E_s is nef; it
 induces the Minkowski decomposition Delta = Delta_1 + ... + Delta_r into
-section polytopes.  The dual side sets nabla_k = Conv({0} u I_k); their
-Minkowski sum nabla is reflexive with polar Conv(Delta_1, ..., Delta_r),
-and carries the dual nef-partition.
+section polytopes.  The Batyrev-Borisov dual is again a NefPartition:
+its polytope is nabla = nabla_1 + ... + nabla_r with nabla_k =
+Conv({0} u I_k), reflexive with polar Conv(Delta_1, ..., Delta_r), and
+its section polytopes are the nabla_k.  Dualizing twice gives back the
+original value.
 """
 from __future__ import annotations
 
@@ -37,10 +39,10 @@ class NefPartition:
     """A reflexive polytope with a nef ray partition and the derived
     section polytopes (in the order of the parts).
 
-    The Batyrev-Borisov dual (``dual``), the MPCP side (``mpcp``) and the
-    Cayley pyramid of the sections (``cayley_pyramid``) are computed on
-    first read and kept on the object; equality and hashing use the four
-    fields only."""
+    The Batyrev-Borisov dual (``dual``), the MPCP side (``mpcp``), the
+    hull of the sections (``sections_hull``) and their Cayley pyramid
+    (``cayley_pyramid``) are computed on first read and kept on the
+    object; equality and hashing use the four fields only."""
 
     delta: object
     fan: object            # normal fan of delta
@@ -57,7 +59,7 @@ class NefPartition:
 
     @cached_property
     def dual(self):
-        """The DualNefPartition of this partition: ``dualize(self)``."""
+        """The dual NefPartition on nabla: ``dualize(self)``."""
         return dualize(self)
 
     @cached_property
@@ -73,6 +75,12 @@ class NefPartition:
         return fan, h_vector
 
     @cached_property
+    def sections_hull(self):
+        """Conv(Delta_1, ..., Delta_r), the polar dual of the dual side's
+        polytope nabla."""
+        return convex_hull([v for p in self.section_polytopes for v in p.vertices])
+
+    @cached_property
     def cayley_pyramid(self):
         """Lambda = Conv({0} u e_1 x Delta_1 u ... u e_r x Delta_r) in
         R^r x M_R.  It is the polytope S of the volume identity (a lattice
@@ -85,17 +93,6 @@ class NefPartition:
         return f"NefPartition(dim={self.dim}, r={self.r}, parts={self.parts})"
 
 
-@dataclass(frozen=True)
-class DualNefPartition:
-    """Batyrev-Borisov dual: nabla with its Minkowski parts, its polar
-    Conv(Delta_1,...,Delta_r), and the induced NefPartition on nabla."""
-
-    nef_partition: NefPartition     # partition on nabla
-    nabla: object
-    nabla_parts: tuple              # the polytopes nabla_k
-    nabla_polar: object             # Conv(Delta_1,...,Delta_r) = nabla^dual
-
-
 def part_divisor(fan, part):
     coeffs = tuple(1 if i in part else 0 for i in range(len(fan.rays)))
     return ToricDivisor(fan, coeffs)
@@ -103,8 +100,9 @@ def part_divisor(fan, part):
 
 def build_nef_partition(polytope, parts):
     """Validate a ray partition on a reflexive polytope and compute the
-    section polytopes.  Rejects non-nef parts by name; a Minkowski-sum
-    mismatch is an internal consistency error (it is a theorem)."""
+    section polytopes.  Rejects empty and non-nef parts by name; a
+    Minkowski-sum mismatch is an internal consistency error (it is a
+    theorem)."""
     if not is_reflexive(polytope):
         raise InputError("nef-partitions need a reflexive polytope")
     fan = normal_fan(polytope)  # complete: the polytope is full-dimensional
@@ -115,7 +113,19 @@ def build_nef_partition(polytope, parts):
     if sorted(seen) != list(range(n_rays)):
         raise InputError("parts must partition the ray set "
                          f"{{0,...,{n_rays - 1}}}")
+    for s, part in enumerate(parts):
+        if not part:
+            raise InputError(f"part {s} is empty")
     parts = tuple(tuple(sorted(part)) for part in parts)
+    sections = _section_polytopes(fan, parts)
+    if minkowski_sum_all(sections) != polytope:
+        raise ConsistencyError("section polytopes do not Minkowski-sum to Delta")
+    return NefPartition(polytope, fan, parts, sections)
+
+
+def _section_polytopes(fan, parts):
+    """The section polytope of each part's divisor E_s, read from its
+    Cartier data; a part whose E_s is not nef is rejected by index."""
     sections = []
     for s, part in enumerate(parts):
         try:
@@ -123,10 +133,7 @@ def build_nef_partition(polytope, parts):
         except DomainError as exc:
             raise InputError(f"part {s} is not nef: E_{s} has non-convex or "
                              "non-integral Cartier data") from exc
-    total = minkowski_sum_all(sections)
-    if total != polytope:
-        raise ConsistencyError("section polytopes do not Minkowski-sum to Delta")
-    return NefPartition(polytope, fan, parts, tuple(sections))
+    return tuple(sections)
 
 
 def _assign_rays_to_parts(rays, part_polytopes):
@@ -145,42 +152,38 @@ def _assign_rays_to_parts(rays, part_polytopes):
 
 def dualize(nef_partition):
     """Batyrev-Borisov dual nef-partition: nabla_k = Conv({0} u I_k),
-    nabla = sum nabla_k.  Asserts reflexivity of nabla and the polar
-    identity nabla^dual = Conv(Delta_1,...,Delta_r); both are theorems and
+    nabla = sum nabla_k, with the rays of nabla's normal fan assigned to
+    the Delta_k that contain them.  Asserts reflexivity of nabla, the polar
+    identity nabla^dual = Conv(Delta_1,...,Delta_r), and that each dual
+    part is nef with section polytope nabla_k; all are theorems and
     failures surface loudly."""
     np_ = nef_partition
     fan = np_.fan
-    n = np_.dim
-    zero = tuple(0 for _ in range(n))
-    nabla_parts = []
-    for part in np_.parts:
-        pts = [zero] + [fan.rays[i] for i in part]
-        nabla_parts.append(convex_hull(pts))
+    zero = tuple(0 for _ in range(np_.dim))
+    nabla_parts = tuple(convex_hull([zero] + [fan.rays[i] for i in part])
+                        for part in np_.parts)
     nabla = minkowski_sum_all(nabla_parts)
     if not is_reflexive(nabla):
         raise ConsistencyError("dual polytope nabla is not reflexive")
-    nabla_polar = convex_hull([v for p in np_.section_polytopes for v in p.vertices])
-    if polar_dual(nabla) != nabla_polar:
+    if polar_dual(nabla) != np_.sections_hull:
         raise ConsistencyError("polar of nabla differs from Conv(Delta_i)")
 
     dual_fan = normal_fan(nabla)
     assignment = _assign_rays_to_parts(dual_fan.rays, np_.section_polytopes)
     dual_parts = tuple(tuple(i for i, k in enumerate(assignment) if k == s)
                        for s in range(np_.r))
-    dual_np = build_nef_partition(nabla, dual_parts)
     for k, (section, part_poly) in enumerate(
-            zip(dual_np.section_polytopes, nabla_parts)):
+            zip(_section_polytopes(dual_fan, dual_parts), nabla_parts)):
         if section != part_poly:
             raise ConsistencyError(
                 f"dual section polytope {k} differs from nabla_{k}")
-    return DualNefPartition(dual_np, nabla, tuple(nabla_parts), nabla_polar)
+    return NefPartition(nabla, dual_fan, dual_parts, nabla_parts)
 
 
 def double_dual_check(nef_partition):
-    """Dualize twice and compare with the original (polytope, parts)."""
-    back = nef_partition.dual.nef_partition.dual.nef_partition
-    return (back.delta == nef_partition.delta
-            and back.parts == nef_partition.parts)
+    """Dualize twice and compare with the original: polytope, fan, parts
+    and section polytopes."""
+    return nef_partition.dual.dual == nef_partition
 
 
 def cayley_cone(nef_partition):
@@ -197,7 +200,7 @@ def cayley_cone_duality_check(nef_partition):
     of the Cayley pyramid's facets through the apex; sigma_nabla is the
     Cayley cone of the dual partition, whose section polytopes dualize
     asserts to be the nabla_k."""
-    sigma_nabla = cayley_cone(nef_partition.dual.nef_partition)
+    sigma_nabla = cayley_cone(nef_partition.dual)
     apex_normals = sorted(n for n, c in nef_partition.cayley_pyramid.facets
                           if c == 0)
     return tuple(apex_normals) == sigma_nabla.generators

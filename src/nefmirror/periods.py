@@ -1,10 +1,12 @@
 """GKZ A-hypergeometric data and tautological PDE systems for the
 gauge-fixed double-cover families.
 
-The GKZ matrix of a (dual) nef-partition stacks an r-row group indicator
-block over the n lattice coordinates of the group polytopes' lattice
-points; the exponent beta is (-1/2,...,-1/2,0,...,0), the fractional
-entries reflecting the square root in the period integrand.
+The GKZ matrix of a nef-partition stacks an r-row group indicator block
+over the n lattice coordinates of the lattice points of its section
+polytopes; the exponent beta is (-1/2,...,-1/2,0,...,0), the fractional
+entries reflecting the square root in the period integrand.  The dual
+family is the GKZ data of the dual nef-partition ``np.dual``, whose
+section polytopes are the Minkowski parts nabla_i.
 
 The tautological system attached to line bundles O(d_1),...,O(d_k) on
 P^dim consists of one Euler operator per bundle (eigenvalue -1/2), one
@@ -22,7 +24,6 @@ from itertools import combinations, combinations_with_replacement
 from .errors import DomainError, InputError
 from .intlin import canon_num, integer_kernel_basis
 from .lattice import lattice_points
-from .nefpart import DualNefPartition, NefPartition
 
 
 # ---------------------------------------------------------------------------
@@ -63,23 +64,10 @@ def _group_columns(polytopes):
     return columns
 
 
-def gkz_data(partition, side="primal"):
-    """GKZ data of a gauge-fixed family.
-
-    side="primal" uses the section polytopes Delta_i of the nef-partition;
-    side="dual" uses the Minkowski parts nabla_i of its Batyrev-Borisov
-    dual.  A DualNefPartition argument is taken as already dualized.
-    """
-    if side not in ("primal", "dual"):
-        raise InputError("side must be 'primal' or 'dual'")
-    if isinstance(partition, DualNefPartition):
-        groups = (partition.nabla_parts if side == "dual"
-                  else partition.nef_partition.section_polytopes)
-    elif isinstance(partition, NefPartition):
-        groups = (partition.dual.nabla_parts if side == "dual"
-                  else partition.section_polytopes)
-    else:
-        raise InputError("expected a NefPartition or DualNefPartition")
+def gkz_data(partition):
+    """GKZ data of the gauge-fixed family of a nef-partition, grouped by
+    its section polytopes; ``gkz_data(np.dual)`` is the dual family."""
+    groups = partition.section_polytopes
     r = len(groups)
     n = groups[0].ambient_dim
     columns = _group_columns(groups)

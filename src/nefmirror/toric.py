@@ -102,13 +102,13 @@ def make_fan(rays, max_cones, ambient_dim=None):
             raise InputError(f"ray {r} is not a primitive integer vector")
     if len(set(rays)) != len(rays):
         raise InputError("duplicate rays")
+    max_cones = [tuple(cone) for cone in max_cones]
+    if any(i not in range(len(rays)) for cone in max_cones for i in cone):
+        raise InputError("cone refers to a missing ray")
     order = sorted(range(len(rays)), key=lambda i: rays[i])
     relabel = {old: new for new, old in enumerate(order)}
     sorted_rays = tuple(rays[i] for i in order)
     cones = sorted({tuple(sorted(relabel[i] for i in cone)) for cone in max_cones})
-    for cone in cones:
-        if any(i < 0 or i >= len(sorted_rays) for i in cone):
-            raise InputError("cone refers to a missing ray")
     return Fan(d, sorted_rays, tuple(cones))
 
 

@@ -58,9 +58,9 @@ def test_criterion_01_dual_nef_partition_reproduction():
     start = time.perf_counter()
     dual = dualize(PARTITIONS["p2-triple"])
     elapsed = time.perf_counter() - start
-    assert set(dual.nef_partition.fan.rays) == {
+    assert set(dual.fan.rays) == {
         (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1)}
-    assert set(dual.nabla.vertices) == {
+    assert set(dual.delta.vertices) == {
         (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}
     assert elapsed < 1.0
     _report(1, f"dual fan rays and nabla vertices reproduced "
@@ -69,8 +69,8 @@ def test_criterion_01_dual_nef_partition_reproduction():
 
 def test_criterion_02_gkz_golden_matrices():
     start = time.perf_counter()
-    dual_data = gkz_data(PARTITIONS["p2-triple"], side="dual")
-    primal_data = gkz_data(PARTITIONS["p2-(3)(12)"], side="primal")
+    dual_data = gkz_data(PARTITIONS["p2-triple"].dual)
+    primal_data = gkz_data(PARTITIONS["p2-(3)(12)"])
     elapsed = time.perf_counter() - start
     dual_golden = ENTRIES["p2-triple"].expected["gkz"]["dual"]
     primal_golden = ENTRIES["p2-(3)(12)"].expected["gkz"]["primal"]
@@ -141,7 +141,7 @@ def test_criterion_05_mirror_duality_suite():
 def test_criterion_06_volume_identity():
     for name, np_ in PARTITIONS.items():
         vol_s = normalized_volume(s_polytope(np_))
-        vol_polar = normalized_volume(dualize(np_).nabla_polar)
+        vol_polar = normalized_volume(np_.sections_hull)
         assert vol_s == vol_polar, name
     _report(6, "vol(S) == vol(nabla polar) on every catalog entry")
 
@@ -163,7 +163,7 @@ def test_criterion_08_gorenstein_cone_duality():
         dual = dualize(np_)
         r = np_.r
         gens = []
-        for k, poly in enumerate(dual.nabla_parts):
+        for k, poly in enumerate(dual.section_polytopes):
             e = tuple(1 if j == k else 0 for j in range(r))
             gens.extend(e + v for v in poly.vertices)
         sigma_nabla = make_cone(gens)
@@ -197,7 +197,7 @@ def test_criterion_10_hodge_suite():
     for name in ("p3-(12)(34)", "p3-(123)(4)"):
         np_ = PARTITIONS[name]
         inv = double_cover_invariants(np_)
-        dual_inv = double_cover_invariants(dualize(np_).nef_partition)
+        dual_inv = double_cover_invariants(dualize(np_))
         assert inv.h11_Y == dual_inv.h21_Y, name
         assert inv.h21_Y == dual_inv.h11_Y, name
     _report(10, "off-middle Hodge numbers equal the toric h-vector; "

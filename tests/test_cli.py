@@ -350,14 +350,49 @@ def _float_degree(doc):
     return doc
 
 
+def _set(*keys, value):
+    """A corruption that sets doc[k1][k2]...[kn] = value."""
+    def corrupt(doc):
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return doc
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, words", [
     (_float_bundle, ["bundle_example", "bundle_coeffs"]),
     (_no_name, ["entry 1", "name"]),
     (lambda doc: doc["entries"], ["top level"]),
     (_float_degree, ["taut_golden", "degrees"]),
     (_bundle_without_name, ["bundle_example", "name"]),
+    (_set("entries", 1, "expected", "chi_X", value="3"),
+     ["'p2-(12)(3)'", "chi_X"]),
+    (_set("entries", 4, "expected", "h21_Y", value=15.0),
+     ["'p3-(12)(34)'", "h21_Y"]),
+    (_set("entries", 0, "expected", "node_count", value=True),
+     ["'p2-triple'", "node_count"]),
+    (_set("entries", 0, "expected", "nabla_vertices", value=[[1, 0], [0, "1"]]),
+     ["'p2-triple'", "nabla_vertices"]),
+    (_set("entries", 0, "expected", "dual_fan_rays", value=[1, 0]),
+     ["'p2-triple'", "dual_fan_rays"]),
+    (_set("entries", 3, "expected", value=[1, 2]),
+     ["'p1-legendre'", "expected"]),
+    (_set("entries", 0, "expected", "gkz", value={"both": {}}),
+     ["'p2-triple'", "gkz"]),
+    (_set("entries", 0, "expected", "gkz", "dual", "A", value=[[1, 1.5]]),
+     ["'p2-triple'", "gkz dual", "'A'"]),
+    (_set("entries", 0, "expected", "gkz", "dual", "beta", value=["0", "half"]),
+     ["'p2-triple'", "gkz dual", "'beta'"]),
+    (_set("entries", 0, "expected", "gkz", "dual", "beta", value=[0, 0]),
+     ["'p2-triple'", "gkz dual", "'beta'"]),
+    (_set("bundle_example", "expected", "contracted_n_rays", value="4"),
+     ["bundle_example expected", "contracted_n_rays"]),
 ], ids=["float-bundle", "entry-without-name", "top-level-list", "float-degree",
-        "bundle-without-name"])
+        "bundle-without-name", "string-chi", "float-h21", "bool-nodes",
+        "string-vertex", "flat-rays", "list-block", "unknown-side", "float-A", "word-beta",
+        "int-beta", "string-bundle-count"])
 def test_catalog_file_validated_at_load(tmp_path, corrupt, words):
     from nefmirror.catalog import catalog_path
     with open(catalog_path(), encoding="utf-8") as handle:
@@ -369,4 +404,15 @@ def test_catalog_file_validated_at_load(tmp_path, corrupt, words):
     diag = json.loads(result.stderr)
     assert diag["error"] == "input"
     assert all(word in diag["message"] for word in words)
+    assert result.stdout == ""
+
+
+def test_invariants_rejects_an_empty_part(tmp_path):
+    path = tmp_path / "np.json"
+    path.write_text(json.dumps({"delta_vertices": [[2, -1], [-1, 2], [-1, -1]],
+                                "parts": [[0, 1, 2], []]}))
+    result = run_cli("invariants", "--input", str(path))
+    assert result.returncode == 2
+    diag = json.loads(result.stderr)
+    assert diag["error"] == "input" and "part 1 is empty" in diag["message"]
     assert result.stdout == ""

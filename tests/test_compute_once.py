@@ -1,4 +1,5 @@
-"""Each nef-partition dualizes once and builds each MPCP fan once, each
+"""Each nef-partition dualizes once and builds each MPCP fan once,
+``dualize`` builds nabla's normal fan and Minkowski sum once, each
 MPCP side builds its polar dual once, each catalog check or
 ``invariants`` command computes the double-cover invariants once, a
 catalog check hulls the nef-partition's Cayley pyramid once, a catalog
@@ -16,7 +17,7 @@ from collections import Counter
 import pytest
 
 from conftest import cayley_points
-from nefmirror import cli, lattice, toric
+from nefmirror import cli, lattice, nefpart, toric
 from nefmirror.catalog import catalog_run, find_entry, load_catalog, run_entry
 from nefmirror.intlin import canon_vec
 from nefmirror.invariants import double_cover_invariants
@@ -86,15 +87,27 @@ def test_cli_invariants_computes_each_side_once(calls, tmp_path):
 def test_cone_duality_and_primal_gkz_build_no_mpcp_fan(calls):
     np_ = find_entry("p2-triple").build()
     assert cayley_cone_duality_check(np_)
-    gkz_data(np_, side="primal")
+    gkz_data(np_)
     assert calls == {"dualize": 1}
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_dualize_builds_the_dual_once(monkeypatch, name):
+    # nabla's normal fan and the Minkowski sum of the nabla_k are built
+    # once, and the dual NefPartition is assembled from them rather than
+    # rebuilt by build_nef_partition
+    np_ = find_entry(name).build()
+    counts = count_calls(monkeypatch, (normal_fan, lattice.minkowski_sum_all,
+                                       nefpart.build_nef_partition))
+    dualize(np_)
+    assert counts == {"normal_fan": 1, "minkowski_sum_all": 1}
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
 def test_mpcp_builds_the_polar_dual_once(monkeypatch, name):
     # the cone-count check reads the volume of the hull mpcp_fan built
     np_ = find_entry(name).build()
-    dual_side = np_.dual.nef_partition
+    dual_side = np_.dual
     counts = count_calls(monkeypatch, (lattice.polar_dual,))
     np_.mpcp
     assert counts == {"polar_dual": 1}

@@ -87,7 +87,7 @@ def test_dk_three_lines_union():
 
 
 def test_dk_rejects_non_nef():
-    hexagon = dualize(TRIPLE).nef_partition.fan
+    hexagon = dualize(TRIPLE).fan
     bad = ToricDivisor(hexagon, (1, 0, 0, 0, 0, 0))
     with pytest.raises(DomainError):
         dk_euler(hexagon, [bad])
@@ -137,7 +137,7 @@ P4_TWO_PARTS = CatalogEntry(
                          ids=lambda entry: entry.name)
 def test_pyramid_volumes_are_faces_of_the_cayley_pyramid(entry):
     np_ = entry.build()
-    for side in (np_, np_.dual.nef_partition):
+    for side in (np_, np_.dual):
         _assert_faces_are_the_pyramids(list(side.section_polytopes),
                                        side.cayley_pyramid)
 
@@ -209,7 +209,7 @@ def test_invariants_p2_triple():
 
 def test_invariants_p3():
     inv = double_cover_invariants(P3_12_34)
-    v = normalized_volume(dualize(P3_12_34).nabla_polar)
+    v = normalized_volume(P3_12_34.sections_hull)
     assert inv.chi_Y == 4 - v
     assert inv.chi_Ydual == v - 4
     assert verify_mirror_duality(P3_12_34)[0]
@@ -260,7 +260,7 @@ def test_invariants_off_middle_hodge():
 def test_invariants_threefold_hodge_diamond():
     for np_ in (P3_12_34, P3_123_4):
         inv = double_cover_invariants(np_)
-        dual_inv = double_cover_invariants(dualize(np_).nef_partition)
+        dual_inv = double_cover_invariants(dualize(np_))
         assert inv.h11_Y == dual_inv.h21_Y
         assert inv.h21_Y == dual_inv.h11_Y
         # chi(Y) = 2 (h11 - h21) for the threefold Hodge diamond

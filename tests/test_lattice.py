@@ -361,7 +361,7 @@ def test_hulls_are_pinned():
     found = {}
     for entry in load_catalog()["entries"]:
         np_ = entry.build()
-        nabla = np_.dual.nabla
+        nabla = np_.dual.delta
         found[entry.name] = _hull_digest(
             [np_.delta, nabla, polar_dual(np_.delta), polar_dual(nabla)])
     delta = convex_hull(P4_DELTA)
@@ -743,7 +743,7 @@ def test_pulling_square_with_centre():
 def test_two_part_p4_mpcp_triangulations_are_pinned():
     np_ = build_nef_partition(convex_hull(P4_DELTA), [[0, 1], [2, 3, 4]])
     found = []
-    for delta in (np_.delta, np_.dual.nef_partition.delta):
+    for delta in (np_.delta, np_.dual.delta):
         tri = maximal_boundary_triangulation(polar_dual(delta))
         digest = hashlib.sha256(json.dumps(sorted(tri.simplices)).encode())
         found.append((len(tri.simplices), digest.hexdigest()))

@@ -69,6 +69,11 @@ def test_build_rejects_non_partition():
         build_nef_partition(DELTA, [[0, 1], [1, 2]])
 
 
+def test_build_rejects_an_empty_part():
+    with pytest.raises(InputError, match="part 1 is empty"):
+        build_nef_partition(DELTA, [[0, 1, 2], []])
+
+
 def test_build_rejects_non_reflexive():
     with pytest.raises(InputError):
         build_nef_partition(convex_hull([(0, 0), (1, 0), (0, 1)]), [[0, 1, 2]])
@@ -93,11 +98,11 @@ def test_minkowski_reconstruction():
 
 def test_dualize_triple_gives_hexagon():
     dual = dualize(TRIPLE)
-    assert dual.nabla == convex_hull(HEX_NABLA)
-    assert set(dual.nef_partition.fan.rays) == {
+    assert dual.delta == convex_hull(HEX_NABLA)
+    assert set(dual.fan.rays) == {
         (-1, 1), (-1, 0), (0, -1), (1, -1), (1, 0), (0, 1)}
     # F_k = D_{nu_{2k-1}} + D_{nu_{2k}}: two rays per part
-    assert all(len(part) == 2 for part in dual.nef_partition.parts)
+    assert all(len(part) == 2 for part in dual.parts)
 
 
 def test_dualize_split():
@@ -105,19 +110,19 @@ def test_dualize_split():
     expected = minkowski_sum_all([
         convex_hull([(0, 0), (1, 0), (0, 1)]),
         convex_hull([(0, 0), (-1, -1)])])
-    assert dual.nabla == expected
-    assert len(dual.nabla.vertices) == 5
+    assert dual.delta == expected
+    assert len(dual.delta.vertices) == 5
 
 
 def test_dualize_trivial_is_polar():
     dual = dualize(TRIVIAL)
-    assert dual.nabla == polar_dual(DELTA)
-    assert dual.nabla_polar == DELTA
+    assert dual.delta == polar_dual(DELTA)
+    assert TRIVIAL.sections_hull == DELTA
 
 
 def test_dual_minkowski_reconstruction():
     dual = dualize(TRIPLE)
-    assert minkowski_sum_all(list(dual.nabla_parts)) == dual.nabla
+    assert minkowski_sum_all(list(dual.section_polytopes)) == dual.delta
 
 
 def test_double_dual_examples():
@@ -139,7 +144,7 @@ def test_bb_facet_pairing():
     for np_ in (TRIPLE, SPLIT_12_3, TRIVIAL):
         dual = dualize(np_)
         for i, delta_i in enumerate(np_.section_polytopes):
-            for j, nabla_j in enumerate(dual.nabla_parts):
+            for j, nabla_j in enumerate(dual.section_polytopes):
                 pairing = min(dot(m, nu)
                               for m in delta_i.vertices
                               for nu in nabla_j.vertices)
@@ -178,9 +183,8 @@ def test_s_polytope_volume_identity():
     # vol(S) = vol(nabla polar); for the trivial partition nabla polar is
     # Delta itself, so the common value is 9 (not vol(Delta dual) = 3)
     for np_, expected in ((TRIPLE, 6), (SPLIT_12_3, 7), (TRIVIAL, 9)):
-        dual = dualize(np_)
         vol_s = normalized_volume(np_.cayley_pyramid)
-        assert vol_s == normalized_volume(dual.nabla_polar) == expected
+        assert vol_s == normalized_volume(np_.sections_hull) == expected
 
 
 CATALOG_PARTITIONS = {entry.name: entry.build()

@@ -50,7 +50,7 @@ GOLDEN_4X9 = [
 # ---------------------------------------------------------------------------
 
 def test_gkz_dual_triple_matches_golden():
-    data = gkz_data(TRIPLE, side="dual")
+    data = gkz_data(TRIPLE.dual)
     assert data.shape == (5, 6)
     assert data.beta == (Fraction(-1, 2),) * 3 + (Fraction(0),) * 2
     assert gkz_equal_up_to_group_permutation(
@@ -60,7 +60,7 @@ def test_gkz_dual_triple_matches_golden():
 
 
 def test_gkz_dual_triple_groups_are_zero_and_ray():
-    data = gkz_data(TRIPLE, side="dual")
+    data = gkz_data(TRIPLE.dual)
     groups = {}
     for g, p in data.column_groups:
         groups.setdefault(g, []).append(p)
@@ -70,14 +70,14 @@ def test_gkz_dual_triple_groups_are_zero_and_ray():
 
 
 def test_gkz_primal_4x9_matches_golden():
-    data = gkz_data(SPLIT_3_12, side="primal")
+    data = gkz_data(SPLIT_3_12)
     assert data.shape == (4, 9)
     assert gkz_equal_up_to_group_permutation(
         data, GOLDEN_4X9, ["-1/2", "-1/2", "0", "0"])
 
 
 def test_gkz_primal_triple_is_5x9():
-    data = gkz_data(TRIPLE, side="primal")
+    data = gkz_data(TRIPLE)
     assert data.shape == (5, 9)
     assert data.beta == (Fraction(-1, 2),) * 3 + (Fraction(0),) * 2
 
@@ -85,7 +85,7 @@ def test_gkz_primal_triple_is_5x9():
 def test_gkz_legendre():
     seg = convex_hull([(-1,), (1,)])
     np_ = build_nef_partition(seg, [[0, 1]])
-    data = gkz_data(np_, side="primal")
+    data = gkz_data(np_)
     assert data.shape == (2, 3)
     assert data.A[0] == (1, 1, 1)
     assert set(data.A[1]) == {0, -1, 1}
@@ -93,14 +93,13 @@ def test_gkz_legendre():
 
 
 def test_gkz_accepts_dual_object():
-    dual = dualize(TRIPLE)
-    assert gkz_data(dual, side="dual").A == gkz_data(TRIPLE, side="dual").A
+    assert gkz_data(dualize(TRIPLE)) == gkz_data(TRIPLE.dual)
 
 
 def test_gkz_kernel_and_rank():
-    for data in (gkz_data(TRIPLE, side="dual"),
-                 gkz_data(SPLIT_3_12, side="primal"),
-                 gkz_data(TRIPLE, side="primal")):
+    for data in (gkz_data(TRIPLE.dual),
+                 gkz_data(SPLIT_3_12),
+                 gkz_data(TRIPLE)):
         for v in data.kernel_basis:
             assert all(sum(a * x for a, x in zip(row, v)) == 0
                        for row in data.A)
@@ -115,7 +114,7 @@ def test_gkz_kernel_and_rank():
 
 
 def test_gkz_comparison_rejects_wrong_matrix():
-    data = gkz_data(TRIPLE, side="dual")
+    data = gkz_data(TRIPLE.dual)
     wrong = [list(row) for row in GOLDEN_5X6]
     wrong[3][1] = 5
     assert not gkz_equal_up_to_group_permutation(
@@ -131,11 +130,11 @@ def test_gkz_requires_zero_in_groups():
     shifted = convex_hull([(1, 0), (2, 0), (1, 1)])
     fake = NefPartition(DELTA, TRIPLE.fan, ((0, 1, 2),), (shifted,))
     with pytest.raises(DomainError):
-        gkz_data(fake, side="primal")
+        gkz_data(fake)
 
 
 def test_gkz_text_and_json():
-    data = gkz_data(TRIPLE, side="dual")
+    data = gkz_data(TRIPLE.dual)
     text = gkz_matrix_text(data)
     assert text.splitlines()[0].split() == ["1", "1", "0", "0", "0", "0"]
     assert '"beta": ["-1/2", "-1/2", "-1/2", "0", "0"]' in gkz_to_json(data)

@@ -192,7 +192,7 @@ def _complete_and_each_cone_needed(fan):
                          ids=lambda entry: entry.name)
 def test_catalog_mpcp_fans_complete(entry):
     np_ = entry.build()
-    for side in (np_, np_.dual.nef_partition):
+    for side in (np_, np_.dual):
         _complete_and_each_cone_needed(side.mpcp[0])
 
 
@@ -563,6 +563,17 @@ def test_fan_json_roundtrip():
     assert fan_from_json(text) == HEX_FAN
     with pytest.raises(InputError):
         fan_from_json('{"dim": 2}')
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_make_fan_rejects_a_missing_ray_index(index):
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    with pytest.raises(InputError, match="cone refers to a missing ray"):
+        make_fan(rays, [(0, 1), (1, index)])
+    text = json.dumps({"dim": 2, "rays": [list(r) for r in rays],
+                       "max_cones": [[0, 1], [1, index]]})
+    with pytest.raises(InputError, match="cone refers to a missing ray"):
+        fan_from_json(text)
 
 
 @pytest.mark.parametrize("text", [
