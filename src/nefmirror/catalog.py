@@ -5,6 +5,22 @@ expected-invariants block, plus the projective-bundle pipeline and the
 golden GKZ matrices / tautological operator list.  The default catalog
 file is packaged with the module; the NEFMIRROR_CATALOG environment
 variable overrides its path.
+
+A catalog file is a JSON object that may hold these fields and no others
+(``load_catalog`` rejects any other field at any level):
+
+- ``entries``: a list of objects, each with ``name``, ``nef_partition`` (a
+  nef-partition document) and an optional ``expected`` block holding any
+  of ``chi_X``, ``chi_Xdual``, ``chi_Y``, ``chi_Ydual``, ``h11_Y``,
+  ``h21_Y``, ``s_volume``, ``node_count`` (ints), ``dual_fan_rays``,
+  ``nabla_vertices`` (lists of int lists) and ``gkz``, which maps
+  ``primal`` and/or ``dual`` to a golden ``{A, beta}``;
+- ``bundle_example``: ``name``, ``delta_vertices``, ``bundle_coeffs``,
+  ``r`` and an optional ``expected`` block holding any of
+  ``bundle_n_rays``, ``bundle_n_max_cones``, ``contracted_n_rays`` and
+  ``contracted_n_max_cones``;
+- ``taut_golden``: ``degrees`` (ints >= 1) and ``dim`` (an int >= 0) of
+  the tautological system checked against the packaged operator list.
 """
 from __future__ import annotations
 
@@ -70,8 +86,8 @@ def catalog_path():
     return str(resources.files("nefmirror").joinpath("data/catalog.json"))
 
 
-def load_catalog(path=None):
-    path = path or catalog_path()
+def load_catalog():
+    path = catalog_path()
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -79,6 +95,8 @@ def load_catalog(path=None):
         raise InputError(f"cannot load catalog {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"catalog {path}: the top level must be an object")
+    _check_fields(doc, "top level", {},
+                  others=("entries", "bundle_example", "taut_golden"))
     entries = doc.get("entries", [])
     if not isinstance(entries, list):
         raise InputError(f"catalog {path}: 'entries' must be a list")
@@ -89,7 +107,8 @@ def load_catalog(path=None):
     bundle = doc.get("bundle_example")
     if bundle:
         _check_fields(bundle, "bundle_example",
-                      {"delta_vertices": 2, "bundle_coeffs": 1, "r": 0})
+                      {"delta_vertices": 2, "bundle_coeffs": 1, "r": 0},
+                      others=("name", "expected"))
         if not isinstance(bundle.get("name"), str):
             raise InputError("catalog bundle_example: field 'name' must be a string")
         _check_fields(bundle.get("expected", {}), "bundle_example expected",
@@ -97,6 +116,12 @@ def load_catalog(path=None):
     taut = doc.get("taut_golden")
     if taut:
         _check_fields(taut, "taut_golden", {"degrees": 1, "dim": 0})
+        if not taut["degrees"] or min(taut["degrees"]) < 1:
+            raise InputError("catalog taut_golden: field 'degrees' must be a non-"
+                             f"empty list of integers >= 1, got {taut['degrees']!r}")
+        if taut["dim"] < 0:
+            raise InputError("catalog taut_golden: field 'dim' must be >= 0, "
+                             f"got {taut['dim']!r}")
     return {"entries": entries, "bundle_example": bundle, "taut_golden": taut}
 
 
@@ -104,18 +129,21 @@ def _catalog_entry(index, doc):
     name = doc.get("name") if isinstance(doc, dict) else None
     if not isinstance(name, str):
         raise InputError(f"catalog entry {index}: field 'name' must be a string")
+    _check_fields(doc, f"entry {name!r}", {},
+                  others=("name", "nef_partition", "expected"))
     if not isinstance(doc.get("nef_partition"), dict):
         raise InputError(
             f"catalog entry {name!r}: field 'nef_partition' must be an object")
     expected = doc.get("expected", {})
     where = f"entry {name!r} expected"
-    _check_fields(expected, where, EXPECTED_DEPTHS, optional=True)
+    _check_fields(expected, where, EXPECTED_DEPTHS, optional=True,
+                  others=("gkz",))
     gkz = expected.get("gkz", {})
     if not isinstance(gkz, dict) or not set(gkz) <= {"primal", "dual"}:
         raise InputError(f"catalog {where}: field 'gkz' must be an object "
                          "with keys among 'primal' and 'dual'")
     for side, golden in gkz.items():
-        _check_fields(golden, f"{where} gkz {side}", {"A": 2})
+        _check_fields(golden, f"{where} gkz {side}", {"A": 2}, others=("beta",))
         beta = golden.get("beta")
         try:
             if not isinstance(beta, list):
@@ -128,10 +156,11 @@ def _catalog_entry(index, doc):
     return CatalogEntry(name, doc["nef_partition"], expected)
 
 
-def _check_fields(doc, where, depths, optional=False):
-    """Each field of ``doc`` named in ``depths`` is an int (depth 0), a list
-    of ints (1) or a list of lists of ints (2), as ``json_int`` reads them.
-    With ``optional`` a missing field passes."""
+def _check_fields(doc, where, depths, optional=False, others=()):
+    """``doc`` is an object with no field outside ``depths`` and ``others``,
+    and each field named in ``depths`` is an int (depth 0), a list of ints
+    (1) or a list of lists of ints (2), as ``json_int`` reads them.  With
+    ``optional`` a missing field passes."""
     def walk(value, depth):
         if depth == 0:
             json_int(value)
@@ -143,6 +172,9 @@ def _check_fields(doc, where, depths, optional=False):
 
     if not isinstance(doc, dict):
         raise InputError(f"catalog {where} must be an object")
+    unknown = set(doc) - set(depths) - set(others)
+    if unknown:
+        raise InputError(f"catalog {where}: unknown field {min(unknown)!r}")
     for field, depth in depths.items():
         if optional and field not in doc:
             continue
@@ -152,9 +184,8 @@ def _check_fields(doc, where, depths, optional=False):
             raise InputError(f"catalog {where}: field {field!r}: {exc}") from None
 
 
-def find_entry(name, catalog=None):
-    catalog = catalog or load_catalog()
-    for entry in catalog["entries"]:
+def find_entry(name):
+    for entry in load_catalog()["entries"]:
         if entry.name == name:
             return entry
     raise InputError(f"no catalog entry named {name!r}")
@@ -184,7 +215,7 @@ def check_gkz_golden(nef_partition, side, golden):
 def check_taut_golden(degrees, dim):
     generated = taut_system(list(degrees), dim)
     golden = golden_taut_operators()
-    if not operators_contain(generated, golden, sign_insensitive=True):
+    if not operators_contain(generated, golden):
         raise GoldenMismatchError(
             "generated tautological system is missing golden operators")
     return generated
@@ -193,7 +224,6 @@ def check_taut_golden(degrees, dim):
 def run_bundle_example(doc):
     """Projective-bundle pipeline: P(L+C) fan, nef H, contraction to a Fano fan
     with r H' anticanonical."""
-    expected = doc.get("expected", {})
     failures = []
     delta = convex_hull([tuple(v) for v in doc["delta_vertices"]])
     base = normal_fan(delta)
@@ -208,11 +238,6 @@ def run_bundle_example(doc):
     bundle_fan = projective_bundle_fan(base, bundle_div)
     check("bundle fan smooth", is_smooth(bundle_fan))
     check("bundle fan complete", is_complete(bundle_fan))
-    if "bundle_n_rays" in expected:
-        check("bundle ray count", len(bundle_fan.rays) == expected["bundle_n_rays"])
-    if "bundle_n_max_cones" in expected:
-        check("bundle cone count",
-              len(bundle_fan.max_cones) == expected["bundle_n_max_cones"])
     h_div = bundle_nef_divisor(bundle_fan, base, bundle_div)
     contracted = semiample_contraction(bundle_fan, h_div)
     check("contracted smooth", is_smooth(contracted))
@@ -220,18 +245,17 @@ def run_bundle_example(doc):
     check("contracted complete", contracted_complete)
     check("contracted fano",
           contracted_complete and is_ample(anticanonical(contracted)))
-    if "contracted_n_rays" in expected:
-        check("contracted ray count",
-              len(contracted.rays) == expected["contracted_n_rays"])
-    if "contracted_n_max_cones" in expected:
-        check("contracted cone count",
-              len(contracted.max_cones) == expected["contracted_n_max_cones"])
     h_pushed = ToricDivisor(
         contracted,
         tuple(h_div.coeffs[bundle_fan.rays.index(ray)] for ray in contracted.rays))
     r_h = ToricDivisor(contracted, tuple(r * c for c in h_pushed.coeffs))
     check("r*H' anticanonical", linearly_equivalent(r_h, anticanonical(contracted)))
-    return failures
+    return failures + _expected_failures(doc.get("expected", {}), {
+        "bundle_n_rays": lambda: len(bundle_fan.rays),
+        "bundle_n_max_cones": lambda: len(bundle_fan.max_cones),
+        "contracted_n_rays": lambda: len(contracted.rays),
+        "contracted_n_max_cones": lambda: len(contracted.max_cones),
+    })
 
 
 def run_entry(entry):
@@ -239,38 +263,29 @@ def run_entry(entry):
     messages (empty = pass)."""
     failures = []
     np_ = entry.build()
-    expected = entry.expected
 
     ok, report = verify_mirror_duality(np_)
     if not ok:
         failures.append("mirror duality cross-check failed")
     inv = report["invariants"]
-    for key in ("chi_X", "chi_Xdual", "chi_Y", "chi_Ydual", "h11_Y", "h21_Y"):
-        if key in expected and getattr(inv, key) != expected[key]:
-            failures.append(f"{key}: computed {getattr(inv, key)}, "
-                            f"expected {expected[key]}")
     s_vol = normalized_volume(np_.cayley_pyramid)
-    if "s_volume" in expected and s_vol != expected["s_volume"]:
-        failures.append(f"s_volume: computed {s_vol}, "
-                        f"expected {expected['s_volume']}")
     if s_vol != normalized_volume(np_.sections_hull):
         failures.append("volume identity vol(S) == vol(nabla polar) failed")
     if not cayley_cone_duality_check(np_):
         failures.append("Gorenstein cone duality failed")
-    if "node_count" in expected:
-        nodes = surface_node_count(np_)
-        if nodes != expected["node_count"]:
-            failures.append(f"node_count: computed {nodes}, "
-                            f"expected {expected['node_count']}")
-    if "dual_fan_rays" in expected:
-        rays = [list(r) for r in np_.dual.fan.rays]
-        if rays != expected["dual_fan_rays"]:
-            failures.append("dual fan rays differ from expected list")
-    if "nabla_vertices" in expected:
-        verts = [list(v) for v in np_.dual.delta.vertices]
-        if verts != expected["nabla_vertices"]:
-            failures.append("nabla vertices differ from expected list")
-    for side, golden in expected.get("gkz", {}).items():
+    failures += _expected_failures(entry.expected, {
+        "chi_X": lambda: inv.chi_X,
+        "chi_Xdual": lambda: inv.chi_Xdual,
+        "chi_Y": lambda: inv.chi_Y,
+        "chi_Ydual": lambda: inv.chi_Ydual,
+        "h11_Y": lambda: inv.h11_Y,
+        "h21_Y": lambda: inv.h21_Y,
+        "s_volume": lambda: s_vol,
+        "node_count": lambda: surface_node_count(np_),
+        "dual_fan_rays": lambda: [list(r) for r in np_.dual.fan.rays],
+        "nabla_vertices": lambda: [list(v) for v in np_.dual.delta.vertices],
+    })
+    for side, golden in entry.expected.get("gkz", {}).items():
         try:
             check_gkz_golden(np_, side, golden)
         except GoldenMismatchError as exc:
@@ -278,32 +293,45 @@ def run_entry(entry):
     return failures
 
 
-def catalog_run(path=None):
+def _expected_failures(expected, computed):
+    """One failure line for each field of ``expected`` whose value differs
+    from the one ``computed[field]()`` returns; a field the block does not
+    name is not computed."""
+    failures = []
+    for field, compute in computed.items():
+        if field in expected:
+            got = compute()
+            if got != expected[field]:
+                failures.append(f"{field}: computed {got}, expected {expected[field]}")
+    return failures
+
+
+def _run_taut_golden(doc):
+    try:
+        check_taut_golden(doc["degrees"], doc["dim"])
+    except GoldenMismatchError as exc:
+        return [str(exc)]
+    return []
+
+
+def catalog_run():
     """Run every entry plus the bundle pipeline and the tautological golden
     check.  Returns (all_ok, summary) where summary is a list of
-    (name, failures) pairs in catalog order."""
-    catalog = load_catalog(path)
-    summary = []
-    for entry in catalog["entries"]:
-        try:
-            failures = run_entry(entry)
-        except Exception as exc:  # surfaced per entry, named
-            failures = [f"{type(exc).__name__}: {exc}"]
-        summary.append((entry.name, failures))
-    bundle = catalog.get("bundle_example")
+    (name, failures) pairs in catalog order; an exception a target raises
+    is its one failure line."""
+    catalog = load_catalog()
+    targets = [(entry.name, run_entry, entry) for entry in catalog["entries"]]
+    bundle = catalog["bundle_example"]
     if bundle:
+        targets.append((bundle["name"], run_bundle_example, bundle))
+    if catalog["taut_golden"]:
+        targets.append(("taut-system-golden", _run_taut_golden,
+                        catalog["taut_golden"]))
+    summary = []
+    for name, runner, doc in targets:
         try:
-            failures = run_bundle_example(bundle)
-        except Exception as exc:
+            failures = runner(doc)
+        except Exception as exc:  # surfaced per target, named
             failures = [f"{type(exc).__name__}: {exc}"]
-        summary.append((bundle["name"], failures))
-    taut = catalog.get("taut_golden")
-    if taut:
-        try:
-            check_taut_golden(taut["degrees"], taut["dim"])
-            failures = []
-        except GoldenMismatchError as exc:
-            failures = [str(exc)]
-        summary.append(("taut-system-golden", failures))
-    all_ok = all(not f for _, f in summary)
-    return all_ok, summary
+        summary.append((name, failures))
+    return all(not f for _, f in summary), summary

@@ -5,8 +5,9 @@ either a path to a nef-partition JSON file or the name of a built-in
 catalog entry.  Every command is deterministic; identical inputs yield
 byte-identical outputs.
 
-Exit codes: 0 success, 2 input validation, 3 smoothness/assumption
-failure, 4 golden mismatch, 1 internal error.
+A command exits 0 on success.  An error is printed to stderr as a JSON
+object {"error": kind, "message": text}, with the kind and exit code that
+the table ERRORS below gives its class.
 """
 from __future__ import annotations
 
@@ -22,13 +23,7 @@ from .catalog import (
     find_entry,
     load_catalog,
 )
-from .errors import (
-    ConsistencyError,
-    DomainError,
-    GoldenMismatchError,
-    InputError,
-    SmoothnessError,
-)
+from .errors import DomainError, GoldenMismatchError, InputError, SmoothnessError
 from .invariants import verify_mirror_duality
 from .nefpart import nef_partition_from_json
 from .periods import (
@@ -45,6 +40,17 @@ EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_SMOOTHNESS = 3
 EXIT_GOLDEN = 4
+
+# The error kind and exit code an exception is reported with: the first
+# class it is an instance of.  ConsistencyError, a failed theorem check,
+# falls to the last row with every other internal error.
+ERRORS = {
+    InputError: ("input", EXIT_INPUT),
+    DomainError: ("input", EXIT_INPUT),
+    SmoothnessError: ("smoothness", EXIT_SMOOTHNESS),
+    GoldenMismatchError: ("golden-mismatch", EXIT_GOLDEN),
+    Exception: ("internal", EXIT_INTERNAL),
+}
 
 
 def _resolve_nef_partition(spec):
@@ -251,26 +257,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, DomainError) as exc:
-        print(json.dumps({"error": "input", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_INPUT
-    except SmoothnessError as exc:
-        print(json.dumps({"error": "smoothness", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_SMOOTHNESS
-    except GoldenMismatchError as exc:
-        print(json.dumps({"error": "golden-mismatch", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_GOLDEN
-    except (ConsistencyError, Exception) as exc:  # noqa: B014 - catch-all maps to exit 1
-        print(json.dumps({"error": "internal", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_INTERNAL
+    except Exception as exc:
+        kind, code = next(row for cls, row in ERRORS.items()
+                          if isinstance(exc, cls))
+        print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: InputError -> 2, SmoothnessError -> 3,
-GoldenMismatchError -> 4, everything else -> 1.
+The CLI reports each error with the kind and exit code that the table
+``nefmirror.cli.ERRORS`` gives its class.
 """
 
 

@@ -355,14 +355,8 @@ def parse_operators(text):
     return [parse_operator(line) for line in text.splitlines() if line.strip()]
 
 
-def operators_contain(generated, wanted, sign_insensitive=True):
+def operators_contain(generated, wanted):
     """Containment test used by the golden checks: every wanted operator
-    appears among the generated ones, up to overall sign when requested."""
+    appears among the generated ones, up to overall sign."""
     pool = set(generated)
-    for op in wanted:
-        if op in pool:
-            continue
-        if sign_insensitive and op.negated() in pool:
-            continue
-        return False
-    return True
+    return all(op in pool or op.negated() in pool for op in wanted)

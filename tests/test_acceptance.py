@@ -92,11 +92,11 @@ def test_criterion_03_taut_golden_operators():
     golden = golden_taut_operators()
     euler, symmetry, box = golden[:5], golden[5:14], golden[14:]
     assert len(euler) == 5 and len(symmetry) == 9 and len(box) == 31
-    assert operators_contain(generated, euler, sign_insensitive=False)
-    assert operators_contain(generated, symmetry, sign_insensitive=False)
+    assert set(euler) <= set(generated)
+    assert set(symmetry) <= set(generated)
     diagonal = [op for op in symmetry if op.constant == 1]
     assert len(diagonal) == 3
-    assert operators_contain(generated, box, sign_insensitive=True)
+    assert operators_contain(generated, box)
     assert elapsed < 1.0
     _report(3, f"all 45 listed operators generated, diagonal constants +1 "
                f"({elapsed:.3f}s)")

@@ -11,7 +11,14 @@ import pytest
 
 from conftest import P4_DELTA
 import nefmirror
-from nefmirror import cli
+from nefmirror import catalog, cli, errors
+from nefmirror.catalog import (
+    CatalogEntry,
+    find_entry,
+    load_catalog,
+    run_bundle_example,
+    run_entry,
+)
 
 CLI = [sys.executable, "-m", "nefmirror.cli"]
 # The source root of the package under test, so the CLI child imports the
@@ -169,6 +176,36 @@ def test_catalog_injected_failure_named(tmp_path):
     assert result.returncode == 4
     assert "FAIL p2-triple" in result.stdout
     assert "chi_Y" in result.stdout
+
+
+@pytest.mark.parametrize("field, want", [
+    ("s_volume", 7), ("node_count", 1), ("nabla_vertices", [[0, 0]]),
+    ("dual_fan_rays", [[1, 0]]),
+])
+def test_run_entry_reports_every_expected_field_alike(field, want):
+    entry = find_entry("p2-triple")
+    got = entry.expected[field]
+    broken = CatalogEntry(entry.name, entry.nef_partition_doc,
+                          {**entry.expected, field: want})
+    assert run_entry(broken) == [f"{field}: computed {got}, expected {want}"]
+
+
+def test_run_bundle_example_reports_a_count_alike():
+    doc = load_catalog()["bundle_example"]
+    doc = {**doc, "expected": {**doc["expected"], "bundle_n_max_cones": 7}}
+    assert run_bundle_example(doc) == [
+        "bundle_n_max_cones: computed 6, expected 7"]
+
+
+def test_catalog_reports_a_taut_exception_as_a_failure(monkeypatch, tmp_path):
+    def raising(degrees, dim):
+        raise RuntimeError("raised on purpose")
+
+    monkeypatch.setattr(catalog, "taut_system", raising)
+    out = tmp_path / "catalog.txt"
+    assert cli.main(["catalog", "--output", str(out)]) == 4
+    assert ("FAIL taut-system-golden\n    RuntimeError: raised on purpose\n"
+            in out.read_text())
 
 
 def test_catalog_empty_warns(tmp_path):
@@ -389,10 +426,29 @@ def _set(*keys, value):
      ["'p2-triple'", "gkz dual", "'beta'"]),
     (_set("bundle_example", "expected", "contracted_n_rays", value="4"),
      ["bundle_example expected", "contracted_n_rays"]),
+    (lambda doc: {"entrys": doc["entries"]}, ["top level", "'entrys'"]),
+    (_set("entries", 2, "note", value="x"), ["entry 'p2-(3)(12)'", "'note'"]),
+    (_set("entries", 0, "expected", "chi_Y_dual", value=12345),
+     ["entry 'p2-triple' expected", "'chi_Y_dual'"]),
+    (_set("entries", 0, "expected", "gkz", "dual", "gamma", value=[]),
+     ["'p2-triple' expected gkz dual", "'gamma'"]),
+    (_set("bundle_example", "coeffs", value=[0, 0, 1]),
+     ["bundle_example", "'coeffs'"]),
+    (_set("bundle_example", "expected", "n_rays", value=5),
+     ["bundle_example expected", "'n_rays'"]),
+    (_set("taut_golden", "file", value="taut_golden_degrees_11112.txt"),
+     ["taut_golden", "'file'"]),
+    (_set("taut_golden", "degrees", value=[1, 1, 1, 1, 0]),
+     ["taut_golden", "'degrees'", ">= 1"]),
+    (_set("taut_golden", "degrees", value=[]), ["taut_golden", "'degrees'"]),
+    (_set("taut_golden", "dim", value=-1), ["taut_golden", "'dim'", ">= 0"]),
 ], ids=["float-bundle", "entry-without-name", "top-level-list", "float-degree",
         "bundle-without-name", "string-chi", "float-h21", "bool-nodes",
         "string-vertex", "flat-rays", "list-block", "unknown-side", "float-A", "word-beta",
-        "int-beta", "string-bundle-count"])
+        "int-beta", "string-bundle-count", "unknown-top-key", "unknown-entry-key",
+        "unknown-expected-key", "unknown-gkz-key", "unknown-bundle-key",
+        "unknown-bundle-expected-key", "unknown-taut-key", "zero-degree",
+        "no-degrees", "negative-dim"])
 def test_catalog_file_validated_at_load(tmp_path, corrupt, words):
     from nefmirror.catalog import catalog_path
     with open(catalog_path(), encoding="utf-8") as handle:
@@ -405,6 +461,26 @@ def test_catalog_file_validated_at_load(tmp_path, corrupt, words):
     assert diag["error"] == "input"
     assert all(word in diag["message"] for word in words)
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("error, kind, code", [
+    (errors.InputError, "input", 2),
+    (errors.DomainError, "input", 2),
+    (errors.SmoothnessError, "smoothness", 3),
+    (errors.GoldenMismatchError, "golden-mismatch", 4),
+    (errors.ConsistencyError, "internal", 1),
+    (RuntimeError, "internal", 1),
+])
+def test_exit_code_table(monkeypatch, capsys, error, kind, code):
+    def raising(spec):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(cli, "_resolve_nef_partition", raising)
+    assert cli.main(["dualize", "--input", "p2-triple"]) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.err) == {"error": kind,
+                                        "message": "raised on purpose"}
+    assert captured.out == ""
 
 
 def test_invariants_rejects_an_empty_part(tmp_path):

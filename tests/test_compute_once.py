@@ -18,9 +18,15 @@ import pytest
 
 from conftest import cayley_points
 from nefmirror import cli, lattice, nefpart, toric
-from nefmirror.catalog import catalog_run, find_entry, load_catalog, run_entry
+from nefmirror.catalog import (
+    CatalogEntry,
+    catalog_run,
+    find_entry,
+    load_catalog,
+    run_entry,
+)
 from nefmirror.intlin import canon_vec
-from nefmirror.invariants import double_cover_invariants
+from nefmirror.invariants import double_cover_invariants, surface_node_count
 from nefmirror.nefpart import cayley_cone_duality_check, dualize
 from nefmirror.periods import gkz_data
 from nefmirror.toric import (
@@ -183,6 +189,15 @@ def test_run_entry_reads_sections_from_cartier_data(monkeypatch, name):
                                      id(convex_hull): recording_hull})
     assert run_entry(find_entry(name)) == []
     assert fans and not counts and not ray_hulls
+
+
+def test_run_entry_counts_nodes_only_when_expected(monkeypatch):
+    counts = count_calls(monkeypatch, (surface_node_count,))
+    entry = find_entry("p2-triple")
+    assert run_entry(CatalogEntry(entry.name, entry.nef_partition_doc, {})) == []
+    assert not counts
+    assert run_entry(entry) == []
+    assert counts == {"surface_node_count": 1}
 
 
 def test_semiample_contraction_solves_the_cones_once(monkeypatch):
