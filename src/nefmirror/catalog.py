@@ -10,7 +10,8 @@ A catalog file is a JSON object that may hold these fields and no others
 (``load_catalog`` rejects any other field at any level):
 
 - ``entries``: a list of objects, each with ``name``, ``nef_partition`` (a
-  nef-partition document) and an optional ``expected`` block holding any
+  nef-partition document: ``delta_vertices`` and ``parts``, both lists of
+  int lists) and an optional ``expected`` block holding any
   of ``chi_X``, ``chi_Xdual``, ``chi_Y``, ``chi_Ydual``, ``h11_Y``,
   ``h21_Y``, ``s_volume``, ``node_count`` (ints), ``dual_fan_rays``,
   ``nabla_vertices`` (lists of int lists) and ``gkz``, which maps
@@ -131,9 +132,8 @@ def _catalog_entry(index, doc):
         raise InputError(f"catalog entry {index}: field 'name' must be a string")
     _check_fields(doc, f"entry {name!r}", {},
                   others=("name", "nef_partition", "expected"))
-    if not isinstance(doc.get("nef_partition"), dict):
-        raise InputError(
-            f"catalog entry {name!r}: field 'nef_partition' must be an object")
+    _check_fields(doc.get("nef_partition"), f"entry {name!r} nef_partition",
+                  {"delta_vertices": 2, "parts": 2})
     expected = doc.get("expected", {})
     where = f"entry {name!r} expected"
     _check_fields(expected, where, EXPECTED_DEPTHS, optional=True,

@@ -8,10 +8,12 @@ point, grows every later facet from a horizon ridge as an integer
 combination of the two facets that meet there, and reads vertices from
 facet incidence; the pulling test is cross-multiplied.  Polytopes are
 built exclusively through :func:`convex_hull`, which produces an
-irredundant V- and H-representation together with the normalized volume
-measured in the polytope's affine span against the induced lattice: in an
-integer chart of the span, from one unimodular column reduction of its
-affine-basis directions, when the polytope is lower-dimensional.
+irredundant V- and H-representation and a triangulation of the boundary.
+The normalized volume is summed from that triangulation on first read
+(most hulls are never asked for it), measured in the polytope's affine
+span against the induced lattice: in an integer chart of the span, from
+one unimodular column reduction of its affine-basis directions, when the
+polytope is lower-dimensional.
 
 Conventions
 -----------
@@ -68,8 +70,23 @@ class LatticePolytope:
     facets: tuple = field(compare=False)
     equations: tuple = field(compare=False)
     dim: int = field(compare=False)
-    nvolume: object = field(compare=False)  # normalized volume in the span
     boundary: tuple = field(compare=False)  # simplices triangulating the boundary
+    # the boundary in the span's integer chart (``boundary`` itself when
+    # full-dimensional), which the volume is summed over
+    _volume_boundary: tuple = field(compare=False)
+
+    @cached_property
+    def nvolume(self):
+        """Normalized volume in the affine span, summed on first read: one
+        determinant per boundary simplex coned from the chart boundary's
+        lex-first point, a vertex, which keeps them integral for lattice
+        polytopes.  Simplices through that vertex add 0 and are skipped."""
+        if self.dim == 0:
+            return 1
+        simplices = self._volume_boundary
+        apex = simplices[0][0]
+        return canon_num(sum(abs(det([vsub(p, apex) for p in simplex]))
+                             for simplex in simplices if simplex[0] != apex))
 
     @cached_property
     def is_lattice(self):
@@ -154,7 +171,7 @@ def _full_dim_hull(points, start):
     """Incremental beneath-beyond hull of a full-dimensional, lex-sorted
     point set whose affine basis indices are ``start``.
 
-    Returns (vertices, facets, nvolume, boundary).  Only the d + 1 facets
+    Returns (vertices, facets, boundary).  Only the d + 1 facets
     of the first simplex come from an elimination.  Each later facet
     R u {p} grows from a horizon ridge R between a facet F that p sees
     (h_F(p) < 0, with h(x) = <x, n> + c) and a facet G that it does not:
@@ -163,10 +180,9 @@ def _full_dim_hull(points, start):
     orientation test.  A point is a vertex iff no other point lies on
     every facet through it, since the intersection of those facets, the
     smallest face containing it, has its vertices among the points.  The
-    boundary, the triangulated surface built along the way as a lex-sorted
-    tuple of lex-sorted d-point tuples, gives the normalized volume as a
-    sum of simplex determinants coned from the first point, a vertex,
-    which keeps them integral for lattice polytopes.
+    boundary is the triangulated surface built along the way, as a
+    lex-sorted tuple of lex-sorted d-point tuples; the normalized volume is
+    summed from it only when read (``LatticePolytope.nvolume``).
     """
     d = len(points[0])
     ref = tuple(sum(points[i][k] for i in start) for k in range(d))
@@ -210,17 +226,13 @@ def _full_dim_hull(points, start):
     merged = sorted(set(facets.values()))
     boundary = tuple(sorted(tuple(points[i] for i in sorted(fs))
                             for fs in facets))
-    apex = points[0]
-    volume = 0
-    for simplex in boundary:
-        volume += abs(det([vsub(p, apex) for p in simplex]))
     # vertices: points whose facet set (a bitmask) no other point's contains
     masks = [sum(1 << k for k, (n, c) in enumerate(merged)
                  if dot(p, n) + c == 0) for p in points]
     vertices = [p for i, (p, mask) in enumerate(zip(points, masks))
                 if not any(o & mask == mask
                            for j, o in enumerate(masks) if j != i)]
-    return vertices, tuple(merged), canon_num(volume), boundary
+    return vertices, tuple(merged), boundary
 
 
 def _chart(points, basis_idx):
@@ -257,18 +269,19 @@ def convex_hull(points, ambient_dim=None):
     if dim == 0:
         eqs = tuple((tuple(1 if i == j else 0 for i in range(d)), pts[0][j])
                     for j in range(d))
-        return LatticePolytope(d, (pts[0],), (), eqs, 0, 1, ())
+        return LatticePolytope(d, (pts[0],), (), eqs, 0, (), ())
 
     if dim == d:
-        vertices, facets, volume, boundary = _full_dim_hull(pts, basis_idx)
-        return LatticePolytope(d, tuple(vertices), facets, (), d, volume, boundary)
+        vertices, facets, boundary = _full_dim_hull(pts, basis_idx)
+        return LatticePolytope(d, tuple(vertices), facets, (), d, boundary,
+                               boundary)
 
     # A chart facet <y, n> >= -c lifts to <x, a> >= <pts[0], a> - c with
     # a = sum_j n_j image_j, primitive because the transform is unimodular.
     image, kernel, coords = _chart(pts, basis_idx)
     back = dict(zip(coords, pts))
     chart_pts = sorted(back)
-    vertices_c, facets_c, volume, boundary_c = _full_dim_hull(
+    vertices_c, facets_c, boundary_c = _full_dim_hull(
         chart_pts, _affine_basis_indices(chart_pts))
     vertices = sorted(back[v] for v in vertices_c)
     boundary = tuple(sorted(tuple(sorted(back[q] for q in s))
@@ -279,7 +292,7 @@ def convex_hull(points, ambient_dim=None):
         facets.append((a, canon_num(c - dot(pts[0], a))))
     equations = sorted((k, canon_num(dot(pts[0], k))) for k in kernel)
     return LatticePolytope(d, tuple(vertices), tuple(sorted(facets)),
-                           tuple(equations), dim, volume, boundary)
+                           tuple(equations), dim, boundary, boundary_c)
 
 
 # ---------------------------------------------------------------------------

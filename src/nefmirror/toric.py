@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, isqrt, prod
 
 from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
 from .intlin import (
@@ -170,23 +170,38 @@ def is_smooth(fan):
 
 
 def is_complete(fan):
-    """Exact test that the maximal cones form a complete fan, read from
-    each cone's ``cone_hrep``:
+    """Exact test that the maximal cones form a complete fan.  When every
+    maximal cone has n rays (simplicial) it is read from determinant
+    signs, with no hull; otherwise from each cone's ``cone_hrep``.  The
+    conditions, with G_sigma the rays of sigma as rows in index order and
+    s = sign det(G_sigma):
 
-    - every cone is full-dimensional and strongly convex (no equations,
-      facet normals of rank n);
-    - pseudomanifold: each facet, keyed by the set of the cone's rays on
-      it, lies in exactly two cones, and their two normals are opposite;
+    - every cone is full-dimensional and strongly convex: det(G_sigma) != 0
+      (simplicial), or no equations and facet normals of rank n;
+    - pseudomanifold: each ridge lies in exactly two cones, on opposite
+      sides.  Simplicial: the ridge sigma - {sigma_i}, rows in index order,
+      sees sigma on the side sign det(ridge, sigma_i) = s * (-1)^(n-1-i),
+      since moving row i last takes n-1-i swaps.  Otherwise a ridge is the
+      set of a cone's rays on a facet, and its two normals are opposite;
     - degree one: the moment-curve vector v = (1, t, ..., t^{n-1}) lies
-      strictly inside exactly one cone.  With t = 1 + the largest absolute
-      entry of any normal, Cauchy's root bound gives <v, h> != 0 for every
-      normal h, so v is generic.
+      strictly inside exactly one cone.  Simplicial: the n Cramer
+      determinants (row i of G_sigma replaced by v) all have sign s.
+
+    v is generic: each wall is <v, h> = 0 for an integer normal h (the
+    cofactors of a ridge, or a facet normal), a nonzero integer polynomial
+    in t, so by Cauchy's root bound <v, h> != 0 once t > max |h_k|.  The
+    simplicial route takes t = 1 + the largest Hadamard bound
+    prod_g (isqrt(|g|^2) + 1) over the cones, which exceeds every cofactor
+    (an (n-1)-minor of rows of length >= 1); the other, 1 + the largest
+    absolute entry of any normal.
 
     Full-dimensional cells meeting along ridges in pairs from opposite
     sides, with one generic point covered once, cover every generic point
     once and meet in common faces (De Loera-Rambau-Santos, Triangulations,
     2010, section 4.5)."""
     n = fan.ambient_dim
+    if all(len(cone) == n for cone in fan.max_cones):
+        return _complete_by_signs(fan)
     cone_normals = []
     ridges = {}
     for cone in fan.max_cones:
@@ -205,6 +220,37 @@ def is_complete(fan):
     v = tuple(t ** k for k in range(n))
     return sum(all(dot(v, h) > 0 for h in normals)
                for normals in cone_normals) == 1
+
+
+def _complete_by_signs(fan):
+    """``is_complete`` for a fan whose maximal cones all have n rays."""
+    n = fan.ambient_dim
+    signs = []
+    sides = {}
+    for cone in fan.max_cones:
+        s = _sign(det(fan.cone_rays(cone)))
+        if s == 0:
+            return False
+        signs.append(s)
+        for i in range(n):
+            sides.setdefault(cone[:i] + cone[i + 1:], []).append(
+                s * (-1) ** (n - 1 - i))
+    if any(len(pair) != 2 or pair[0] != -pair[1] for pair in sides.values()):
+        return False
+    lengths = [isqrt(dot(r, r)) + 1 for r in fan.rays]
+    t = 1 + max((prod(lengths[i] for i in cone) for cone in fan.max_cones),
+                default=0)
+    v = tuple(t ** k for k in range(n))
+    inside = 0
+    for cone, s in zip(fan.max_cones, signs):
+        rows = list(fan.cone_rays(cone))
+        inside += all(_sign(det(rows[:i] + [v] + rows[i + 1:])) == s
+                      for i in range(n))
+    return inside == 1
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
 
 
 # ---------------------------------------------------------------------------

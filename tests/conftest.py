@@ -8,7 +8,9 @@ pulling reference keeps the ray-shooting form, in Fraction arithmetic, of
 the package's cross-multiplied integer test.  The Cayley references build
 the Cayley pyramid in two hulls (the Cayley polytope, then the pyramid
 over it) and the S-polytope from lattice points, apart from the package's
-single hull.  ``invert_unimodular``, which ``gl_canonical_form`` uses, runs
+single hull.  ``complete_by_hrep`` decides completeness from facet
+normals, apart from the package's determinant signs on simplicial fans.
+``invert_unimodular``, which ``gl_canonical_form`` uses, runs
 on the package's integer elimination.
 """
 from fractions import Fraction
@@ -24,6 +26,7 @@ from nefmirror.intlin import (
     canon_vec,
     det,
     dot,
+    matrix_rank,
     primitivize,
     solve_linear,
 )
@@ -274,6 +277,33 @@ def cone_contains(cone, vector):
     ineqs, eqs = cone_hrep(cone.generators)
     return (all(dot(vector, n) >= 0 for n in ineqs)
             and all(dot(vector, e) == 0 for e in eqs))
+
+
+def complete_by_hrep(fan):
+    """Completeness from each cone's ``cone_hrep``, on any fan: every cone
+    full-dimensional and strongly convex, each facet (keyed by the cone's
+    rays on it) in exactly two cones with opposite normals, and one
+    moment-curve point, generic for every normal, inside exactly one
+    cone.  The package takes this route only for non-simplicial fans."""
+    n = fan.ambient_dim
+    cone_normals = []
+    ridges = {}
+    for cone in fan.max_cones:
+        ineqs, eqs = cone_hrep(fan.cone_rays(cone))
+        if eqs or matrix_rank(ineqs) != n:
+            return False
+        cone_normals.append(ineqs)
+        for h in ineqs:
+            key = frozenset(i for i in cone if dot(fan.rays[i], h) == 0)
+            ridges.setdefault(key, []).append(h)
+    for normals in ridges.values():
+        if len(normals) != 2 or normals[0] != tuple(-x for x in normals[1]):
+            return False
+    t = 1 + max((abs(x) for normals in cone_normals for h in normals for x in h),
+                default=0)
+    v = tuple(t ** k for k in range(n))
+    return sum(all(dot(v, h) > 0 for h in normals)
+               for normals in cone_normals) == 1
 
 
 def invert_unimodular(rows):

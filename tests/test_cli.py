@@ -442,13 +442,18 @@ def _set(*keys, value):
      ["taut_golden", "'degrees'", ">= 1"]),
     (_set("taut_golden", "degrees", value=[]), ["taut_golden", "'degrees'"]),
     (_set("taut_golden", "dim", value=-1), ["taut_golden", "'dim'", ">= 0"]),
+    (_set("entries", 3, "nef_partition", value={"delta_vertices": [[-1], [1]]}),
+     ["entry 'p1-legendre' nef_partition", "'parts'"]),
+    (_set("entries", 3, "nef_partition", "part", value=[[0], [1]]),
+     ["entry 'p1-legendre' nef_partition", "'part'"]),
 ], ids=["float-bundle", "entry-without-name", "top-level-list", "float-degree",
         "bundle-without-name", "string-chi", "float-h21", "bool-nodes",
         "string-vertex", "flat-rays", "list-block", "unknown-side", "float-A", "word-beta",
         "int-beta", "string-bundle-count", "unknown-top-key", "unknown-entry-key",
         "unknown-expected-key", "unknown-gkz-key", "unknown-bundle-key",
         "unknown-bundle-expected-key", "unknown-taut-key", "zero-degree",
-        "no-degrees", "negative-dim"])
+        "no-degrees", "negative-dim", "nef-partition-without-parts",
+        "unknown-nef-partition-key"])
 def test_catalog_file_validated_at_load(tmp_path, corrupt, words):
     from nefmirror.catalog import catalog_path
     with open(catalog_path(), encoding="utf-8") as handle:

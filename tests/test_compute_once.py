@@ -3,9 +3,10 @@
 MPCP side builds its polar dual once, each catalog check or
 ``invariants`` command computes the double-cover invariants once, a
 catalog check hulls the nef-partition's Cayley pyramid once, a catalog
-run tests each fan's completeness once, a hull finds the affine basis
-of each point set once, and each section polytope is read from Cartier
-data solved once per divisor.
+run tests each fan's completeness once and, its fans all simplicial,
+builds no ``cone_hrep`` hull for it, a hull finds the affine basis of
+each point set once and sums its volume only at the first read, and
+each section polytope is read from Cartier data solved once per divisor.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -17,7 +18,7 @@ from collections import Counter
 import pytest
 
 from conftest import cayley_points
-from nefmirror import cli, lattice, nefpart, toric
+from nefmirror import cli, intlin, lattice, nefpart, toric
 from nefmirror.catalog import (
     CatalogEntry,
     catalog_run,
@@ -164,6 +165,28 @@ def test_catalog_run_tests_each_fan_complete_once(monkeypatch):
     replace_everywhere(monkeypatch, {id(is_complete): recording})
     assert catalog_run()[0]
     assert len(fans) == len({id(fan) for fan in fans}) == 15
+
+
+def test_catalog_run_builds_no_cone_hrep(monkeypatch):
+    # every fan of the catalog run is simplicial, so completeness is read
+    # from determinant signs
+    counts = count_calls(monkeypatch, (lattice.cone_hrep,))
+    assert catalog_run()[0]
+    assert not counts
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)],
+    # lower-dimensional: the volume is summed in the chart of the span
+    [(0, 0, 1), (2, 0, 1), (0, 2, 1), (1, 1, 1)],
+])
+def test_hull_volume_is_summed_once_on_first_read(monkeypatch, points):
+    counts = count_calls(monkeypatch, (intlin.det,))
+    hull = lattice.convex_hull(points)
+    assert not counts
+    volume = hull.nvolume
+    summed = counts["det"]
+    assert summed and hull.nvolume == volume and counts["det"] == summed
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)

@@ -13,7 +13,9 @@ from conftest import (
     NON_UNIMODULAR_4D,
     P2_DELTA,
     P3_DELTA,
+    complete_by_hrep,
     cone_contains,
+    elementary_product,
     face_fan,
     gl_canonical_form,
     leibniz,
@@ -21,6 +23,7 @@ from conftest import (
 )
 from nefmirror.catalog import load_catalog
 from nefmirror.errors import DomainError, InputError, SmoothnessError
+from nefmirror.intlin import det, dot
 from nefmirror.lattice import (
     convex_hull,
     is_reflexive,
@@ -203,6 +206,62 @@ def test_smooth_surface_fans_complete(points):
     poly = convex_hull(points)
     assume(poly.dim == 2)
     _complete_and_each_cone_needed(smooth_surface_fan(poly))
+
+
+@st.composite
+def changed_surface_fans(draw):
+    """A smooth complete surface fan, as it is, with one cone dropped,
+    with one cone replaced by the cone over two of its rays, or with that
+    cone added."""
+    points = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                           min_size=3, max_size=8))
+    poly = convex_hull(points)
+    assume(poly.dim == 2)
+    fan = smooth_surface_fan(poly)
+    cones = list(fan.max_cones)
+    change = draw(st.sampled_from(["none", "drop", "replace", "add"]))
+    if change != "none":
+        i = draw(st.integers(0, len(cones) - 1))
+        pair = draw(st.lists(st.integers(0, len(fan.rays) - 1), min_size=2,
+                             max_size=2, unique=True))
+        cones[i:i + 1] = {"drop": [], "replace": [pair],
+                          "add": [cones[i], pair]}[change]
+    return make_fan(fan.rays, cones)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(changed_surface_fans())
+def test_completeness_routes_agree_on_surface_fans(fan):
+    assert is_complete(fan) == complete_by_hrep(fan)
+
+
+@pytest.mark.parametrize("entry", load_catalog()["entries"],
+                         ids=lambda entry: entry.name)
+def test_completeness_routes_agree_after_a_reflection(entry):
+    # a GL(n, Z) change of determinant -1 flips the sign of every cone
+    np_ = entry.build()
+    for side in (np_, np_.dual):
+        fan = side.mpcp[0]
+        n = fan.ambient_dim
+        m = elementary_product(n, [(1, 0, 2, False), (0, 1, -1, True)])
+        rays = [tuple(dot(r, col) for col in zip(*m)) for r in fan.rays]
+        assert det(m) == -1
+        flipped = make_fan(rays, fan.max_cones)
+        dropped = make_fan(rays, fan.max_cones[1:])
+        assert is_complete(flipped) and complete_by_hrep(flipped)
+        assert not is_complete(dropped) and not complete_by_hrep(dropped)
+
+
+def test_flat_cones_do_not_complete_a_fan():
+    # the P^3 fan plus the four triples of four rays in the plane
+    # x + y + z = 0: the flat cones pair up along their ridges with
+    # determinant 0 on both sides, and hold no generic point
+    p3 = normal_fan(convex_hull(P3_DELTA))
+    flat = [(1, -1, 0), (0, 1, -1), (-1, 0, 1), (1, 1, -2)]
+    rays = list(p3.rays) + flat
+    cones = list(p3.max_cones) + list(combinations(range(4, 8), 3))
+    fan = make_fan(rays, cones)
+    assert not is_complete(fan) and not complete_by_hrep(fan)
 
 
 # ---------------------------------------------------------------------------
