@@ -238,14 +238,14 @@ def test_completeness_routes_agree_on_surface_fans(fan):
 @pytest.mark.parametrize("entry", load_catalog()["entries"],
                          ids=lambda entry: entry.name)
 def test_completeness_routes_agree_after_a_reflection(entry):
-    # a GL(n, Z) change of determinant -1 flips the sign of every cone
+    # a GL(n, Z) change of determinant -1 reverses every cone's
+    # orientation, and make_fan's ray sort reorders the rays of each cone
     np_ = entry.build()
+    m = elementary_product(np_.dim, [(1, 0, 2, False), (0, 1, -1, True)])
+    assert det(m) == -1
     for side in (np_, np_.dual):
         fan = side.mpcp[0]
-        n = fan.ambient_dim
-        m = elementary_product(n, [(1, 0, 2, False), (0, 1, -1, True)])
         rays = [tuple(dot(r, col) for col in zip(*m)) for r in fan.rays]
-        assert det(m) == -1
         flipped = make_fan(rays, fan.max_cones)
         dropped = make_fan(rays, fan.max_cones[1:])
         assert is_complete(flipped) and complete_by_hrep(flipped)
