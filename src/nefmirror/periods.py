@@ -17,9 +17,10 @@ coefficient pairs with equal bundle multiset and equal total monomial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from operator import add
 
 from .errors import DomainError, InputError
 from .intlin import canon_num, integer_kernel_basis
@@ -133,17 +134,31 @@ class CoeffVar:
     monomial: tuple      # exponent vector over homogeneous coordinates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiffTerm:
     """coeff * multiplier * d(derivs...); coeff is an int when integral and
-    a Fraction otherwise."""
+    a Fraction otherwise.  ``text`` is the term's signed text, " + t" or
+    " - t", rendered once when the term is built: t is |coeff| (left out
+    when it is 1), the multiplier and one d(x) per derivative, joined by
+    "*", or "1" when there are none.  It takes no part in equality,
+    hashing or repr."""
 
     coeff: int | Fraction
     derivs: tuple        # sorted labels, order <= 2
     multiplier: str       # variable label or ""
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        magnitude = abs(self.coeff)
+        parts = [] if magnitude == 1 else [str(magnitude)]
+        if self.multiplier:
+            parts.append(self.multiplier)
+        parts.extend(f"d({x})" for x in self.derivs)
+        sign = " - " if self.coeff < 0 else " + "
+        object.__setattr__(self, "text", sign + ("*".join(parts) or "1"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiffOperator:
     """Sum of terms plus a constant; terms are canonically sorted and
     nonzero, so equality is syntactic equality of normal forms.  Like the
@@ -256,17 +271,19 @@ def taut_system(bundle_degrees, dim):
     # built directly in make_operator's normal form: the pairs are sorted
     # label tuples, distinct and ascending within a bucket, so d(p1) - d(p2)
     # has its terms in canonical order.  The +1 and -1 term of each pair is
-    # built once and shared by every operator that uses the pair.
+    # built, and its text rendered, once and shared by every operator that
+    # uses the pair.  ``variables`` is ordered by bundle, so v1.bundle <=
+    # v2.bundle and the flat key sorts as (bundle multiset, monomial).
     buckets = {}
     for v1, v2 in combinations_with_replacement(variables, 2):
-        key = (tuple(sorted((v1.bundle, v2.bundle))),
-               tuple(a + b for a, b in zip(v1.monomial, v2.monomial)))
-        buckets.setdefault(key, []).append(tuple(sorted((v1.label, v2.label))))
+        key = (v1.bundle, v2.bundle, *map(add, v1.monomial, v2.monomial))
+        a, b = v1.label, v2.label
+        buckets.setdefault(key, []).append((a, b) if a <= b else (b, a))
     for key in sorted(buckets):
-        pairs = sorted(set(buckets[key]))
-        terms = [(DiffTerm(1, p, ""), DiffTerm(-1, p, "")) for p in pairs]
-        for (plus, _), (_, minus) in combinations(terms, 2):
-            operators.append(DiffOperator((plus, minus), 0))
+        terms = [(DiffTerm(1, p, ""), DiffTerm(-1, p, ""))
+                 for p in sorted(buckets[key])]
+        operators.extend(DiffOperator((plus, minus), 0)
+                         for (plus, _), (_, minus) in combinations(terms, 2))
     return operators
 
 
@@ -274,42 +291,23 @@ def taut_system(bundle_degrees, dim):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _term_text(coeff, term):
-    """Text of the term with coeff, a positive number, as its coefficient."""
-    parts = []
-    if coeff != 1:
-        parts.append(str(coeff))
-    if term.multiplier:
-        parts.append(term.multiplier)
-    parts.extend(f"d({x})" for x in term.derivs)
-    if not parts:
-        parts.append("1")
-    return "*".join(parts)
-
-
 def serialize_operator(op):
-    chunks = []
-    for term in op.terms:
-        if term.coeff < 0:
-            chunks.append(("-", _term_text(-term.coeff, term)))
-        else:
-            chunks.append(("+", _term_text(term.coeff, term)))
-    if op.constant:
-        sign = "-" if op.constant < 0 else "+"
-        chunks.append((sign, str(abs(op.constant))))
-    if not chunks:
+    """The operator's line: its terms' texts joined, then the signed
+    constant, with the leading " + " dropped or " - " made "-"; "0" when
+    there is neither a term nor a constant."""
+    text = "".join([t.text for t in op.terms])
+    constant = op.constant
+    if constant:
+        text += f" - {-constant}" if constant < 0 else f" + {constant}"
+    if not text:
         return "0"
-    sign, first = chunks[0]
-    text = ("-" if sign == "-" else "") + first
-    for sign, chunk in chunks[1:]:
-        text += f" {sign} {chunk}"
-    return text
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def serialize_operators(operators):
     """One operator per line, canonical term order; round-trips through
     parse_operators."""
-    return "\n".join(serialize_operator(op) for op in operators)
+    return "\n".join(map(serialize_operator, operators))
 
 
 def _parse_term(text):

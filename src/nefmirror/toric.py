@@ -166,7 +166,13 @@ def _cone_extends_to_basis(gens):
 
 
 def is_smooth(fan):
-    return all(_cone_extends_to_basis(fan.cone_rays(c)) for c in fan.max_cones)
+    """Every maximal cone's rays extend to a Z-basis.  For a cone of n =
+    ambient-dimension rays that is |det(G_sigma)| = 1; a cone of fewer
+    rays goes through the lattice of its span (``_cone_extends_to_basis``)."""
+    n = fan.ambient_dim
+    return all(abs(det(gens)) == 1 if len(gens) == n
+               else _cone_extends_to_basis(gens)
+               for gens in map(fan.cone_rays, fan.max_cones))
 
 
 def is_complete(fan):

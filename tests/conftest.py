@@ -10,6 +10,8 @@ the Cayley pyramid in two hulls (the Cayley polytope, then the pyramid
 over it) and the S-polytope from lattice points, apart from the package's
 single hull.  ``complete_by_hrep`` decides completeness from facet
 normals, apart from the package's determinant signs on simplicial fans.
+``serialize_by_parts`` writes an operator's line from its fields, apart
+from the package's term texts rendered when the terms are built.
 ``invert_unimodular``, which ``gl_canonical_form`` uses, runs
 on the package's integer elimination.
 """
@@ -382,6 +384,40 @@ def reference_pulling(points):
                 next_cells.append(tuple(sorted(members)))
         cells = next_cells
     return sorted(cells)
+
+
+def _term_text_by_parts(coeff, term):
+    """Text of the term with coeff, a positive number, as its coefficient."""
+    parts = []
+    if coeff != 1:
+        parts.append(str(coeff))
+    if term.multiplier:
+        parts.append(term.multiplier)
+    parts.extend(f"d({x})" for x in term.derivs)
+    if not parts:
+        parts.append("1")
+    return "*".join(parts)
+
+
+def serialize_by_parts(op):
+    """An operator's line rebuilt from its fields, term by term, apart from
+    the package's text rendered once per term."""
+    chunks = []
+    for term in op.terms:
+        if term.coeff < 0:
+            chunks.append(("-", _term_text_by_parts(-term.coeff, term)))
+        else:
+            chunks.append(("+", _term_text_by_parts(term.coeff, term)))
+    if op.constant:
+        sign = "-" if op.constant < 0 else "+"
+        chunks.append((sign, str(abs(op.constant))))
+    if not chunks:
+        return "0"
+    sign, first = chunks[0]
+    text = ("-" if sign == "-" else "") + first
+    for sign, chunk in chunks[1:]:
+        text += f" {sign} {chunk}"
+    return text
 
 
 @pytest.fixture

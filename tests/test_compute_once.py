@@ -6,7 +6,9 @@ catalog check hulls the nef-partition's Cayley pyramid once, a catalog
 run tests each fan's completeness once and, its fans all simplicial,
 builds no ``cone_hrep`` hull for it, a hull finds the affine basis of
 each point set once and sums its volume only at the first read, and
-each section polytope is read from Cartier data solved once per divisor.
+each section polytope is read from Cartier data solved once per divisor,
+and serializing operators renders each operator once from the texts its
+terms were built with.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -18,7 +20,7 @@ from collections import Counter
 import pytest
 
 from conftest import cayley_points
-from nefmirror import cli, intlin, lattice, nefpart, toric
+from nefmirror import cli, intlin, lattice, nefpart, periods, toric
 from nefmirror.catalog import (
     CatalogEntry,
     catalog_run,
@@ -29,7 +31,7 @@ from nefmirror.catalog import (
 from nefmirror.intlin import canon_vec
 from nefmirror.invariants import double_cover_invariants, surface_node_count
 from nefmirror.nefpart import cayley_cone_duality_check, dualize
-from nefmirror.periods import gkz_data
+from nefmirror.periods import gkz_data, serialize_operator, taut_system
 from nefmirror.toric import (
     ToricDivisor,
     bundle_nef_divisor,
@@ -245,3 +247,23 @@ def test_convex_hull_finds_each_affine_basis_once(monkeypatch, points,
     counts = count_calls(monkeypatch, (lattice._affine_basis_indices,))
     lattice.convex_hull(points)
     assert counts == {"_affine_basis_indices": point_sets}
+
+
+def test_serialize_operators_renders_each_operator_once(monkeypatch):
+    # the tracer's periods.serialize_operator.calls stays one per operator,
+    # and no term is built, so no term text is rendered, while serializing
+    built = []
+    post_init = periods.DiffTerm.__post_init__
+
+    def recording(term):
+        built.append(term)
+        post_init(term)
+
+    monkeypatch.setattr(periods.DiffTerm, "__post_init__", recording)
+    ops = taut_system([2, 3], 2)
+    assert built
+    built.clear()
+    counts = count_calls(monkeypatch, (serialize_operator,))
+    periods.serialize_operators(ops)
+    assert counts == {"serialize_operator": len(ops)}
+    assert not built

@@ -1,17 +1,20 @@
 """GKZ data and tautological PDE systems."""
 import hashlib
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import P2_DELTA
+from conftest import P2_DELTA, serialize_by_parts
 from nefmirror.catalog import golden_taut_operators
 from nefmirror.errors import DomainError, InputError
 from nefmirror.lattice import convex_hull
 from nefmirror.nefpart import build_nef_partition, dualize
 from nefmirror.periods import (
+    DiffOperator,
+    DiffTerm,
     coefficient_variables,
     gkz_data,
     gkz_equal_up_to_group_permutation,
@@ -333,6 +336,57 @@ def test_serialize_roundtrip_property(ops):
     parsed = parse_operators(serialize_operators(ops))
     assert parsed == ops
     assert repr(parsed) == repr(ops)
+
+
+# any term, a bare number and a multiplier alone included
+any_terms = st.lists(st.tuples(coefficients,
+                               st.lists(labels, max_size=2),
+                               st.sampled_from(["", "a11", "b12"])),
+                     max_size=5)
+
+
+@SETTINGS
+@example(make_operator([]))
+@example(make_operator([], Fraction(-5, 3)))
+@example(make_operator([(-1, (), "b12"), (Fraction(7, 2), (), "a11")]))
+@example(DiffOperator((DiffTerm(Fraction(-3, 2), (), ""),), 0))
+@given(st.builds(make_operator, any_terms, coefficients))
+def test_serializer_matches_term_by_term_rendering(op):
+    assert serialize_operator(op) == serialize_by_parts(op)
+
+
+@pytest.mark.parametrize("degrees, dim", [
+    ([2], 1), ([1, 1, 1, 1, 2], 2), ([2, 3], 2),
+])
+def test_taut_system_serializer_matches_term_by_term_rendering(degrees, dim):
+    ops = taut_system(degrees, dim)
+    assert serialize_operators(ops) == "\n".join(map(serialize_by_parts, ops))
+
+
+def test_term_text_takes_no_part_in_equality_hash_or_repr():
+    term = DiffTerm(Fraction(-3, 2), ("a11", "b12"), "c3")
+    twin = DiffTerm(Fraction(-3, 2), ("a11", "b12"), "c3")
+    assert term is not twin and term == twin and hash(term) == hash(twin)
+    assert term.text == " - 3/2*c3*d(a11)*d(b12)"
+    assert repr(term) == ("DiffTerm(coeff=Fraction(-3, 2), "
+                          "derivs=('a11', 'b12'), multiplier='c3')")
+
+
+def test_term_text_is_frozen():
+    term = DiffTerm(1, ("a11",), "")
+    with pytest.raises(FrozenInstanceError):
+        term.text = " - d(a11)"
+    assert term.text == " + d(a11)"
+
+
+@SETTINGS
+@given(operators)
+def test_negated_flips_the_sign_of_every_term_text(op):
+    flipped = {" + ": " - ", " - ": " + "}
+    negated = op.negated()
+    assert len(negated.terms) == len(op.terms)
+    for term, negative in zip(op.terms, negated.terms):
+        assert negative.text == flipped[term.text[:3]] + term.text[3:]
 
 
 @pytest.mark.parametrize("degrees, dim, digest", [

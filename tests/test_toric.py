@@ -34,6 +34,7 @@ from nefmirror.lattice import (
 )
 from nefmirror.toric import (
     ToricDivisor,
+    _cone_extends_to_basis,
     anticanonical,
     bundle_nef_divisor,
     cartier_data,
@@ -138,6 +139,49 @@ def test_is_smooth_is_gcd_of_maximal_minors(rays):
         g = gcd(g, int(leibniz([[r[c] for c in cols] for r in rays])))
     fan = make_fan(rays, [tuple(range(len(rays)))])
     assert is_smooth(fan) == (g == 1)
+
+
+@st.composite
+def full_cones(draw):
+    """The n rays of a cone in Z^n, with determinant +-1, +-2 or 0: the rows
+    of a GL(n, Z) matrix, with the last row replaced by 2 r_n + r_1, or by
+    r_1 + r_(n-1) (-r_1 when n = 2); each is primitive, as its coordinates
+    in that basis are."""
+    n = draw(st.integers(2, 4))
+    ops = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                  st.integers(-2, 2), st.booleans()),
+                        max_size=8))
+    rows = elementary_product(n, ops)
+    size = draw(st.sampled_from([1, 2, 0]))
+    if size == 2:
+        rows[-1] = tuple(2 * a + b for a, b in zip(rows[-1], rows[0]))
+    elif size == 0:
+        rows[-1] = (tuple(a + b for a, b in zip(rows[0], rows[-2])) if n > 2
+                    else tuple(-a for a in rows[0]))
+    return rows, size
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(full_cones())
+def test_smoothness_routes_agree_on_full_cones(cone):
+    """is_smooth reads a cone of n rays from |det| = 1; the lattice of the
+    span gives the same answer."""
+    rays, size = cone
+    assert abs(det(rays)) == size
+    fan = make_fan(rays, [tuple(range(len(rays)))])
+    assert is_smooth(fan) == _cone_extends_to_basis(rays) == (size == 1)
+
+
+@pytest.mark.parametrize("entry", load_catalog()["entries"],
+                         ids=lambda entry: entry.name)
+def test_smoothness_routes_agree_on_catalog_fans(entry):
+    np_ = entry.build()
+    for side in (np_, np_.dual):
+        fan = side.mpcp[0]
+        by_span = [_cone_extends_to_basis(fan.cone_rays(c)) for c in fan.max_cones]
+        by_det = [abs(det(fan.cone_rays(c))) == 1 for c in fan.max_cones]
+        assert by_span == by_det
+        assert is_smooth(fan) == all(by_det)
 
 
 def test_incomplete_fan():
