@@ -13,13 +13,18 @@ P^dim consists of one Euler operator per bundle (eigenvalue -1/2), one
 symmetry operator per ordered pair of homogeneous coordinates (diagonal
 constant +1), and all second-order binomial box operators between
 coefficient pairs with equal bundle multiset and equal total monomial.
+The box operators, nearly all of a large system, are built directly in
+normal form from terms shared per coefficient pair; ``DiffTerm`` and
+``DiffOperator`` each build in one hand-written ``__init__``, the term
+rendering its signed text there, so writing an operator joins texts.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from functools import cached_property
+from itertools import combinations_with_replacement
 from operator import add
 
 from .errors import DomainError, InputError
@@ -37,12 +42,18 @@ class GKZData:
 
     Rows 1..r are the group indicator block, rows r+1..r+n the lattice
     coordinates; every column is (e_i, p) for p a lattice point of the
-    group-i polytope, with 0 first and the rest lexicographic."""
+    group-i polytope, with 0 first and the rest lexicographic.  The
+    integer kernel basis of A is computed on its first read: no output
+    prints it, and, a function of A, it takes no part in equality."""
 
     A: tuple            # tuple of row tuples
     beta: tuple         # Fractions, length r + n
     column_groups: tuple  # ((group index, lattice point), ...)
-    kernel_basis: tuple   # integer basis of {x : A x = 0}
+
+    @cached_property
+    def kernel_basis(self):
+        """Sorted integer basis of {x : A x = 0}."""
+        return tuple(integer_kernel_basis(self.A))
 
     @property
     def r(self):
@@ -67,7 +78,8 @@ def _group_columns(polytopes):
 
 def gkz_data(partition):
     """GKZ data of the gauge-fixed family of a nef-partition, grouped by
-    its section polytopes; ``gkz_data(np.dual)`` is the dual family."""
+    its section polytopes; ``gkz_data(np.dual)`` is the dual family.  The
+    kernel basis is left to the first read of ``kernel_basis``."""
     groups = partition.section_polytopes
     r = len(groups)
     n = groups[0].ambient_dim
@@ -78,8 +90,7 @@ def gkz_data(partition):
     for coord in range(n):
         rows.append(tuple(p[coord] for _, p in columns))
     beta = tuple([Fraction(-1, 2)] * r + [Fraction(0)] * n)
-    kernel = tuple(integer_kernel_basis(rows))
-    return GKZData(tuple(rows), beta, tuple(columns), kernel)
+    return GKZData(tuple(rows), beta, tuple(columns))
 
 
 def gkz_to_json(data):
@@ -138,39 +149,59 @@ class CoeffVar:
 class DiffTerm:
     """coeff * multiplier * d(derivs...); coeff is an int when integral and
     a Fraction otherwise.  ``text`` is the term's signed text, " + t" or
-    " - t", rendered once when the term is built: t is |coeff| (left out
-    when it is 1), the multiplier and one d(x) per derivative, joined by
-    "*", or "1" when there are none.  It takes no part in equality,
-    hashing or repr."""
+    " - t", rendered once by ``__init__``: t is |coeff| (left out when it
+    is 1), the multiplier and one d(x) per derivative, joined by "*", or
+    "1" when there are none.  It takes no part in equality, hashing or
+    repr.  The hand-written ``__init__`` (which the dataclass keeps) sets
+    the frozen slots through their descriptors, one frame per term."""
 
     coeff: int | Fraction
     derivs: tuple        # sorted labels, order <= 2
     multiplier: str       # variable label or ""
     text: str = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        magnitude = abs(self.coeff)
-        parts = [] if magnitude == 1 else [str(magnitude)]
-        if self.multiplier:
-            parts.append(self.multiplier)
-        parts.extend(f"d({x})" for x in self.derivs)
-        sign = " - " if self.coeff < 0 else " + "
-        object.__setattr__(self, "text", sign + ("*".join(parts) or "1"))
+    def __init__(self, coeff, derivs, multiplier):
+        magnitude = abs(coeff)
+        factors = [] if magnitude == 1 else [str(magnitude)]
+        if multiplier:
+            factors.append(multiplier)
+        if derivs:
+            factors.append("d(" + ")*d(".join(derivs) + ")")
+        _set_coeff(self, coeff)
+        _set_derivs(self, derivs)
+        _set_multiplier(self, multiplier)
+        _set_text(self, (" - " if coeff < 0 else " + ") + ("*".join(factors) or "1"))
 
 
 @dataclass(frozen=True, slots=True)
 class DiffOperator:
     """Sum of terms plus a constant; terms are canonically sorted and
     nonzero, so equality is syntactic equality of normal forms.  Like the
-    coefficients, the constant is an int when integral."""
+    coefficients, the constant is an int when integral.  Like
+    ``DiffTerm``, it sets its frozen slots in one hand-written
+    ``__init__``."""
 
     terms: tuple
     constant: int | Fraction
+
+    def __init__(self, terms, constant):
+        _set_terms(self, terms)
+        _set_constant(self, constant)
 
     def negated(self):
         return DiffOperator(
             tuple(DiffTerm(-t.coeff, t.derivs, t.multiplier) for t in self.terms),
             -self.constant)
+
+
+# The slot descriptors' setters: a frozen dataclass's own __setattr__ raises,
+# and these write a slot without the attribute lookup of object.__setattr__.
+_set_coeff = DiffTerm.coeff.__set__
+_set_derivs = DiffTerm.derivs.__set__
+_set_multiplier = DiffTerm.multiplier.__set__
+_set_text = DiffTerm.text.__set__
+_set_terms = DiffOperator.terms.__set__
+_set_constant = DiffOperator.constant.__set__
 
 
 def _exact(value):
@@ -269,10 +300,11 @@ def taut_system(bundle_degrees, dim):
     # Box operators: all binomial relations between unordered coefficient
     # pairs with equal bundle multiset and equal total monomial.  Each is
     # built directly in make_operator's normal form: the pairs are sorted
-    # label tuples, distinct and ascending within a bucket, so d(p1) - d(p2)
-    # has its terms in canonical order.  The +1 and -1 term of each pair is
-    # built, and its text rendered, once and shared by every operator that
-    # uses the pair.  ``variables`` is ordered by bundle, so v1.bundle <=
+    # label tuples, distinct and ascending within a bucket, so d(p_i) -
+    # d(p_j) for i < j has its terms in canonical order.  The +1 term of
+    # each pair but the last and the -1 term of each pair but the first are
+    # built, and their texts rendered, once and shared by every operator
+    # that uses them.  ``variables`` is ordered by bundle, so v1.bundle <=
     # v2.bundle and the flat key sorts as (bundle multiset, monomial).
     buckets = {}
     for v1, v2 in combinations_with_replacement(variables, 2):
@@ -280,10 +312,11 @@ def taut_system(bundle_degrees, dim):
         a, b = v1.label, v2.label
         buckets.setdefault(key, []).append((a, b) if a <= b else (b, a))
     for key in sorted(buckets):
-        terms = [(DiffTerm(1, p, ""), DiffTerm(-1, p, ""))
-                 for p in sorted(buckets[key])]
-        operators.extend(DiffOperator((plus, minus), 0)
-                         for (plus, _), (_, minus) in combinations(terms, 2))
+        pairs = sorted(buckets[key])
+        minus = [DiffTerm(-1, p, "") for p in pairs[1:]]
+        for i, p in enumerate(pairs[:-1]):
+            plus = DiffTerm(1, p, "")
+            operators.extend([DiffOperator((plus, m), 0) for m in minus[i:]])
     return operators
 
 
@@ -295,7 +328,11 @@ def serialize_operator(op):
     """The operator's line: its terms' texts joined, then the signed
     constant, with the leading " + " dropped or " - " made "-"; "0" when
     there is neither a term nor a constant."""
-    text = "".join([t.text for t in op.terms])
+    terms = op.terms
+    if len(terms) == 2:
+        text = terms[0].text + terms[1].text
+    else:
+        text = "".join([t.text for t in terms])
     constant = op.constant
     if constant:
         text += f" - {-constant}" if constant < 0 else f" + {constant}"

@@ -5,10 +5,12 @@ MPCP side builds its polar dual once, each catalog check or
 catalog check hulls the nef-partition's Cayley pyramid once, a catalog
 run tests each fan's completeness once and, its fans all simplicial,
 builds no ``cone_hrep`` hull for it, a hull finds the affine basis of
-each point set once and sums its volume only at the first read, and
-each section polytope is read from Cartier data solved once per divisor,
-and serializing operators renders each operator once from the texts its
-terms were built with.
+each point set once and sums its volume only at the first read, each
+section polytope is read from Cartier data solved once per divisor,
+serializing operators renders each operator once from the texts its
+terms were built with, a tautological system builds each box term once
+and one ``DiffOperator`` per operator, and GKZ data computes its kernel
+basis only when read, and then once.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -249,17 +251,24 @@ def test_convex_hull_finds_each_affine_basis_once(monkeypatch, points,
     assert counts == {"_affine_basis_indices": point_sets}
 
 
+def record_inits(monkeypatch, cls):
+    """A list that gets every instance of ``cls`` as its ``__init__``
+    returns."""
+    built = []
+    init = cls.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(cls, "__init__", recording)
+    return built
+
+
 def test_serialize_operators_renders_each_operator_once(monkeypatch):
     # the tracer's periods.serialize_operator.calls stays one per operator,
     # and no term is built, so no term text is rendered, while serializing
-    built = []
-    post_init = periods.DiffTerm.__post_init__
-
-    def recording(term):
-        built.append(term)
-        post_init(term)
-
-    monkeypatch.setattr(periods.DiffTerm, "__post_init__", recording)
+    built = record_inits(monkeypatch, periods.DiffTerm)
     ops = taut_system([2, 3], 2)
     assert built
     built.clear()
@@ -267,3 +276,31 @@ def test_serialize_operators_renders_each_operator_once(monkeypatch):
     periods.serialize_operators(ops)
     assert counts == {"serialize_operator": len(ops)}
     assert not built
+
+
+def test_taut_system_builds_each_box_term_once(monkeypatch):
+    # box terms are the only ones without a multiplier: at most a +1 and a
+    # -1 term per coefficient pair, each built once, and one DiffOperator
+    # per operator returned
+    terms = record_inits(monkeypatch, periods.DiffTerm)
+    operators = record_inits(monkeypatch, periods.DiffOperator)
+    ops = taut_system([2, 3], 2)
+    n_vars = len(periods.coefficient_variables([2, 3], 2))
+    box_terms = [t for t in terms if not t.multiplier]
+    assert 0 < len(box_terms) <= 2 * (n_vars * (n_vars + 1) // 2)
+    assert len(box_terms) == len(set(box_terms))
+    assert len(operators) == len(ops)
+    assert {id(op) for op in operators} == {id(op) for op in ops}
+
+
+def test_gkz_kernel_basis_is_computed_once_on_first_read(monkeypatch,
+                                                         tmp_path):
+    counts = count_calls(monkeypatch, (intlin.lattice_split,))
+    argv = ["gkz", "--input", "p2-(3)(12)", "--side", "primal",
+            "--output", str(tmp_path / "gkz.json")]
+    assert cli.main(argv) == 0
+    assert counts == {}
+    data = gkz_data(find_entry("p2-(3)(12)").build())
+    first = data.kernel_basis
+    assert data.kernel_basis is first
+    assert counts == {"lattice_split": 1}

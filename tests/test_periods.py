@@ -389,6 +389,54 @@ def test_negated_flips_the_sign_of_every_term_text(op):
         assert negative.text == flipped[term.text[:3]] + term.text[3:]
 
 
+# one term as make_operator takes it: exact coefficient, derivative
+# labels (possibly none) and a multiplier (possibly alone)
+single_terms = st.tuples(coefficients.filter(bool),
+                         st.lists(labels, max_size=2).map(sorted).map(tuple),
+                         st.sampled_from(["", "a11", "b12"]))
+
+
+@SETTINGS
+@example((Fraction(-3, 2), (), ""))
+@example((1, (), "b12"))
+@example((-1, ("a11", "a11"), ""))
+@given(single_terms)
+def test_direct_term_matches_make_operator(term):
+    coeff, derivs, multiplier = term
+    if type(coeff) is Fraction and coeff.denominator == 1:
+        coeff = int(coeff)  # the normal form of an integral coefficient
+    direct = DiffTerm(coeff, derivs, multiplier)
+    (normal,) = make_operator([term]).terms
+    assert direct == normal and hash(direct) == hash(normal)
+    assert repr(direct) == repr(normal)
+    assert direct.text == normal.text
+
+
+@pytest.mark.parametrize("obj, fields", [
+    (DiffTerm(Fraction(1, 2), ("a11",), "b12"),
+     ("coeff", "derivs", "multiplier", "text")),
+    (DiffOperator((DiffTerm(1, ("a11",), ""),), 0), ("terms", "constant")),
+])
+def test_every_field_is_frozen(obj, fields):
+    before = repr(obj)
+    for name in fields:
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+    assert repr(obj) == before
+
+
+@SETTINGS
+@given(st.builds(make_operator, any_terms, coefficients))
+def test_negated_round_trips(op):
+    twice = op.negated().negated()
+    assert twice == op and hash(twice) == hash(op)
+    assert repr(twice) == repr(op)
+    assert [t.text for t in twice.terms] == [t.text for t in op.terms]
+    assert serialize_operator(twice) == serialize_operator(op)
+
+
 @pytest.mark.parametrize("degrees, dim, digest", [
     ([6], 3, "eccf757e4b62b814d6150d1803711a9cae4d987ef97cb4f661f8e406ae6d1b62"),
     ([3, 3], 4,
