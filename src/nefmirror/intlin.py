@@ -2,15 +2,19 @@
 
 No floats anywhere: entries are ints or fractions.Fraction.  Elimination
 runs over the integers in two routines: fraction-free Bareiss row
-elimination for rank, solve, nullspace and determinant, and unimodular
-column reduction (:func:`lattice_split`) for integer kernels and lattice
-charts.  Integer input stays ``int`` throughout: :func:`canon_vec` and
-:func:`primitivize` build no Fraction for it, and :func:`nullspace`
-returns integer vectors.  Fraction enters only through rational inputs,
-which are scaled once by a common denominator, and through results that
-are genuinely rational.  Vectors are tuples, matrices are lists/tuples of
-row tuples.  This is deliberately small-scale code (a few dozen rows)
-written for clarity and determinism, not asymptotics.
+elimination for rank, solve, nullspace, determinant and the scaled
+inverse, and unimodular column reduction (:func:`lattice_split`) for
+integer kernels and lattice charts.  The columns of :func:`scaled_inverse`
+are the inner facet normals of a simplex (from its edge matrix) or of a
+simplicial cone (from its generators), so the hull's first simplex and
+the completeness test read them from one elimination.  Integer input
+stays ``int`` throughout: :func:`canon_vec` and :func:`primitivize` build
+no Fraction for it, and :func:`nullspace` and :func:`scaled_inverse`
+return integers.  Fraction enters only through rational inputs, which are
+scaled once by a common denominator, and through results that are
+genuinely rational.  Vectors are tuples, matrices are lists/tuples of row
+tuples.  This is deliberately small-scale code (a few dozen rows) written
+for clarity and determinism, not asymptotics.
 """
 from __future__ import annotations
 
@@ -155,6 +159,25 @@ def det(rows):
     if len(pivots) < n:
         return 0
     return _quotient(sign * last, scale ** n)
+
+
+def scaled_inverse(rows):
+    """A positive integer multiple c * rows^-1 of the inverse of a square
+    matrix, from one elimination of [rows | I], or None when rows is
+    singular.  The right block of the eliminated matrix is last * rows^-1,
+    integral even for rational input, and is negated when last < 0.
+    Since rows @ X = c * I, column i of X vanishes on every row but row i,
+    where it is positive: read as cone generators or simplex edges, it is
+    the inner normal of the facet opposite row i."""
+    n = len(rows)
+    m, pivots, last, _, _ = _eliminate(
+        [(*row, *(0,) * i, 1, *(0,) * (n - 1 - i))
+         for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    if last < 0:
+        return [tuple(-x for x in row[n:]) for row in m]
+    return [tuple(row[n:]) for row in m]
 
 
 def lattice_split(rows):

@@ -2,11 +2,12 @@
 
 Lattice points are plain int tuples, rational vectors are tuples of ints
 and fractions.Fraction; every predicate is exact.  On lattice input the
-hull and the pulling triangulation build no Fraction.  The hull orients
-the facets of its first simplex by an integer multiple of an interior
-point, grows every later facet from a horizon ridge as an integer
-combination of the two facets that meet there, and reads vertices from
-facet incidence; the pulling test is cross-multiplied.  Polytopes are
+hull and the pulling triangulation build no Fraction.  The hull reads
+the inner normals of its first simplex's facets from the columns of one
+scaled inverse of its edge matrix, grows every later facet from a
+horizon ridge as an integer combination of the two facets that meet
+there, and reads vertices from facet incidence; the pulling test is
+cross-multiplied.  Polytopes are
 built exclusively through :func:`convex_hull`, which produces an
 irredundant V- and H-representation and a triangulation of the boundary.
 The normalized volume is summed from that triangulation on first read
@@ -43,9 +44,9 @@ from .intlin import (
     is_integral,
     lattice_split,
     matrix_rank,
-    nullspace,
     pivot_columns,
     primitivize,
+    scaled_inverse,
     vsub,
 )
 
@@ -152,40 +153,29 @@ def _affine_basis_indices(points):
     return [0] + [c + 1 for c in pivot_columns(list(zip(*diffs)))]
 
 
-def _facet_hyperplane(points, interior_ref):
-    """Hyperplane through d affinely independent points of R^d, oriented so
-    that the interior point interior_ref / (d + 1) strictly satisfies the
-    inequality."""
-    base = points[0]
-    rows = [vsub(p, base) for p in points[1:]]
-    kernel = nullspace(rows) if rows else [(1,)]
-    normal = primitivize(kernel[0])
-    offset = canon_num(-dot(base, normal))
-    if dot(interior_ref, normal) + (len(base) + 1) * offset < 0:
-        normal = tuple(-x for x in normal)
-        offset = -offset
-    return normal, offset
-
-
 def _full_dim_hull(points, start):
     """Incremental beneath-beyond hull of a full-dimensional, lex-sorted
     point set whose affine basis indices are ``start``.
 
-    Returns (vertices, facets, boundary).  Only the d + 1 facets
-    of the first simplex come from an elimination.  Each later facet
-    R u {p} grows from a horizon ridge R between a facet F that p sees
-    (h_F(p) < 0, with h(x) = <x, n> + c) and a facet G that it does not:
-    its functional h_G(p) h_F - h_F(p) h_G vanishes on R and at p, and as
-    a nonnegative combination of two inward functionals it needs no
-    orientation test.  A point is a vertex iff no other point lies on
+    Returns (vertices, facets, boundary).  Only the d + 1 facets of the
+    first simplex p_0, ..., p_d come from an elimination: the columns of
+    :func:`scaled_inverse` of its edge matrix (rows p_s - p_0) are the inner
+    normals of the facets opposite p_1, ..., p_d, and minus their sum is
+    that of the facet opposite p_0, so none needs an orientation test.
+    Each later facet R u {p} grows from a horizon ridge R between a facet
+    F that p sees (h_F(p) < 0, with h(x) = <x, n> + c) and a facet G that
+    it does not: its functional h_G(p) h_F - h_F(p) h_G vanishes on R and
+    at p, and as a nonnegative combination of two inward functionals it
+    needs none either.  A point is a vertex iff no other point lies on
     every facet through it, since the intersection of those facets, the
     smallest face containing it, has its vertices among the points.  The
     boundary is the triangulated surface built along the way, as a
     lex-sorted tuple of lex-sorted d-point tuples; the normalized volume is
     summed from it only when read (``LatticePolytope.nvolume``).
     """
-    d = len(points[0])
-    ref = tuple(sum(points[i][k] for i in start) for k in range(d))
+    base = points[start[0]]
+    inverse = scaled_inverse([vsub(points[i], base) for i in start[1:]])
+    opposite = [tuple(-sum(row) for row in inverse), *zip(*inverse)]
 
     # facet: frozenset of point indices -> (normal, offset); ridge -> facets
     facets = {}
@@ -196,10 +186,11 @@ def _full_dim_hull(points, start):
         for i in idx_set:
             ridges.setdefault(idx_set - {i}, []).append(idx_set)
 
-    for combo in range(d + 1):
-        simplex = frozenset(start) - {start[combo]}
-        add_facet(simplex, _facet_hyperplane(
-            [points[i] for i in sorted(simplex)], ref))
+    for i, normal in zip(start, opposite):
+        simplex = frozenset(start) - {i}
+        normal = primitivize(normal)
+        offset = canon_num(-dot(points[min(simplex)], normal))
+        add_facet(simplex, (normal, offset))
 
     for i in range(len(points)):
         if i in start:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, isqrt, prod
+from math import comb
 
 from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
 from .intlin import (
@@ -26,6 +26,7 @@ from .intlin import (
     lattice_split,
     matrix_rank,
     primitivize,
+    scaled_inverse,
     solve_linear,
 )
 from .lattice import (
@@ -88,7 +89,8 @@ class CartierData:
 
 def make_fan(rays, max_cones, ambient_dim=None):
     """Canonicalize: rays lex-sorted and primitive, cones as sorted index
-    tuples, cone list sorted and deduplicated."""
+    tuples, cone list sorted and deduplicated.  A cone that names a missing
+    ray or repeats a ray index is an InputError."""
     rays = [canon_vec(r) for r in rays]
     if not rays:
         raise InputError("a fan needs at least one ray")
@@ -105,6 +107,9 @@ def make_fan(rays, max_cones, ambient_dim=None):
     max_cones = [tuple(cone) for cone in max_cones]
     if any(i not in range(len(rays)) for cone in max_cones for i in cone):
         raise InputError("cone refers to a missing ray")
+    for cone in max_cones:
+        if len(set(cone)) != len(cone):
+            raise InputError(f"cone {cone} repeats a ray")
     order = sorted(range(len(rays)), key=lambda i: rays[i])
     relabel = {old: new for new, old in enumerate(order)}
     sorted_rays = tuple(rays[i] for i in order)
@@ -176,87 +181,58 @@ def is_smooth(fan):
 
 
 def is_complete(fan):
-    """Exact test that the maximal cones form a complete fan.  When every
-    maximal cone has n rays (simplicial) it is read from determinant
-    signs, with no hull; otherwise from each cone's ``cone_hrep``.  The
-    conditions, with G_sigma the rays of sigma as rows in index order and
-    s = sign det(G_sigma):
+    """Exact test that the maximal cones form a complete fan, in one loop
+    over the maximal cones.  A cone of n rays takes its facet normals from
+    the columns of ``scaled_inverse`` of its ray matrix (None when the rays
+    are dependent), a cone of more rays from ``cone_hrep``, and a cone of
+    fewer rays is never full-dimensional.  The conditions:
 
-    - every cone is full-dimensional and strongly convex: det(G_sigma) != 0
-      (simplicial), or no equations and facet normals of rank n;
-    - pseudomanifold: each ridge lies in exactly two cones, on opposite
-      sides.  Simplicial: the ridge sigma - {sigma_i}, rows in index order,
-      sees sigma on the side sign det(ridge, sigma_i) = s * (-1)^(n-1-i),
-      since moving row i last takes n-1-i swaps.  Otherwise a ridge is the
-      set of a cone's rays on a facet, and its two normals are opposite;
+    - every cone is full-dimensional and strongly convex: n independent
+      rays, or no equations and facet normals of rank n;
+    - pseudomanifold: each ridge, keyed by a cone's rays on a facet (all
+      rays but row i for column i of the scaled inverse), lies in exactly
+      two cones, whose normals there are opposite;
     - degree one: the moment-curve vector v = (1, t, ..., t^{n-1}) lies
-      strictly inside exactly one cone.  Simplicial: the n Cramer
-      determinants (row i of G_sigma replaced by v) all have sign s.
+      strictly inside exactly one cone.
 
-    v is generic: each wall is <v, h> = 0 for an integer normal h (the
-    cofactors of a ridge, or a facet normal), a nonzero integer polynomial
-    in t, so by Cauchy's root bound <v, h> != 0 once t > max |h_k|.  The
-    simplicial route takes t = 1 + the largest Hadamard bound
-    prod_g (isqrt(|g|^2) + 1) over the cones, which exceeds every cofactor
-    (an (n-1)-minor of rows of length >= 1); the other, 1 + the largest
-    absolute entry of any normal.
+    v is generic: each wall is <v, h> = 0 for a primitive facet normal h,
+    a nonzero integer polynomial in t, so by Cauchy's root bound
+    <v, h> != 0 once t = 1 + the largest absolute entry of any normal.
 
     Full-dimensional cells meeting along ridges in pairs from opposite
     sides, with one generic point covered once, cover every generic point
     once and meet in common faces (De Loera-Rambau-Santos, Triangulations,
     2010, section 4.5)."""
     n = fan.ambient_dim
-    if all(len(cone) == n for cone in fan.max_cones):
-        return _complete_by_signs(fan)
     cone_normals = []
     ridges = {}
     for cone in fan.max_cones:
-        ineqs, eqs = cone_hrep(fan.cone_rays(cone))
-        if eqs or matrix_rank(ineqs) != n:
+        gens = fan.cone_rays(cone)
+        if len(gens) < n:
             return False
-        cone_normals.append(ineqs)
-        for h in ineqs:
-            key = frozenset(i for i in cone if dot(fan.rays[i], h) == 0)
+        if len(gens) == n:
+            inverse = scaled_inverse(gens)
+            if inverse is None:
+                return False
+            normals = [primitivize(h) for h in zip(*inverse)]
+            keys = [cone[:i] + cone[i + 1:] for i in range(n)]
+        else:
+            normals, eqs = cone_hrep(gens)
+            if eqs or matrix_rank(normals) != n:
+                return False
+            keys = [tuple(i for i in cone if dot(fan.rays[i], h) == 0)
+                    for h in normals]
+        cone_normals.append(normals)
+        for key, h in zip(keys, normals):
             ridges.setdefault(key, []).append(h)
-    for normals in ridges.values():
-        if len(normals) != 2 or normals[0] != tuple(-x for x in normals[1]):
+    for pair in ridges.values():
+        if len(pair) != 2 or pair[0] != tuple(-x for x in pair[1]):
             return False
     t = 1 + max((abs(x) for normals in cone_normals for h in normals for x in h),
                 default=0)
     v = tuple(t ** k for k in range(n))
     return sum(all(dot(v, h) > 0 for h in normals)
                for normals in cone_normals) == 1
-
-
-def _complete_by_signs(fan):
-    """``is_complete`` for a fan whose maximal cones all have n rays."""
-    n = fan.ambient_dim
-    signs = []
-    sides = {}
-    for cone in fan.max_cones:
-        s = _sign(det(fan.cone_rays(cone)))
-        if s == 0:
-            return False
-        signs.append(s)
-        for i in range(n):
-            sides.setdefault(cone[:i] + cone[i + 1:], []).append(
-                s * (-1) ** (n - 1 - i))
-    if any(len(pair) != 2 or pair[0] != -pair[1] for pair in sides.values()):
-        return False
-    lengths = [isqrt(dot(r, r)) + 1 for r in fan.rays]
-    t = 1 + max((prod(lengths[i] for i in cone) for cone in fan.max_cones),
-                default=0)
-    v = tuple(t ** k for k in range(n))
-    inside = 0
-    for cone, s in zip(fan.max_cones, signs):
-        rows = list(fan.cone_rays(cone))
-        inside += all(_sign(det(rows[:i] + [v] + rows[i + 1:])) == s
-                      for i in range(n))
-    return inside == 1
-
-
-def _sign(x):
-    return (x > 0) - (x < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,11 @@ pulling reference keeps the ray-shooting form, in Fraction arithmetic, of
 the package's cross-multiplied integer test.  The Cayley references build
 the Cayley pyramid in two hulls (the Cayley polytope, then the pyramid
 over it) and the S-polytope from lattice points, apart from the package's
-single hull.  ``complete_by_hrep`` decides completeness from facet
-normals, apart from the package's determinant signs on simplicial fans.
-``serialize_by_parts`` writes an operator's line from its fields, apart
-from the package's term texts rendered when the terms are built.
-``invert_unimodular``, which ``gl_canonical_form`` uses, runs
+single hull.  ``complete_by_hrep`` decides completeness from every
+cone's ``cone_hrep``, apart from the package's scaled inverse on
+simplicial cones.  ``serialize_by_parts`` writes an operator's line from
+its fields, apart from the package's term texts rendered when the terms
+are built.  ``invert_unimodular``, which ``gl_canonical_form`` uses, runs
 on the package's integer elimination.
 """
 from fractions import Fraction
@@ -286,7 +286,7 @@ def complete_by_hrep(fan):
     full-dimensional and strongly convex, each facet (keyed by the cone's
     rays on it) in exactly two cones with opposite normals, and one
     moment-curve point, generic for every normal, inside exactly one
-    cone.  The package takes this route only for non-simplicial fans."""
+    cone.  The package takes this route only for non-simplicial cones."""
     n = fan.ambient_dim
     cone_normals = []
     ridges = {}

@@ -172,8 +172,8 @@ def test_catalog_run_tests_each_fan_complete_once(monkeypatch):
 
 
 def test_catalog_run_builds_no_cone_hrep(monkeypatch):
-    # every fan of the catalog run is simplicial, so completeness is read
-    # from determinant signs
+    # every fan of the catalog run is simplicial, so each cone's facet
+    # normals come from one scaled inverse of its rays
     counts = count_calls(monkeypatch, (lattice.cone_hrep,))
     assert catalog_run()[0]
     assert not counts

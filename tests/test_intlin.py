@@ -21,6 +21,7 @@ from nefmirror.intlin import (
     matrix_rank,
     nullspace,
     primitivize,
+    scaled_inverse,
     solve_linear,
 )
 
@@ -126,6 +127,23 @@ def test_solve_linear_exactly_when_consistent(system):
         assert matvec(rows, x) == tuple(rhs)
 
 
+@SETTINGS
+@given(st.one_of(square, st.integers(1, 4).flatmap(
+    lambda n: matrices(n, n, st.integers(-2, 2)))))
+def test_scaled_inverse_is_a_positive_multiple_of_the_inverse(rows):
+    x = scaled_inverse(rows)
+    if leibniz(rows) == 0:
+        assert x is None
+        return
+    n = len(rows)
+    assert all(type(v) is int for col in x for v in col)
+    product = [tuple(sum(rows[i][k] * x[k][j] for k in range(n))
+                     for j in range(n)) for i in range(n)]
+    c = product[0][0]
+    assert c > 0
+    assert product == [tuple(c * (i == j) for j in range(n)) for i in range(n)]
+
+
 unimodular = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
                                  st.integers(-2, 2), st.booleans()),
@@ -172,5 +190,6 @@ def test_empty_matrices():
     assert det([]) == 1
     assert matrix_rank([]) == 0
     assert nullspace([]) == []
+    assert scaled_inverse([]) == []
     assert solve_linear([], []) == ()
     assert invert_unimodular([]) == []

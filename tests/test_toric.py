@@ -21,6 +21,7 @@ from conftest import (
     leibniz,
     smooth_surface_fan,
 )
+from nefmirror import toric
 from nefmirror.catalog import load_catalog
 from nefmirror.errors import DomainError, InputError, SmoothnessError
 from nefmirror.intlin import det, dot
@@ -219,6 +220,32 @@ WOUND_JSON = json.dumps({"dim": 2, "rays": [list(r) for r in WOUND_RAYS],
 ], ids=["wound", "half-planes", "whole-plane", "folded", "overlap", "lone-ray"])
 def test_not_complete_counterexamples(fan):
     assert not is_complete(fan)
+
+
+def test_cones_of_too_few_rays_build_no_hull(monkeypatch):
+    # an empty maximal cone made cone_hrep([]) raise IndexError
+    def no_hull(gens):
+        raise AssertionError("a cone of fewer than n rays built a hull")
+
+    monkeypatch.setattr(toric, "cone_hrep", no_hull)
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    text = json.dumps({"dim": 2, "rays": [list(r) for r in rays],
+                       "max_cones": [[]]})
+    for fan in (make_fan(rays[:2], [()]), fan_from_json(text),
+                make_fan(rays, [(0, 1), (1, 2), (0,)])):
+        assert not is_complete(fan)
+
+
+def test_completeness_routes_agree_on_a_mixed_fan():
+    # the normal fan of a square pyramid: the apex gives a cone of 4 rays,
+    # each base vertex one of 3, so both routes of is_complete run
+    fan = normal_fan(convex_hull(
+        [(1, 1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1), (0, 0, 1)]))
+    assert sorted(map(len, fan.max_cones)) == [3, 3, 3, 3, 4]
+    assert is_complete(fan) and complete_by_hrep(fan)
+    for i in range(len(fan.max_cones)):
+        dropped = make_fan(fan.rays, fan.max_cones[:i] + fan.max_cones[i + 1:])
+        assert not is_complete(dropped) and not complete_by_hrep(dropped)
 
 
 def test_hodge_rejects_wound_fan():
@@ -676,6 +703,18 @@ def test_make_fan_rejects_a_missing_ray_index(index):
     text = json.dumps({"dim": 2, "rays": [list(r) for r in rays],
                        "max_cones": [[0, 1], [1, index]]})
     with pytest.raises(InputError, match="cone refers to a missing ray"):
+        fan_from_json(text)
+
+
+def test_make_fan_rejects_a_repeated_ray_index():
+    # with the index kept twice, is_smooth read the 3-ray "cone" of the
+    # smooth P^2 fan as non-unimodular
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    with pytest.raises(InputError, match=r"cone \(0, 2, 2\) repeats a ray"):
+        make_fan(rays, [(0, 1), (1, 2), (0, 2, 2)])
+    text = json.dumps({"dim": 2, "rays": [list(r) for r in rays],
+                       "max_cones": [[0, 1], [1, 2], [0, 2, 2]]})
+    with pytest.raises(InputError, match=r"cone \(0, 2, 2\) repeats a ray"):
         fan_from_json(text)
 
 
