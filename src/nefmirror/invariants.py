@@ -23,6 +23,7 @@ from .lattice import cayley_pyramid, lattice_points, mixed_area
 from .toric import (
     divisor_from_polytope,
     is_complete,
+    is_nef_polytope,
     is_smooth,
     nef_polytope,
 )
@@ -153,6 +154,10 @@ def verify_mirror_duality(nef_partition):
     closed form chi(X) + (-1)^n chi(X_dual), which equals (-1)^n
     chi(Y_dual) by construction.
 
+    Before the DK route reads the sections' Cayley pyramid, it checks
+    that each Delta_i pulled back to the MPCP fan is nef with section
+    polytope Delta_i again, by ``is_nef_polytope`` with no hull.
+
     Returns (ok, report); the report lists every intermediate pyramid
     volume vol_{n+|J|}(Lambda_J), and its "invariants" entry is the
     CoverInvariants of double_cover_invariants, so callers need not
@@ -165,12 +170,12 @@ def verify_mirror_duality(nef_partition):
     fan_x, _ = np_.mpcp  # checked complete when built
 
     try:
-        pulled = tuple(nef_polytope(divisor_from_polytope(fan_x, poly))
-                       for poly in np_.section_polytopes)
+        unchanged = all(is_nef_polytope(divisor_from_polytope(fan_x, poly), poly)
+                        for poly in np_.section_polytopes)
     except DomainError as exc:
         raise ConsistencyError(
             "pulled-back nef-partition divisor is not nef") from exc
-    if pulled != np_.section_polytopes:
+    if not unchanged:
         raise ConsistencyError("pullback changed a section polytope")
 
     # the pulled-back polytopes are the sections, so their Cayley pyramid

@@ -508,7 +508,9 @@ def maximal_boundary_triangulation(polytope):
 
     Facets are triangulated by iterated pulling in global lexicographic
     order, which keeps shared ridges consistent; the flag records whether
-    every cone over a maximal simplex is unimodular.
+    every cone over a maximal simplex is unimodular.  The pulling reads
+    only a facet's chart points in that order, so facets with the same
+    chart configuration share one pulling, kept for this call only.
     """
     if not is_reflexive(polytope):
         raise DomainError("maximal_boundary_triangulation needs a reflexive polytope")
@@ -519,10 +521,13 @@ def maximal_boundary_triangulation(polytope):
     index = {p: i for i, p in enumerate(uses)}
 
     simplices = []
+    pulled = {}  # chart-point tuple -> its pulling triangulation
     for normal, offset in polytope.facets:
         facet_pts = [p for p in boundary if dot(p, normal) == -offset]
-        chart_pts = _chart(facet_pts, _affine_basis_indices(facet_pts))[2]
-        for simplex in pulling_triangulation(chart_pts):
+        chart_pts = tuple(_chart(facet_pts, _affine_basis_indices(facet_pts))[2])
+        if chart_pts not in pulled:
+            pulled[chart_pts] = pulling_triangulation(chart_pts)
+        for simplex in pulled[chart_pts]:
             simplices.append(tuple(sorted([0] + [index[facet_pts[i]] for i in simplex])))
     simplices = tuple(sorted(set(simplices)))
 

@@ -23,11 +23,11 @@ from .lattice import (
     is_reflexive,
     json_int,
     minkowski_sum_all,
-    polar_dual,
 )
 from .toric import (
     ToricDivisor,
     hodge_numbers_smooth_toric,
+    is_nef_polytope,
     mpcp_fan,
     nef_polytope,
     normal_fan,
@@ -156,7 +156,12 @@ def dualize(nef_partition):
     the Delta_k that contain them.  Asserts reflexivity of nabla, the polar
     identity nabla^dual = Conv(Delta_1,...,Delta_r), and that each dual
     part is nef with section polytope nabla_k; all are theorems and
-    failures surface loudly."""
+    failures surface loudly, as ConsistencyError.
+
+    No identity builds a hull of its own.  nabla is reflexive and its
+    facets are irredundant, so the vertices of its polar are exactly its
+    facet normals, compared with the kept hull of the Delta_i; each dual
+    part's Cartier data is tested against nabla_k by ``is_nef_polytope``."""
     np_ = nef_partition
     fan = np_.fan
     zero = tuple(0 for _ in range(np_.dim))
@@ -165,16 +170,19 @@ def dualize(nef_partition):
     nabla = minkowski_sum_all(nabla_parts)
     if not is_reflexive(nabla):
         raise ConsistencyError("dual polytope nabla is not reflexive")
-    if polar_dual(nabla) != np_.sections_hull:
+    if tuple(sorted(n for n, _ in nabla.facets)) != np_.sections_hull.vertices:
         raise ConsistencyError("polar of nabla differs from Conv(Delta_i)")
 
     dual_fan = normal_fan(nabla)
     assignment = _assign_rays_to_parts(dual_fan.rays, np_.section_polytopes)
     dual_parts = tuple(tuple(i for i, k in enumerate(assignment) if k == s)
                        for s in range(np_.r))
-    for k, (section, part_poly) in enumerate(
-            zip(_section_polytopes(dual_fan, dual_parts), nabla_parts)):
-        if section != part_poly:
+    for k, (part, part_poly) in enumerate(zip(dual_parts, nabla_parts)):
+        try:
+            same = is_nef_polytope(part_divisor(dual_fan, part), part_poly)
+        except DomainError as exc:
+            raise ConsistencyError(f"dual part {k} is not nef") from exc
+        if not same:
             raise ConsistencyError(
                 f"dual section polytope {k} differs from nabla_{k}")
     return NefPartition(nabla, dual_fan, dual_parts, nabla_parts)
@@ -188,10 +196,17 @@ def double_dual_check(nef_partition):
 
 def cayley_cone(nef_partition):
     """Gorenstein cone sigma_Delta over the Cayley polytope of the section
-    polytopes inside R^r x M_R: generated by the nonzero vertices of the
-    Cayley pyramid, which are the (e_i, w) for w a vertex of Delta_i."""
-    lam = nef_partition.cayley_pyramid
-    return Cone(lam.ambient_dim, tuple(v for v in lam.vertices if any(v)), lam.dim)
+    polytopes inside R^r x M_R, read from the section polytopes with no
+    hull: its generators are the nonzero vertices of the Cayley pyramid,
+    the (e_i, w) for w a vertex of Delta_i (each is a vertex of the face
+    x_i = 1, which is e_i x Delta_i).  It is full-dimensional, r + n, since
+    the Delta_i sum to the full-dimensional Delta."""
+    np_ = nef_partition
+    r = np_.r
+    generators = sorted(tuple(1 if j == i else 0 for j in range(r)) + w
+                        for i, part in enumerate(np_.section_polytopes)
+                        for w in part.vertices)
+    return Cone(r + np_.dim, tuple(generators), r + np_.dim)
 
 
 def cayley_cone_duality_check(nef_partition):
@@ -199,7 +214,8 @@ def cayley_cone_duality_check(nef_partition):
     pair of index r.  The generators of the dual cone are the inner normals
     of the Cayley pyramid's facets through the apex; sigma_nabla is the
     Cayley cone of the dual partition, whose section polytopes dualize
-    asserts to be the nabla_k."""
+    asserts to be the nabla_k, read from them with no hull, so only this
+    side's Cayley pyramid is hulled."""
     sigma_nabla = cayley_cone(nef_partition.dual)
     apex_normals = sorted(n for n, c in nef_partition.cayley_pyramid.facets
                           if c == 0)

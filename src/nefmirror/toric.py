@@ -2,7 +2,9 @@
 Hodge numbers of smooth complete toric varieties, divisor polytopes and
 Cartier data, projective-bundle fans, semiample contractions, Fano tests.
 On a complete fan a nef divisor's section polytope is the hull of its
-Cartier data (``nef_polytope``); ``divisor_polytope`` is exact on any fan.
+Cartier data (``nef_polytope``), and ``is_nef_polytope`` tests that hull
+against a polytope without building it; ``divisor_polytope`` is exact on
+any fan.
 
 Sign convention: a divisor D = sum a_rho D_rho has polytope
 ``{m : <m, rho> >= -a_rho}`` and support function ``psi(u) = min_{m in
@@ -100,7 +102,7 @@ def make_fan(rays, max_cones, ambient_dim=None):
     if any(len(r) != d for r in rays):
         raise InputError("rays of mixed dimension")
     for r in rays:
-        if not is_integral(r) or primitivize(r) != r:
+        if not is_integral(r) or not any(r) or primitivize(r) != r:
             raise InputError(f"ray {r} is not a primitive integer vector")
     if len(set(rays)) != len(rays):
         raise InputError("duplicate rays")
@@ -355,14 +357,31 @@ def is_nef(divisor):
     return _is_convex(data)
 
 
+def _nef_cartier_points(divisor):
+    """The set of Cartier data m_sigma of a nef divisor.  Raises
+    DomainError when the divisor is not Cartier or not nef."""
+    data = cartier_data(divisor)
+    if not _is_convex(data):
+        raise DomainError("divisor is not nef: its Cartier data is not convex")
+    return set(data.per_cone)
+
+
 def nef_polytope(divisor):
     """Section polytope conv(m_sigma) of a nef divisor on a complete fan
     (Cox-Little-Schenck, Toric Varieties, Thm 6.1.7); completeness is not
     checked.  Raises DomainError when the divisor is not nef."""
-    data = cartier_data(divisor)
-    if not _is_convex(data):
-        raise DomainError("divisor is not nef: its Cartier data is not convex")
-    return convex_hull(sorted(set(data.per_cone)))
+    return convex_hull(sorted(_nef_cartier_points(divisor)))
+
+
+def is_nef_polytope(divisor, polytope):
+    """``nef_polytope(divisor) == polytope``, read without a hull:
+    conv(m_sigma) is P iff every m_sigma lies in P and every vertex of P
+    is some m_sigma (a vertex of conv(S) is a point of S).  Raises
+    DomainError when the divisor is not nef."""
+    points = _nef_cartier_points(divisor)
+    return (polytope.ambient_dim == divisor.fan.ambient_dim
+            and points.issuperset(polytope.vertices)
+            and all(map(polytope.contains, points)))
 
 
 def is_ample(divisor):

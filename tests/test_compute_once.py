@@ -7,6 +7,10 @@ run tests each fan's completeness once and, its fans all simplicial,
 builds no ``cone_hrep`` hull for it, a hull finds the affine basis of
 each point set once and sums its volume only at the first read, each
 section polytope is read from Cartier data solved once per divisor,
+``dualize`` checks its identities with neither ``polar_dual`` nor
+``nef_polytope``, the Gorenstein cone duality check hulls no Cayley
+pyramid of the dual side, a maximal boundary triangulation pulls each
+distinct facet configuration once,
 serializing operators renders each operator once from the texts its
 terms were built with, a tautological system builds each box term once
 and one ``DiffOperator`` per operator, and GKZ data computes its kernel
@@ -139,12 +143,8 @@ def test_cli_invariants_computes_invariants_once(invariant_calls, tmp_path):
     assert invariant_calls == {"double_cover_invariants": 1}
 
 
-def test_run_entry_hulls_the_cayley_pyramid_once(monkeypatch):
-    # S, the Gorenstein cone sigma_Delta and the top DK term all read the
-    # hull of {0} u e_i x vertices(Delta_i)
-    entry = find_entry("p2-triple")
-    np_ = entry.build()
-    lam_points = {(0,) * (np_.r + np_.dim), *cayley_points(np_.section_polytopes)}
+def recorded_hulls(monkeypatch):
+    """A list that gets the point set of every hull built."""
     hulled = []
     convex_hull = lattice.convex_hull
 
@@ -153,8 +153,72 @@ def test_run_entry_hulls_the_cayley_pyramid_once(monkeypatch):
         return convex_hull(points, ambient_dim)
 
     replace_everywhere(monkeypatch, {id(convex_hull): recording})
+    return hulled
+
+
+def test_run_entry_hulls_the_cayley_pyramid_once(monkeypatch):
+    # S, the Gorenstein cone sigma_Delta and the top DK term all read the
+    # hull of {0} u e_i x vertices(Delta_i)
+    entry = find_entry("p2-triple")
+    np_ = entry.build()
+    lam_points = {(0,) * (np_.r + np_.dim), *cayley_points(np_.section_polytopes)}
+    hulled = recorded_hulls(monkeypatch)
     assert run_entry(entry) == []
     assert hulled.count(lam_points) == 1
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_dualize_checks_its_identities_with_no_hull_of_their_own(monkeypatch,
+                                                                name):
+    # the polar identity reads nabla's facet normals, and each dual section
+    # is tested against nabla_k from its Cartier data
+    np_ = find_entry(name).build()
+    counts = count_calls(monkeypatch, (lattice.polar_dual, toric.nef_polytope))
+    dualize(np_)
+    assert not counts
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_cone_duality_hulls_no_cayley_pyramid_of_the_dual(monkeypatch, name):
+    # sigma_nabla's generators are read from the nabla_k, so the one hull
+    # is this side's Cayley pyramid, whose apex facets give dual_cone
+    np_ = find_entry(name).build()
+    dual = np_.dual
+    hulled = recorded_hulls(monkeypatch)
+    assert cayley_cone_duality_check(np_)
+    assert hulled == [{(0,) * (np_.r + np_.dim),
+                       *cayley_points(np_.section_polytopes)}]
+    assert "cayley_pyramid" not in vars(dual)
+
+
+def facet_configurations(polytope):
+    """The chart points of each facet's boundary lattice points, as
+    ``maximal_boundary_triangulation`` pulls them."""
+    zero = (0,) * polytope.ambient_dim
+    boundary = [p for p in lattice.lattice_points(polytope) if p != zero]
+    configurations = []
+    for normal, offset in polytope.facets:
+        points = [p for p in boundary if intlin.dot(p, normal) == -offset]
+        basis = lattice._affine_basis_indices(points)
+        configurations.append(tuple(lattice._chart(points, basis)[2]))
+    return configurations
+
+
+@pytest.mark.parametrize("vertices", [
+    # the cube's six facets are one 3 x 3 grid in their charts
+    [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+    # the polar of the P^3 simplex: four facets, three configurations
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+])
+def test_boundary_triangulation_pulls_each_configuration_once(monkeypatch,
+                                                              vertices):
+    polytope = lattice.convex_hull(vertices)
+    configurations = facet_configurations(polytope)
+    assert len(set(configurations)) < len(configurations)
+    expected = lattice.maximal_boundary_triangulation(polytope)
+    counts = count_calls(monkeypatch, (lattice.pulling_triangulation,))
+    assert lattice.maximal_boundary_triangulation(polytope) == expected
+    assert counts == {"pulling_triangulation": len(set(configurations))}
 
 
 def test_catalog_run_tests_each_fan_complete_once(monkeypatch):

@@ -18,8 +18,14 @@ from conftest import (
     random_reflexive_polygon,
     smooth_surface_fan,
 )
+from nefmirror import invariants
 from nefmirror.catalog import CatalogEntry, load_catalog, run_entry
-from nefmirror.errors import DomainError, InputError, SmoothnessError
+from nefmirror.errors import (
+    ConsistencyError,
+    DomainError,
+    InputError,
+    SmoothnessError,
+)
 from nefmirror.invariants import (
     _dk_sum,
     _pyramid_volumes,
@@ -236,8 +242,8 @@ def test_invariants_p4_two_parts_in_sheared_coordinates():
 
 
 def test_five_part_p4_passes_every_catalog_check():
-    # both Cayley pyramids lie in R^9: S-volume identity, Gorenstein cone
-    # duality and the DK sum all hull there
+    # the Cayley pyramid lies in R^9: the S-volume identity, Gorenstein
+    # cone duality and the DK sum all read it
     entry = CatalogEntry(
         "p4-5parts",
         {"delta_vertices": [list(v) for v in P4_DELTA],
@@ -314,6 +320,25 @@ def test_verify_fails_when_a_pyramid_volume_is_off(dk_top_term_plus_one):
     assert not ok
     assert not report["duality_ok"]
     assert report["chi_Y_dk"] != report["chi_Y_closed_form"] == 9
+
+
+@pytest.mark.parametrize("scale, message", [
+    # 2 Delta_i is nef on the MPCP fan, with section polytope 2 Delta_i
+    (2, "pullback changed a section polytope"),
+    # minus a nonzero Delta_i's divisor is not nef
+    (-1, "pulled-back nef-partition divisor is not nef"),
+])
+def test_verify_fails_when_the_pullback_breaks(monkeypatch, scale, message):
+    np_ = build_nef_partition(DELTA, [[2], [1], [0]])
+    pull = invariants.divisor_from_polytope
+
+    def scaled(fan, polytope):
+        divisor = pull(fan, polytope)
+        return ToricDivisor(fan, tuple(scale * a for a in divisor.coeffs))
+
+    monkeypatch.setattr(invariants, "divisor_from_polytope", scaled)
+    with pytest.raises(ConsistencyError, match=message):
+        verify_mirror_duality(np_)
 
 
 # ---------------------------------------------------------------------------

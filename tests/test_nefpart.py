@@ -11,8 +11,10 @@ from conftest import (
     random_reflexive_polygon,
     s_polytope,
 )
+from nefmirror import cli, nefpart
 from nefmirror.catalog import load_catalog
-from nefmirror.errors import InputError
+from nefmirror.errors import ConsistencyError, InputError
+from nefmirror.toric import ToricDivisor
 from nefmirror.intlin import dot
 from nefmirror.lattice import (
     convex_hull,
@@ -39,6 +41,8 @@ DELTA = convex_hull(P2_DELTA)
 TRIPLE = build_nef_partition(DELTA, [[2], [1], [0]])
 SPLIT_12_3 = build_nef_partition(DELTA, [[2, 1], [0]])
 TRIVIAL = build_nef_partition(DELTA, [[0, 1, 2]])
+CATALOG_PARTITIONS = {entry.name: entry.build()
+                      for entry in load_catalog()["entries"]}
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +129,54 @@ def test_dual_minkowski_reconstruction():
     assert minkowski_sum_all(list(dual.section_polytopes)) == dual.delta
 
 
+def test_dualize_fails_when_the_polar_identity_breaks():
+    # the kept hull of the Delta_i stands in for one that is not nabla's
+    # polar: the facet normals of nabla no longer match its vertices
+    np_ = build_nef_partition(DELTA, [[2], [1], [0]])
+    vars(np_)["sections_hull"] = DELTA
+    with pytest.raises(ConsistencyError,
+                       match=r"polar of nabla differs from Conv\(Delta_i\)"):
+        dualize(np_)
+
+
+def test_dualize_fails_when_a_dual_section_differs(monkeypatch):
+    # 2 F_k is nef, with section polytope 2 nabla_k
+    np_ = build_nef_partition(DELTA, [[2], [1], [0]])
+    part_divisor = nefpart.part_divisor
+
+    def doubled(fan, part):
+        return ToricDivisor(fan, tuple(2 * a for a in part_divisor(fan, part).coeffs))
+
+    monkeypatch.setattr(nefpart, "part_divisor", doubled)
+    with pytest.raises(ConsistencyError,
+                       match="dual section polytope 0 differs from nabla_0"):
+        dualize(np_)
+
+
+def test_dualize_reports_a_non_nef_dual_part_as_internal(monkeypatch):
+    # a dual part is nef by the theorem, so a non-nef one is a broken
+    # identity, never bad input; here one ray of each dual part of the
+    # triple stands for it, a (-1)-curve on the del Pezzo surface of
+    # nabla's normal fan
+    np_ = build_nef_partition(DELTA, [[2], [1], [0]])
+    part_divisor = nefpart.part_divisor
+    monkeypatch.setattr(nefpart, "part_divisor",
+                        lambda fan, part: part_divisor(fan, part[:1]))
+    with pytest.raises(ConsistencyError, match="dual part 0 is not nef") as info:
+        dualize(np_)
+    assert not isinstance(info.value, InputError)
+    assert cli.main(["dualize", "--input", "p2-triple"]) == cli.EXIT_INTERNAL
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PARTITIONS))
+def test_polar_of_nabla_is_read_from_its_facet_normals(name):
+    # the identity dualize checks with no hull, against the hull route
+    np_ = CATALOG_PARTITIONS[name]
+    nabla = np_.dual.delta
+    assert polar_dual(nabla) == np_.sections_hull
+    assert tuple(n for n, _ in nabla.facets) == polar_dual(nabla).vertices
+
+
 def test_double_dual_examples():
     assert double_dual_check(TRIPLE)
     assert double_dual_check(SPLIT_12_3)
@@ -185,10 +237,6 @@ def test_s_polytope_volume_identity():
     for np_, expected in ((TRIPLE, 6), (SPLIT_12_3, 7), (TRIVIAL, 9)):
         vol_s = normalized_volume(np_.cayley_pyramid)
         assert vol_s == normalized_volume(np_.sections_hull) == expected
-
-
-CATALOG_PARTITIONS = {entry.name: entry.build()
-                      for entry in load_catalog()["entries"]}
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_PARTITIONS))

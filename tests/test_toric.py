@@ -1,6 +1,7 @@
 """Toric layer: fans, MPCP, Hodge numbers, divisors, the projective
 bundle / contraction pipeline for compactified line bundles."""
 import json
+import re
 from itertools import combinations
 from math import gcd
 
@@ -49,6 +50,7 @@ from nefmirror.toric import (
     is_complete,
     is_fano,
     is_nef,
+    is_nef_polytope,
     is_simplicial,
     is_smooth,
     linear_equivalence_witness,
@@ -666,6 +668,59 @@ def test_calabi_yau_cover_examples():
 # round trips and serialization
 # ---------------------------------------------------------------------------
 
+CUBE_FAN = normal_fan(convex_hull(
+    [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]))
+
+
+@st.composite
+def nef_divisors_and_polytopes(draw):
+    """A nef divisor on a small complete fan, the set S of its Cartier
+    data, and a polytope P built from S: conv(S) itself ("equal"), conv(S)
+    without one of its vertices, which leaves that m_sigma outside P
+    ("outside"), conv(S) with a point beyond it, which gives P a vertex no
+    m_sigma is ("missing"), or the hull of random points ("random")."""
+    fan = draw(st.sampled_from([P2_FAN, HEX_FAN, P1_FAN, CUBE_FAN]))
+    coeffs = draw(st.lists(st.integers(-1, 2), min_size=fan.n_rays,
+                           max_size=fan.n_rays))
+    divisor = ToricDivisor(fan, tuple(coeffs))
+    assume(is_nef(divisor))
+    points = sorted(set(cartier_data(divisor).per_cone))
+    hull = convex_hull(points)
+    kind = draw(st.sampled_from(["equal", "outside", "missing", "random"]))
+    if kind == "equal":
+        polytope = hull
+    elif kind == "outside":
+        assume(len(hull.vertices) > 1)
+        dropped = draw(st.sampled_from(hull.vertices))
+        polytope = convex_hull([m for m in points if m != dropped])
+    elif kind == "missing":
+        beyond = (hull.vertices[-1][0] + 1,) + hull.vertices[-1][1:]
+        polytope = convex_hull(points + [beyond])
+    else:
+        d = fan.ambient_dim
+        polytope = convex_hull(draw(st.lists(
+            st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=6)))
+    return divisor, points, kind, polytope
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(nef_divisors_and_polytopes())
+def test_nef_polytope_test_agrees_with_the_hull(case):
+    # conv(m_sigma) == P, read with no hull, is the hull's equality
+    divisor, points, kind, polytope = case
+    same = convex_hull(points) == polytope
+    assert is_nef_polytope(divisor, polytope) == same
+    assert same == {"equal": True, "outside": False,
+                    "missing": False}.get(kind, same)
+
+
+def test_nef_polytope_test_rejects_a_non_nef_divisor():
+    exceptional = ToricDivisor(HEX_FAN, (1, 0, 0, 0, 0, 0))
+    assert not is_nef(exceptional)
+    with pytest.raises(DomainError, match="not nef"):
+        is_nef_polytope(exceptional, convex_hull(HEX_NABLA))
+
+
 def test_nef_divisor_polytope_roundtrip():
     for poly_verts in ([(0, 0), (1, 0), (0, 1)], P2_DELTA):
         poly = convex_hull(poly_verts)
@@ -725,3 +780,13 @@ def test_make_fan_rejects_a_repeated_ray_index():
 def test_fan_json_rejects_non_integers(text):
     with pytest.raises(InputError):
         fan_from_json(text)
+
+
+@pytest.mark.parametrize("rays, cones", [
+    ([(0, 0), (1, 0)], [(0, 1)]),
+    ([()], [(0,)]),
+])
+def test_make_fan_rejects_a_zero_ray(rays, cones):
+    with pytest.raises(InputError,
+                       match=re.escape(f"ray {rays[0]} is not a primitive")):
+        make_fan(rays, cones)
