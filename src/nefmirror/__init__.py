@@ -64,7 +64,6 @@ from .nefpart import (
     NefPartition,
     build_nef_partition,
     cayley_cone,
-    double_dual_check,
     dualize,
     nef_partition_from_json,
     nef_partition_to_json,
@@ -106,8 +105,7 @@ __all__ = [
     "semiample_contraction", "linearly_equivalent",
     "linear_equivalence_witness", "is_calabi_yau_cover",
     "fan_to_json", "fan_from_json",
-    "NefPartition", "build_nef_partition", "dualize",
-    "double_dual_check", "cayley_cone",
+    "NefPartition", "build_nef_partition", "dualize", "cayley_cone",
     "nef_partition_to_json", "nef_partition_from_json",
     "CoverInvariants", "dk_euler", "branched_cover_euler",
     "double_cover_invariants", "verify_mirror_duality", "surface_node_count",

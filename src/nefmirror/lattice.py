@@ -132,13 +132,13 @@ class Triangulation:
     """A triangulation of the boundary of a reflexive polytope, coned at 0.
 
     ``uses_points[0]`` is the origin; every simplex is an index tuple into
-    ``uses_points`` and contains index 0.  ``unimodular`` records whether
-    every maximal simplex has determinant +-1.
+    ``uses_points`` and contains index 0.  Whether the cones over the
+    simplices are unimodular is decided on the fan they make
+    (``toric.mpcp_fan``).
     """
 
     simplices: tuple
     uses_points: tuple
-    unimodular: bool
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +507,9 @@ def maximal_boundary_triangulation(polytope):
     its boundary lattice points, coned at the origin.
 
     Facets are triangulated by iterated pulling in global lexicographic
-    order, which keeps shared ridges consistent; the flag records whether
-    every cone over a maximal simplex is unimodular.  The pulling reads
-    only a facet's chart points in that order, so facets with the same
-    chart configuration share one pulling, kept for this call only.
+    order, which keeps shared ridges consistent.  The pulling reads only a
+    facet's chart points in that order, so facets with the same chart
+    configuration share one pulling, kept for this call only.
     """
     if not is_reflexive(polytope):
         raise DomainError("maximal_boundary_triangulation needs a reflexive polytope")
@@ -529,15 +528,7 @@ def maximal_boundary_triangulation(polytope):
             pulled[chart_pts] = pulling_triangulation(chart_pts)
         for simplex in pulled[chart_pts]:
             simplices.append(tuple(sorted([0] + [index[facet_pts[i]] for i in simplex])))
-    simplices = tuple(sorted(set(simplices)))
-
-    unimodular = True
-    for simplex in simplices:
-        gens = [uses[i] for i in simplex if i != 0]
-        if abs(det(gens)) != 1:
-            unimodular = False
-            break
-    return Triangulation(simplices, uses, unimodular)
+    return Triangulation(tuple(sorted(set(simplices))), uses)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
+from .errors import ConsistencyError, DomainError, InputError
 from .lattice import (
     Cone,
     cayley_pyramid,
@@ -26,7 +26,6 @@ from .lattice import (
 )
 from .toric import (
     ToricDivisor,
-    hodge_numbers_smooth_toric,
     is_nef_polytope,
     mpcp_fan,
     nef_polytope,
@@ -64,15 +63,11 @@ class NefPartition:
 
     @cached_property
     def mpcp(self):
-        """(fan, h_vector) of the MPCP desingularization of P_delta.  Its
-        Euler characteristic, the maximal-cone count, is cross-checked
-        against the polar volume (in ``mpcp_fan``) and the h-vector sum."""
-        fan, unimodular = mpcp_fan(self.delta)
-        if not unimodular:
-            raise SmoothnessError(
-                "MPCP fan is not unimodular; the smoothness assumption fails")
-        h_vector, _chi = hodge_numbers_smooth_toric(fan)
-        return fan, h_vector
+        """(fan, h_vector) of the MPCP desingularization of P_delta:
+        ``mpcp_fan(delta)``, checked smooth and complete, its Euler
+        characteristic, the maximal-cone count, checked against the polar
+        volume."""
+        return mpcp_fan(self.delta)
 
     @cached_property
     def sections_hull(self):
@@ -186,12 +181,6 @@ def dualize(nef_partition):
             raise ConsistencyError(
                 f"dual section polytope {k} differs from nabla_{k}")
     return NefPartition(nabla, dual_fan, dual_parts, nabla_parts)
-
-
-def double_dual_check(nef_partition):
-    """Dualize twice and compare with the original: polytope, fan, parts
-    and section polytopes."""
-    return nef_partition.dual.dual == nef_partition
 
 
 def cayley_cone(nef_partition):

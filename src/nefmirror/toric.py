@@ -245,43 +245,50 @@ def mpcp_fan(polytope):
     """Maximal projective crepant partial desingularization of the toric
     variety of a reflexive polytope: the normal fan refined by all nonzero
     lattice points of the polar dual, via the maximal boundary
-    triangulation.  Returns (fan, unimodular_flag).
+    triangulation.  Returns (fan, h_vector), the h-vector as in
+    ``hodge_numbers_smooth_toric``.
 
-    A unimodular triangulation has one maximal cone per unit of the polar
-    dual's normalized volume; that count is checked against the volume."""
+    The fan must be smooth: a cone over a simplex of |det| != 1 is a
+    SmoothnessError.  A smooth MPCP fan has one maximal cone per unit of
+    the polar dual's normalized volume and is complete; both are theorems,
+    checked as ConsistencyError."""
     if not is_reflexive(polytope):
         raise DomainError("mpcp_fan needs a reflexive polytope")
     dual = polar_dual(polytope)
     tri = maximal_boundary_triangulation(dual)
     rays = tri.uses_points[1:]
     cones = [tuple(i - 1 for i in simplex if i != 0) for simplex in tri.simplices]
-    if tri.unimodular and len(cones) != normalized_volume(dual):
+    fan = make_fan(rays, cones)
+    if not is_smooth(fan):
+        raise SmoothnessError(
+            "MPCP fan is not unimodular; the smoothness assumption fails")
+    if len(fan.max_cones) != normalized_volume(dual):
         raise ConsistencyError("maximal-cone count disagrees with polar volume")
-    return make_fan(rays, cones), tri.unimodular
+    if not is_complete(fan):
+        raise ConsistencyError("MPCP fan is not complete")
+    return fan, _h_vector(fan)
+
+
+def _h_vector(fan):
+    """h_p = sum_{i>=p} (-1)^{i-p} C(i,p) #Sigma(n-i) of a simplicial fan,
+    whose k-cones are the k-subsets of its maximal cones' ray sets."""
+    n = fan.ambient_dim
+    counts = [len({sub for cone in fan.max_cones for sub in combinations(cone, k)})
+              for k in range(n + 1)]
+    return tuple(sum((-1) ** (i - p) * comb(i, p) * counts[n - i]
+                     for i in range(p, n + 1))
+                 for p in range(n + 1))
 
 
 def hodge_numbers_smooth_toric(fan):
     """Hodge numbers h^{p,p} of a smooth complete toric variety from its
-    cone counts: h_p = sum_{i>=p} (-1)^{i-p} C(i,p) #Sigma(n-i); all
-    off-diagonal Hodge numbers vanish and chi equals the number of maximal
-    cones."""
+    cone counts (``_h_vector``); all off-diagonal Hodge numbers vanish and
+    chi equals the number of maximal cones.  Returns (h_vector, chi)."""
     if not is_smooth(fan):
         raise SmoothnessError("hodge numbers need a smooth fan")
     if not is_complete(fan):
         raise InputError("hodge numbers need a complete fan")
-    n = fan.ambient_dim
-    # a smooth fan is simplicial: its k-cones are the k-subsets of its
-    # maximal cones' ray sets
-    counts = [len({sub for cone in fan.max_cones for sub in combinations(cone, k)})
-              for k in range(n + 1)]
-    h = []
-    for p in range(n + 1):
-        h.append(sum((-1) ** (i - p) * comb(i, p) * counts[n - i]
-                     for i in range(p, n + 1)))
-    chi = len(fan.max_cones)
-    if sum(h) != chi:
-        raise ConsistencyError("h-vector does not sum to the Euler characteristic")
-    return tuple(h), chi
+    return _h_vector(fan), len(fan.max_cones)
 
 
 # ---------------------------------------------------------------------------

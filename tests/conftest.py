@@ -12,8 +12,8 @@ single hull.  ``complete_by_hrep`` decides completeness from every
 cone's ``cone_hrep``, apart from the package's scaled inverse on
 simplicial cones.  ``serialize_by_parts`` writes an operator's line from
 its fields, apart from the package's term texts rendered when the terms
-are built.  ``invert_unimodular``, which ``gl_canonical_form`` uses, runs
-on the package's integer elimination.
+are built.  ``invert_unimodular``, which ``gl_canonical_form`` uses, is
+the package's ``scaled_inverse`` with a |det| = 1 check.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -24,12 +24,12 @@ from hypothesis import strategies as st
 from nefmirror import invariants
 from nefmirror.errors import ConsistencyError, DomainError, InputError
 from nefmirror.intlin import (
-    _eliminate,
     canon_vec,
     det,
     dot,
     matrix_rank,
     primitivize,
+    scaled_inverse,
     solve_linear,
 )
 from nefmirror.lattice import cone_hrep, convex_hull, is_reflexive, lattice_points
@@ -309,15 +309,12 @@ def complete_by_hrep(fan):
 
 
 def invert_unimodular(rows):
-    """Exact inverse of an integer matrix with determinant +-1, from one
-    elimination of [rows | I]."""
-    n = len(rows)
-    m, pivots, last, _, _ = _eliminate(
-        [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(rows)])
-    if pivots != list(range(n)) or any(x % last for row in m for x in row[n:]):
+    """Exact inverse of an integer matrix with determinant +-1: its
+    ``scaled_inverse``, whose positive scale is |det| = 1."""
+    inverse = scaled_inverse(rows)
+    if inverse is None or abs(det(rows)) != 1:
         raise ValueError("matrix is not unimodular")
-    return [tuple(x // last for x in row[n:]) for row in m]
+    return inverse
 
 
 def gl_canonical_form(fan):

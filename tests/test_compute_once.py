@@ -1,20 +1,20 @@
 """Each nef-partition dualizes once and builds each MPCP fan once,
-``dualize`` builds nabla's normal fan and Minkowski sum once, each
-MPCP side builds its polar dual once, each catalog check or
-``invariants`` command computes the double-cover invariants once, a
-catalog check hulls the nef-partition's Cayley pyramid once, a catalog
-run tests each fan's completeness once and, its fans all simplicial,
-builds no ``cone_hrep`` hull for it, a hull finds the affine basis of
-each point set once and sums its volume only at the first read, each
-section polytope is read from Cartier data solved once per divisor,
-``dualize`` checks its identities with neither ``polar_dual`` nor
-``nef_polytope``, the Gorenstein cone duality check hulls no Cayley
-pyramid of the dual side, a maximal boundary triangulation pulls each
-distinct facet configuration once,
-serializing operators renders each operator once from the texts its
-terms were built with, a tautological system builds each box term once
-and one ``DiffOperator`` per operator, and GKZ data computes its kernel
-basis only when read, and then once.
+``dualize`` builds nabla's normal fan and Minkowski sum once, each MPCP
+side builds its polar dual once and tests its smoothness once, each
+catalog check or ``invariants`` command computes the double-cover
+invariants once, a catalog check hulls the nef-partition's Cayley
+pyramid once, a catalog run tests each fan's completeness once and, its
+fans all simplicial, builds no ``cone_hrep`` hull for it, a hull finds
+the affine basis of each point set once and sums its volume only at the
+first read, each section polytope is read from Cartier data solved once
+per divisor, ``dualize`` checks its identities with neither
+``polar_dual`` nor ``nef_polytope``, the Gorenstein cone duality check
+hulls no Cayley pyramid of the dual side, a maximal boundary
+triangulation pulls each distinct facet configuration once and takes no
+determinant, serializing operators renders each operator once from the
+texts its terms were built with, a tautological system builds each box
+term once and one ``DiffOperator`` per operator, and GKZ data computes
+its kernel basis only when read, and then once.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -131,6 +131,20 @@ def test_mpcp_builds_the_polar_dual_once(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_mpcp_decides_smoothness_once_per_side(monkeypatch, name):
+    # mpcp_fan tests its fan with is_smooth, and the h-vector is read
+    # without testing it again through hodge_numbers_smooth_toric
+    np_ = find_entry(name).build()
+    dual_side = np_.dual
+    counts = count_calls(monkeypatch, (toric.is_smooth,
+                                       toric.hodge_numbers_smooth_toric))
+    np_.mpcp
+    assert counts == {"is_smooth": 1}
+    dual_side.mpcp
+    assert counts == {"is_smooth": 2}
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
 def test_run_entry_computes_invariants_once(invariant_calls, name):
     assert run_entry(find_entry(name)) == []
     assert invariant_calls == {"double_cover_invariants": 1}
@@ -212,11 +226,13 @@ def facet_configurations(polytope):
 ])
 def test_boundary_triangulation_pulls_each_configuration_once(monkeypatch,
                                                               vertices):
+    # and takes no determinant: smoothness is decided on the MPCP fan
     polytope = lattice.convex_hull(vertices)
     configurations = facet_configurations(polytope)
     assert len(set(configurations)) < len(configurations)
     expected = lattice.maximal_boundary_triangulation(polytope)
-    counts = count_calls(monkeypatch, (lattice.pulling_triangulation,))
+    counts = count_calls(monkeypatch, (lattice.pulling_triangulation,
+                                       intlin.det))
     assert lattice.maximal_boundary_triangulation(polytope) == expected
     assert counts == {"pulling_triangulation": len(set(configurations))}
 

@@ -762,23 +762,29 @@ def test_two_part_p4_mpcp_triangulations_are_pinned():
 # maximal boundary triangulation
 # ---------------------------------------------------------------------------
 
+def unimodular(tri):
+    """Every cone over a simplex of the triangulation has |det| = 1."""
+    return all(abs(det([tri.uses_points[i] for i in simplex if i != 0])) == 1
+               for simplex in tri.simplices)
+
+
 def test_triangulation_hexagon():
     tri = maximal_boundary_triangulation(convex_hull(HEX_NABLA))
     assert len(tri.simplices) == 6
-    assert tri.unimodular
+    assert unimodular(tri)
 
 
 def test_triangulation_p2_dual():
     tri = maximal_boundary_triangulation(convex_hull([(1, 0), (0, 1), (-1, -1)]))
     assert len(tri.simplices) == 3
-    assert tri.unimodular
+    assert unimodular(tri)
 
 
 def test_triangulation_p3_simplex():
     tri = maximal_boundary_triangulation(convex_hull([(1, 0, 0), (0, 1, 0),
                                                       (0, 0, 1), (-1, -1, -1)]))
     assert len(tri.simplices) == 4
-    assert tri.unimodular
+    assert unimodular(tri)
 
 
 def test_triangulation_uses_all_boundary_points():
@@ -788,7 +794,7 @@ def test_triangulation_uses_all_boundary_points():
     assert used == set(range(len(tri.uses_points)))
     assert len(tri.uses_points) == 10  # origin + 9 boundary points
     assert len(tri.simplices) == 9
-    assert tri.unimodular
+    assert unimodular(tri)
 
 
 def test_triangulation_rejects_non_reflexive():

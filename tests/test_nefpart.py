@@ -29,7 +29,6 @@ from nefmirror.nefpart import (
     build_nef_partition,
     cayley_cone,
     cayley_cone_duality_check,
-    double_dual_check,
     dualize,
     nef_partition_from_json,
     nef_partition_to_json,
@@ -178,9 +177,9 @@ def test_polar_of_nabla_is_read_from_its_facet_normals(name):
 
 
 def test_double_dual_examples():
-    assert double_dual_check(TRIPLE)
-    assert double_dual_check(SPLIT_12_3)
-    assert double_dual_check(TRIVIAL)
+    assert TRIPLE.dual.dual == TRIPLE
+    assert SPLIT_12_3.dual.dual == SPLIT_12_3
+    assert TRIVIAL.dual.dual == TRIVIAL
 
 
 def test_double_dual_random_polygons():
@@ -188,7 +187,7 @@ def test_double_dual_random_polygons():
     for _ in range(6):
         poly = random_reflexive_polygon(rng)
         np_ = random_nef_partition(poly, rng)
-        assert double_dual_check(np_)
+        assert np_.dual.dual == np_
 
 
 def test_bb_facet_pairing():

@@ -22,9 +22,14 @@ from conftest import (
     leibniz,
     smooth_surface_fan,
 )
-from nefmirror import toric
+from nefmirror import cli, toric
 from nefmirror.catalog import load_catalog
-from nefmirror.errors import DomainError, InputError, SmoothnessError
+from nefmirror.errors import (
+    ConsistencyError,
+    DomainError,
+    InputError,
+    SmoothnessError,
+)
 from nefmirror.intlin import det, dot
 from nefmirror.lattice import (
     convex_hull,
@@ -342,28 +347,30 @@ def test_flat_cones_do_not_complete_a_fan():
 # ---------------------------------------------------------------------------
 
 def test_mpcp_hexagon():
-    fan, unimodular = mpcp_fan(convex_hull(HEX_NABLA))
-    assert unimodular and is_smooth(fan) and is_complete(fan)
+    fan, h_vector = mpcp_fan(convex_hull(HEX_NABLA))
+    assert h_vector == hodge_numbers_smooth_toric(fan)[0] == (1, 4, 1)
+    assert is_smooth(fan) and is_complete(fan)
     assert set(fan.rays) == NU_RAYS
     assert len(fan.max_cones) == 6  # P^2 blown up at three points
 
 
 def test_mpcp_p2_delta_is_plane_fan():
-    fan, unimodular = mpcp_fan(convex_hull(P2_DELTA))
-    assert unimodular
+    fan, h_vector = mpcp_fan(convex_hull(P2_DELTA))
+    assert h_vector == hodge_numbers_smooth_toric(fan)[0]
     assert fan == P2_FAN
 
 
 def test_mpcp_p3_simplex_smooth():
-    fan, unimodular = mpcp_fan(convex_hull(P3_DELTA))
-    assert unimodular and is_smooth(fan)
+    fan, h_vector = mpcp_fan(convex_hull(P3_DELTA))
+    assert h_vector == hodge_numbers_smooth_toric(fan)[0]
+    assert is_smooth(fan)
     assert len(fan.max_cones) == 4
 
 
 def test_mpcp_refines_face_fan_with_all_dual_points():
     poly = polar_dual(convex_hull(P2_DELTA))  # dual of the ray simplex
-    fan, unimodular = mpcp_fan(poly)
-    assert unimodular
+    fan, h_vector = mpcp_fan(poly)
+    assert h_vector == hodge_numbers_smooth_toric(fan)[0]
     dual = polar_dual(poly)
     boundary = [p for p in lattice_points(dual) if p != (0, 0)]
     assert set(fan.rays) == set(boundary)
@@ -376,11 +383,30 @@ def test_mpcp_rejects_non_reflexive():
         mpcp_fan(convex_hull([(0, 0), (1, 0), (0, 1)]))
 
 
-def test_mpcp_non_unimodular_flag_4d():
+def test_mpcp_rejects_non_unimodular_4d():
     poly = convex_hull(NON_UNIMODULAR_4D)
     assert is_reflexive(poly)
-    _fan, unimodular = mpcp_fan(poly)
-    assert not unimodular
+    with pytest.raises(SmoothnessError, match="^MPCP fan is not unimodular; "
+                       "the smoothness assumption fails$"):
+        mpcp_fan(poly)
+
+
+@pytest.mark.parametrize("name, broken, message", [
+    ("is_complete", lambda fan: False, "MPCP fan is not complete"),
+    ("normalized_volume", lambda polytope: 0,
+     "maximal-cone count disagrees with polar volume"),
+])
+def test_mpcp_reports_a_failed_theorem_as_internal(monkeypatch, capsys, name,
+                                                    broken, message):
+    # a smooth MPCP fan is complete with one cone per unit of polar volume,
+    # so a failure blames the program (exit 1), not the input (exit 2)
+    monkeypatch.setattr(toric, name, broken)
+    entry = load_catalog()["entries"][0]
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        entry.build().mpcp
+    assert cli.main(["invariants", "--input", entry.name]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "internal",
+                                                    "message": message}
 
 
 # ---------------------------------------------------------------------------
