@@ -30,8 +30,6 @@ from .lattice import (
     mixed_area,
     normalized_volume,
     polar_dual,
-    polytope_from_json,
-    polytope_to_json,
 )
 from .toric import (
     CartierData,
@@ -40,16 +38,12 @@ from .toric import (
     anticanonical,
     cartier_data,
     divisor_from_polytope,
-    divisor_polytope,
-    fan_from_json,
     fan_to_json,
     hodge_numbers_smooth_toric,
     is_ample,
     is_calabi_yau_cover,
     is_complete,
     is_fano,
-    is_nef,
-    is_simplicial,
     is_smooth,
     linear_equivalence_witness,
     linearly_equivalent,
@@ -66,7 +60,6 @@ from .nefpart import (
     cayley_cone,
     dualize,
     nef_partition_from_json,
-    nef_partition_to_json,
 )
 from .invariants import (
     CoverInvariants,
@@ -96,17 +89,16 @@ __all__ = [
     "convex_hull", "polar_dual", "is_reflexive", "lattice_points",
     "normalized_volume", "minkowski_sum", "mixed_area", "cayley_pyramid",
     "dual_cone", "make_cone", "maximal_boundary_triangulation",
-    "polytope_to_json", "polytope_from_json",
     "Fan", "ToricDivisor", "CartierData",
     "make_fan", "normal_fan", "mpcp_fan", "is_smooth", "is_complete",
-    "is_simplicial", "hodge_numbers_smooth_toric", "divisor_polytope",
-    "divisor_from_polytope", "cartier_data", "is_nef", "nef_polytope",
+    "hodge_numbers_smooth_toric", "divisor_from_polytope", "cartier_data",
+    "nef_polytope",
     "is_ample", "anticanonical", "is_fano", "projective_bundle_fan",
     "semiample_contraction", "linearly_equivalent",
     "linear_equivalence_witness", "is_calabi_yau_cover",
-    "fan_to_json", "fan_from_json",
+    "fan_to_json",
     "NefPartition", "build_nef_partition", "dualize", "cayley_cone",
-    "nef_partition_to_json", "nef_partition_from_json",
+    "nef_partition_from_json",
     "CoverInvariants", "dk_euler", "branched_cover_euler",
     "double_cover_invariants", "verify_mirror_duality", "surface_node_count",
     "GKZData", "CoeffVar", "DiffOperator",

@@ -15,7 +15,7 @@ class InputError(NefMirrorError, ValueError):
 
 class DomainError(NefMirrorError, ValueError):
     """Input is well-formed but outside an operation's domain (e.g. origin
-    not interior, unbounded divisor polytope, non-nef divisor)."""
+    not interior, non-Cartier or non-nef divisor)."""
 
 
 class SmoothnessError(NefMirrorError):

@@ -209,34 +209,6 @@ def verify_mirror_duality(nef_partition):
 # surface node count
 # ---------------------------------------------------------------------------
 
-def surface_node_count_from(fan, polytopes):
-    """Expected-generic node count of the gauge-fixed branch divisor on a
-    smooth toric surface: toric divisors meet at the 2-cones, a toric
-    divisor meets a generic curve along the matching facet's lattice
-    length, and two generic curves meet in the mixed area of their
-    polytopes."""
-    if fan.ambient_dim != 2:
-        raise InputError("node counts are for surfaces")
-    if not (is_smooth(fan) and is_complete(fan)):
-        raise SmoothnessError("node counts assume a smooth complete surface")
-    return _node_sum(fan, polytopes)
-
-
-def _node_sum(fan, polytopes):
-    """The sum of :func:`surface_node_count_from` over a fan already known
-    to be a smooth complete surface fan."""
-    count = 0
-    for cone in fan.max_cones:
-        if len(cone) == 2:
-            count += 1
-    for rho in fan.rays:
-        for poly in polytopes:
-            count += _facet_lattice_length(poly, rho)
-    for p, q in combinations(polytopes, 2):
-        count += mixed_area(p, q)
-    return count
-
-
 def _facet_lattice_length(polytope, rho):
     """Lattice length of the facet of a polygon with inner normal rho
     (zero when absent or when the polytope is lower-dimensional)."""
@@ -253,8 +225,19 @@ def _facet_lattice_length(polytope, rho):
 def surface_node_count(nef_partition):
     """Node count for the branch divisor of the gauge-fixed double cover
     attached to a 2-dimensional nef-partition (e.g. 15 for the classical
-    six-line K3 configuration)."""
+    six-line K3 configuration), on its MPCP fan, which is smooth and
+    complete when built: toric divisors meet at the 2-cones, a toric
+    divisor meets a generic curve along the matching facet's lattice
+    length, and two generic curves meet in the mixed area of their section
+    polytopes."""
     if nef_partition.dim != 2:
         raise InputError("node counts are for surfaces")
-    fan, _ = nef_partition.mpcp  # checked smooth and complete when built
-    return _node_sum(fan, list(nef_partition.section_polytopes))
+    fan, _ = nef_partition.mpcp
+    polytopes = nef_partition.section_polytopes
+    count = len(fan.max_cones)
+    for rho in fan.rays:
+        for poly in polytopes:
+            count += _facet_lattice_length(poly, rho)
+    for p, q in combinations(polytopes, 2):
+        count += mixed_area(p, q)
+    return count

@@ -28,7 +28,6 @@ Conventions
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -532,19 +531,8 @@ def maximal_boundary_triangulation(polytope):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# JSON input
 # ---------------------------------------------------------------------------
-
-def polytope_to_json(polytope):
-    """JSON document {"dim": d, "vertices": [...]} for a lattice polytope.
-    The H-representation is regenerated on load, never trusted from file."""
-    if not polytope.is_lattice:
-        raise InputError("only lattice polytopes serialize to JSON")
-    return json.dumps(
-        {"dim": polytope.ambient_dim,
-         "vertices": [list(v) for v in polytope.vertices]},
-        sort_keys=True)
-
 
 def json_int(x):
     """An integer read from JSON, exactly: a float, a string or a boolean
@@ -552,15 +540,3 @@ def json_int(x):
     if type(x) is not int:
         raise InputError(f"expected an integer, got {x!r}")
     return x
-
-
-def polytope_from_json(text):
-    try:
-        doc = json.loads(text)
-        dim = json_int(doc["dim"])
-        vertices = [tuple(json_int(x) for x in v) for v in doc["vertices"]]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad polytope JSON: {exc}") from exc
-    if any(len(v) != dim for v in vertices):
-        raise InputError("vertex/dim mismatch in polytope JSON")
-    return convex_hull(vertices, ambient_dim=dim)

@@ -212,17 +212,8 @@ def cayley_cone_duality_check(nef_partition):
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# JSON input
 # ---------------------------------------------------------------------------
-
-def nef_partition_to_json(nef_partition):
-    """{"delta_vertices": [...], "parts": [[ray indices]...]}; ray indices
-    refer to the canonical (lex-sorted) ray order of the normal fan."""
-    return json.dumps(
-        {"delta_vertices": [list(v) for v in nef_partition.delta.vertices],
-         "parts": [list(p) for p in nef_partition.parts]},
-        sort_keys=True)
-
 
 def nef_partition_from_doc(doc):
     """The NefPartition of a parsed {"delta_vertices", "parts"} document,

@@ -1,10 +1,10 @@
 """Fans and toric computations: normal fans, smoothness/completeness,
-Hodge numbers of smooth complete toric varieties, divisor polytopes and
-Cartier data, projective-bundle fans, semiample contractions, Fano tests.
-On a complete fan a nef divisor's section polytope is the hull of its
-Cartier data (``nef_polytope``), and ``is_nef_polytope`` tests that hull
-against a polytope without building it; ``divisor_polytope`` is exact on
-any fan.
+Hodge numbers of smooth complete toric varieties, Cartier data,
+projective-bundle fans, semiample contractions, Fano tests.  Section
+polytopes are taken only of nef divisors on complete fans, where one is
+the hull of the divisor's Cartier data (``nef_polytope``), and
+``is_nef_polytope`` tests that hull against a polytope without building
+it.
 
 Sign convention: a divisor D = sum a_rho D_rho has polytope
 ``{m : <m, rho> >= -a_rho}`` and support function ``psi(u) = min_{m in
@@ -35,7 +35,6 @@ from .lattice import (
     cone_hrep,
     convex_hull,
     is_reflexive,
-    json_int,
     maximal_boundary_triangulation,
     normalized_volume,
     polar_dual,
@@ -57,10 +56,6 @@ class Fan:
 
     def cone_rays(self, cone):
         return tuple(self.rays[i] for i in cone)
-
-    @property
-    def n_rays(self):
-        return len(self.rays)
 
     def __repr__(self):
         return (f"Fan(dim={self.ambient_dim}, rays={len(self.rays)}, "
@@ -126,16 +121,6 @@ def fan_to_json(fan):
                       sort_keys=True)
 
 
-def fan_from_json(text):
-    try:
-        doc = json.loads(text)
-        return make_fan([tuple(json_int(x) for x in r) for r in doc["rays"]],
-                        [tuple(json_int(i) for i in c) for c in doc["max_cones"]],
-                        ambient_dim=json_int(doc["dim"]))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad fan JSON: {exc}") from exc
-
-
 def normal_fan(polytope):
     """Normal fan: one ray per facet inner normal, one maximal cone per
     vertex (spanned by the normals of its facets).  For a reflexive
@@ -153,14 +138,6 @@ def normal_fan(polytope):
 # ---------------------------------------------------------------------------
 # fan predicates
 # ---------------------------------------------------------------------------
-
-def is_simplicial(fan):
-    for cone in fan.max_cones:
-        gens = fan.cone_rays(cone)
-        if matrix_rank(gens) != len(gens):
-            return False
-    return True
-
 
 def _cone_extends_to_basis(gens):
     """True iff the generators are part of a Z-basis of the ambient lattice:
@@ -249,9 +226,11 @@ def mpcp_fan(polytope):
     ``hodge_numbers_smooth_toric``.
 
     The fan must be smooth: a cone over a simplex of |det| != 1 is a
-    SmoothnessError.  A smooth MPCP fan has one maximal cone per unit of
-    the polar dual's normalized volume and is complete; both are theorems,
-    checked as ConsistencyError."""
+    SmoothnessError.  That shows only that this one (pulling)
+    triangulation is not unimodular, not that no smooth MPCP fan exists,
+    and the message says no more.  A smooth MPCP fan has one maximal cone
+    per unit of the polar dual's normalized volume and is complete; both
+    are theorems, checked as ConsistencyError."""
     if not is_reflexive(polytope):
         raise DomainError("mpcp_fan needs a reflexive polytope")
     dual = polar_dual(polytope)
@@ -261,7 +240,8 @@ def mpcp_fan(polytope):
     fan = make_fan(rays, cones)
     if not is_smooth(fan):
         raise SmoothnessError(
-            "MPCP fan is not unimodular; the smoothness assumption fails")
+            "the MPCP fan of the pulling triangulation is not unimodular; "
+            "no smooth MPCP fan was found")
     if len(fan.max_cones) != normalized_volume(dual):
         raise ConsistencyError("maximal-cone count disagrees with polar volume")
     if not is_complete(fan):
@@ -294,31 +274,6 @@ def hodge_numbers_smooth_toric(fan):
 # ---------------------------------------------------------------------------
 # divisors
 # ---------------------------------------------------------------------------
-
-def divisor_polytope(divisor):
-    """Section polytope {m : <m, rho> >= -a_rho} on any fan, with the
-    irredundant V-representation computed exactly: ``nef_polytope`` for a
-    nef divisor on a complete fan, else every vertex solving n of the ray
-    equalities.  Raises DomainError when unbounded."""
-    fan = divisor.fan
-    if is_nef(divisor) and is_complete(fan):
-        return nef_polytope(divisor)
-    n = fan.ambient_dim
-    hull_of_rays = convex_hull(fan.rays)
-    if hull_of_rays.dim != n or any(c <= 0 for _, c in hull_of_rays.facets):
-        raise DomainError("divisor polytope is unbounded (rays do not span)")
-
-    ineqs = list(zip(fan.rays, divisor.coeffs))
-    candidates = set()
-    for subset in combinations(range(len(ineqs)), n):
-        rows = [fan.rays[i] for i in subset]
-        if matrix_rank(rows) != n:
-            continue
-        m = solve_linear(rows, [-divisor.coeffs[i] for i in subset])
-        if m is not None and all(dot(m, rho) >= -a for rho, a in ineqs):
-            candidates.add(m)
-    return convex_hull(sorted(candidates))
-
 
 def divisor_from_polytope(fan, polytope):
     """The nef divisor on the fan whose section polytope is the given one:
@@ -353,15 +308,6 @@ def _is_convex(data):
     return all(dot(m, rho) >= -a
                for m in data.per_cone
                for rho, a in zip(data.divisor.fan.rays, data.divisor.coeffs))
-
-
-def is_nef(divisor):
-    """Nef = convex Cartier data."""
-    try:
-        data = cartier_data(divisor)
-    except DomainError:
-        return False
-    return _is_convex(data)
 
 
 def _nef_cartier_points(divisor):

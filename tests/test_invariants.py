@@ -34,7 +34,6 @@ from nefmirror.invariants import (
     dk_euler,
     double_cover_invariants,
     surface_node_count,
-    surface_node_count_from,
     verify_mirror_duality,
 )
 from nefmirror.lattice import (
@@ -48,10 +47,9 @@ from nefmirror.toric import (
     ToricDivisor,
     anticanonical,
     divisor_from_polytope,
-    divisor_polytope,
     hodge_numbers_smooth_toric,
-    is_nef,
     mpcp_fan,
+    nef_polytope,
     normal_fan,
 )
 
@@ -106,8 +104,7 @@ def test_dk_single_divisor_equals_minus_volume():
         poly = random_lattice_polygon(rng, spread=2)
         fan = smooth_surface_fan(poly)
         divisor = divisor_from_polytope(fan, poly)
-        assert is_nef(divisor)
-        assert divisor_polytope(divisor) == poly
+        assert nef_polytope(divisor) == poly
         assert dk_euler(fan, [divisor]) == -normalized_volume(poly)
 
 
@@ -354,11 +351,6 @@ def test_nodes_triple_is_fifteen():
 def test_nodes_split_is_fourteen():
     # 3 + (6 + 3) + 2
     assert surface_node_count(SPLIT) == 14
-
-
-def test_nodes_degenerate_single_point():
-    point = convex_hull([(0, 0)])
-    assert surface_node_count_from(P2_FAN, [point]) == 3  # the 2-cones only
 
 
 def test_nodes_reject_threefold():

