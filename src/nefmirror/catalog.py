@@ -213,7 +213,7 @@ def check_gkz_golden(nef_partition, side, golden):
 
 
 def check_taut_golden(degrees, dim):
-    generated = taut_system(list(degrees), dim)
+    generated = list(taut_system(list(degrees), dim))
     golden = golden_taut_operators()
     if not operators_contain(generated, golden):
         raise GoldenMismatchError(

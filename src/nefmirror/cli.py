@@ -188,7 +188,7 @@ def cmd_tautgen(args):
         operators = check_taut_golden(degrees, args.dim)
     else:
         operators = taut_system(degrees, args.dim)
-    _emit(serialize_operators(operators) + "\n", args.output)
+    _emit(serialize_operators(operators), args.output)
     return EXIT_OK
 
 

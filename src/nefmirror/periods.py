@@ -17,6 +17,10 @@ The box operators, nearly all of a large system, are built directly in
 normal form from terms shared per coefficient pair; ``DiffTerm`` and
 ``DiffOperator`` each build in one hand-written ``__init__``, the term
 rendering its signed text there, so writing an operator joins texts.
+``taut_system`` returns an iterator that builds each operator as it is
+reached, so ``serialize_operators`` renders and drops each operator
+before the next is built: a written system is never held whole, and
+cyclic garbage collection finds few live objects to scan.
 """
 from __future__ import annotations
 
@@ -175,8 +179,9 @@ class DiffTerm:
 
 @dataclass(frozen=True, slots=True)
 class DiffOperator:
-    """Sum of terms plus a constant; terms are canonically sorted and
-    nonzero, so equality is syntactic equality of normal forms.  Like the
+    """Sum of terms plus a constant; terms are canonically sorted,
+    nonzero and distinct in (derivs, multiplier), so equality is
+    syntactic equality of normal forms.  Like the
     coefficients, the constant is an int when integral.  Like
     ``DiffTerm``, it sets its frozen slots in one hand-written
     ``__init__``."""
@@ -210,12 +215,19 @@ def _exact(value):
 
 
 def make_operator(terms, constant=0):
-    cleaned = []
+    """The normal form of the operator with ``terms`` (coeff, derivs,
+    multiplier) and ``constant``: the coefficients of terms with equal
+    sorted derivs and multiplier are summed, zero sums are dropped, and
+    the terms are sorted by (derivs, multiplier)."""
+    sums = {}
     for c, d, m in terms:
+        key = (tuple(sorted(d)), m or "")
+        sums[key] = sums.get(key, 0) + _exact(c)
+    cleaned = []
+    for (derivs, multiplier), c in sorted(sums.items()):
         c = _exact(c)
         if c:
-            cleaned.append(DiffTerm(c, tuple(sorted(d)), m or ""))
-    cleaned.sort(key=lambda t: (t.derivs, t.multiplier, t.coeff))
+            cleaned.append(DiffTerm(c, derivs, multiplier))
     return DiffOperator(tuple(cleaned), _exact(constant))
 
 
@@ -265,19 +277,24 @@ def coefficient_variables(bundle_degrees, dim):
 
 
 def taut_system(bundle_degrees, dim):
-    """The tautological PDE system for sections of O(d_1) x ... x O(d_k)
-    over P^dim: Euler, symmetry, and box operators (in that order)."""
+    """An iterator over the tautological PDE system for sections of
+    O(d_1) x ... x O(d_k) over P^dim: Euler, symmetry, and box operators
+    (in that order).  The degrees are checked here, at the call; each
+    operator is built as the iterator reaches it, so a consumer that
+    writes and drops them in turn holds one operator at a time."""
     variables = coefficient_variables(bundle_degrees, dim)
-    n_vars = dim + 1
+    return _taut_operators(variables, len(bundle_degrees), dim + 1)
+
+
+def _taut_operators(variables, n_bundles, n_vars):
     by_bundle = {}
     for v in variables:
         by_bundle.setdefault(v.bundle, []).append(v)
 
-    operators = []
     # Euler operators: (sum_m c_m d/dc_m + 1/2) omega = 0, one per bundle.
-    for bundle in range(len(bundle_degrees)):
+    for bundle in range(n_bundles):
         terms = [(1, (v.label,), v.label) for v in by_bundle[bundle]]
-        operators.append(make_operator(terms, Fraction(1, 2)))
+        yield make_operator(terms, Fraction(1, 2))
 
     # Symmetry operators from the gl(dim+1) action x_u -> x_u + eps x_v:
     # the monomial exponent m contributes m_u * c_m d/dc_{m - e_u + e_v};
@@ -295,7 +312,7 @@ def taut_system(bundle_degrees, dim):
                 target[v_idx] += 1
                 terms.append((mu, (label_of[(var.bundle, tuple(target))],),
                               var.label))
-            operators.append(make_operator(terms, 1 if u == v_idx else 0))
+            yield make_operator(terms, 1 if u == v_idx else 0)
 
     # Box operators: all binomial relations between unordered coefficient
     # pairs with equal bundle multiset and equal total monomial.  Each is
@@ -316,8 +333,8 @@ def taut_system(bundle_degrees, dim):
         minus = [DiffTerm(-1, p, "") for p in pairs[1:]]
         for i, p in enumerate(pairs[:-1]):
             plus = DiffTerm(1, p, "")
-            operators.extend([DiffOperator((plus, m), 0) for m in minus[i:]])
-    return operators
+            for m in minus[i:]:
+                yield DiffOperator((plus, m), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ def test_criterion_02_gkz_golden_matrices():
 
 def test_criterion_03_taut_golden_operators():
     start = time.perf_counter()
-    generated = taut_system([1, 1, 1, 1, 2], 2)
+    generated = list(taut_system([1, 1, 1, 1, 2], 2))
     elapsed = time.perf_counter() - start
     golden = golden_taut_operators()
     euler, symmetry, box = golden[:5], golden[5:14], golden[14:]

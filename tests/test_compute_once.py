@@ -22,6 +22,7 @@ defining module alone would miss calls.
 """
 import sys
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -347,7 +348,7 @@ def test_serialize_operators_renders_each_operator_once(monkeypatch):
     # the tracer's periods.serialize_operator.calls stays one per operator,
     # and no term is built, so no term text is rendered, while serializing
     built = record_inits(monkeypatch, periods.DiffTerm)
-    ops = taut_system([2, 3], 2)
+    ops = list(taut_system([2, 3], 2))
     assert built
     built.clear()
     counts = count_calls(monkeypatch, (serialize_operator,))
@@ -362,13 +363,30 @@ def test_taut_system_builds_each_box_term_once(monkeypatch):
     # per operator returned
     terms = record_inits(monkeypatch, periods.DiffTerm)
     operators = record_inits(monkeypatch, periods.DiffOperator)
-    ops = taut_system([2, 3], 2)
+    ops = list(taut_system([2, 3], 2))
     n_vars = len(periods.coefficient_variables([2, 3], 2))
     box_terms = [t for t in terms if not t.multiplier]
     assert 0 < len(box_terms) <= 2 * (n_vars * (n_vars + 1) // 2)
     assert len(box_terms) == len(set(box_terms))
     assert len(operators) == len(ops)
     assert {id(op) for op in operators} == {id(op) for op in ops}
+
+
+def test_taut_system_builds_box_terms_only_as_they_are_reached(monkeypatch):
+    # the degrees are checked at the call, but no term is built until the
+    # iterator is read; the Euler and symmetry operators and the first box
+    # operator of (5;4) build a small fraction of its box terms
+    terms = record_inits(monkeypatch, periods.DiffTerm)
+    ops = taut_system([5], 4)
+    assert not terms
+    head = list(islice(ops, 1 + 5 ** 2 + 1))
+    assert [t.coeff for t in head[-1].terms] == [1, -1]  # the first box
+    first = sum(1 for t in terms if not t.multiplier)
+    for _ in ops:
+        pass
+    total = sum(1 for t in terms if not t.multiplier)
+    assert total == 14000
+    assert 0 < 100 * first < total
 
 
 def test_gkz_kernel_basis_is_computed_once_on_first_read(monkeypatch,

@@ -1,5 +1,6 @@
 """GKZ data and tautological PDE systems."""
 import hashlib
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from nefmirror.periods import (
     make_operator,
     monomials_of_degree,
     operators_contain,
+    parse_operator,
     parse_operators,
     serialize_operator,
     serialize_operators,
@@ -170,7 +172,7 @@ def test_variable_labels_must_be_unique():
 
 
 def test_taut_system_counts():
-    ops = taut_system([1, 1, 1, 1, 2], 2)
+    ops = list(taut_system([1, 1, 1, 1, 2], 2))
     euler, symmetry, box = ops[:5], ops[5:14], ops[14:]
     assert len(euler) == 5
     assert len(symmetry) == 9 == (2 + 1) ** 2
@@ -178,20 +180,20 @@ def test_taut_system_counts():
 
 
 def test_taut_euler_rendering():
-    ops = taut_system([1, 1, 1, 1, 2], 2)
+    ops = list(taut_system([1, 1, 1, 1, 2], 2))
     assert serialize_operator(ops[0]) == \
         "a11*d(a11) + a21*d(a21) + a31*d(a31) + 1/2"
 
 
 def test_taut_diagonal_symmetry_constant():
-    ops = taut_system([1, 1, 1, 1, 2], 2)
+    ops = list(taut_system([1, 1, 1, 1, 2], 2))
     symmetry = ops[5:14]
     diagonal = [op for op in symmetry if op.constant == 1]
     assert len(diagonal) == 3  # one per homogeneous coordinate
 
 
 def test_taut_contains_golden_operators():
-    generated = taut_system([1, 1, 1, 1, 2], 2)
+    generated = list(taut_system([1, 1, 1, 1, 2], 2))
     golden = golden_taut_operators()
     assert len(golden) == 45  # 5 euler + 9 symmetry + 18 + 6 + 7 box
     assert operators_contain(generated, golden)
@@ -200,7 +202,7 @@ def test_taut_contains_golden_operators():
 
 
 def test_taut_single_linear_bundle_on_line():
-    ops = taut_system([1], 1)
+    ops = list(taut_system([1], 1))
     assert len(ops) == 5  # 1 euler + 4 symmetry + 0 box
     assert serialize_operator(ops[0]) == "a11*d(a11) + a21*d(a21) + 1/2"
     diagonals = [op for op in ops[1:] if op.constant == 1]
@@ -208,7 +210,7 @@ def test_taut_single_linear_bundle_on_line():
 
 
 def test_taut_single_quadric_on_line():
-    ops = taut_system([2], 1)
+    ops = list(taut_system([2], 1))
     box = ops[5:]
     assert [serialize_operator(op) for op in box] == \
         ["d(a11)*d(a21) - d(a31)*d(a31)"]  # x^2 y^2 = (xy)^2
@@ -223,7 +225,7 @@ def test_taut_rejects_bad_degrees():
 
 def test_symmetry_count_general():
     for degrees, dim in (([1], 1), ([2], 1), ([1, 1, 1, 1, 2], 2), ([3], 2)):
-        ops = taut_system(degrees, dim)
+        ops = list(taut_system(degrees, dim))
         k = len(degrees)
         symmetry = ops[k:k + (dim + 1) ** 2]
         assert len(symmetry) == (dim + 1) ** 2
@@ -232,7 +234,7 @@ def test_symmetry_count_general():
 def box_operators(degrees, dim):
     """The box operators of taut_system: those after the Euler and
     symmetry operators."""
-    return taut_system(degrees, dim)[len(degrees) + (dim + 1) ** 2:]
+    return list(taut_system(degrees, dim))[len(degrees) + (dim + 1) ** 2:]
 
 
 @pytest.mark.parametrize("degrees, dim", [
@@ -269,9 +271,25 @@ def test_box_operators_share_their_terms():
 # ---------------------------------------------------------------------------
 
 def test_serialize_roundtrip():
-    ops = taut_system([1, 1, 1, 1, 2], 2)
+    ops = list(taut_system([1, 1, 1, 1, 2], 2))
     text = serialize_operators(ops)
     assert parse_operators(text) == ops
+
+
+def test_serializing_the_stream_peaks_below_holding_the_system():
+    """Each operator is written and dropped before the next is built, so
+    writing a system takes less memory than holding its operators."""
+    tracemalloc.start()
+    try:
+        serialize_operators(taut_system([5], 3))
+        streamed = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = list(taut_system([5], 3))
+        holding = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(held) > 1000
+    assert streamed < holding
 
 
 def test_serialize_empty():
@@ -316,7 +334,14 @@ def _exact_type(value):
 @given(op_terms, coefficients)
 def test_make_operator_normal_form(terms, constant):
     op = make_operator(terms, constant)
-    assert len(op.terms) == sum(1 for c, _, _ in terms if c != 0)
+    sums = {}
+    for c, d, m in terms:
+        key = (tuple(sorted(d)), m)
+        sums[key] = sums.get(key, 0) + Fraction(c)
+    # one term per (derivs, multiplier) with a nonzero sum, sorted by it
+    assert [(t.derivs, t.multiplier) for t in op.terms] == \
+        sorted(key for key, c in sums.items() if c)
+    assert all(t.coeff == sums[t.derivs, t.multiplier] for t in op.terms)
     for term in op.terms:
         assert term.coeff != 0
         assert type(term.coeff) is _exact_type(term.coeff)
@@ -328,6 +353,31 @@ def test_make_operator_normal_form(terms, constant):
         [(int(c) if c == int(c) else c, d, m) for c, d, m in terms],
         int(constant) if constant == int(constant) else constant)
     assert repr(as_fractions) == repr(as_ints) == repr(op)
+
+
+def test_make_operator_sums_terms_with_equal_derivs_and_multiplier():
+    assert parse_operator("d(a11) + 2*d(a11)") == parse_operator("3*d(a11)")
+    assert repr(parse_operator("b12*d(a11) + 2*d(a11) + b12*d(a11)")) == \
+        repr(make_operator([(2, ("a11",), ""), (2, ("a11",), "b12")]))
+
+
+def test_make_operator_drops_terms_that_cancel():
+    op = parse_operator("d(a11) - d(a11)")
+    assert op == make_operator([]) and serialize_operator(op) == "0"
+    op = parse_operator("d(a11)*d(a21) - d(a21)*d(a11) + 1")
+    assert serialize_operator(op) == "1"
+
+
+def test_containment_up_to_sign_holds_for_unmerged_text():
+    assert operators_contain([parse_operator("d(a11) + 2*d(a11)")],
+                             [parse_operator("-d(a11) - 2*d(a11)")])
+
+
+@SETTINGS
+@given(op_terms, coefficients)
+def test_negated_is_the_normal_form_of_the_negated_terms(terms, constant):
+    negative = make_operator([(-c, d, m) for c, d, m in terms], -constant)
+    assert make_operator(terms, constant).negated() == negative
 
 
 @SETTINGS
@@ -359,7 +409,7 @@ def test_serializer_matches_term_by_term_rendering(op):
     ([2], 1), ([1, 1, 1, 1, 2], 2), ([2, 3], 2),
 ])
 def test_taut_system_serializer_matches_term_by_term_rendering(degrees, dim):
-    ops = taut_system(degrees, dim)
+    ops = list(taut_system(degrees, dim))
     assert serialize_operators(ops) == "\n".join(map(serialize_by_parts, ops))
 
 
