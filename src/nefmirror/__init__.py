@@ -27,7 +27,6 @@ from .lattice import (
     make_cone,
     maximal_boundary_triangulation,
     minkowski_sum,
-    mixed_area,
     normalized_volume,
     polar_dual,
 )
@@ -87,7 +86,7 @@ __all__ = [
     "ConsistencyError", "GoldenMismatchError",
     "LatticePolytope", "Cone", "Triangulation",
     "convex_hull", "polar_dual", "is_reflexive", "lattice_points",
-    "normalized_volume", "minkowski_sum", "mixed_area", "cayley_pyramid",
+    "normalized_volume", "minkowski_sum", "cayley_pyramid",
     "dual_cone", "make_cone", "maximal_boundary_triangulation",
     "Fan", "ToricDivisor", "CartierData",
     "make_fan", "normal_fan", "mpcp_fan", "is_smooth", "is_complete",

@@ -21,8 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-Num = "int | Fraction"
-
 
 def canon_num(x):
     """Normalize a rational to int when it is integral."""

@@ -15,11 +15,12 @@ suite plays against each other:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
-from .intlin import det, dot
-from .lattice import cayley_pyramid, lattice_points, mixed_area
+from .intlin import canon_num, det
+from .lattice import cayley_pyramid
 from .toric import (
     divisor_from_polytope,
     is_complete,
@@ -209,35 +210,28 @@ def verify_mirror_duality(nef_partition):
 # surface node count
 # ---------------------------------------------------------------------------
 
-def _facet_lattice_length(polytope, rho):
-    """Lattice length of the facet of a polygon with inner normal rho
-    (zero when absent or when the polytope is lower-dimensional)."""
-    if polytope.dim < 2:
-        return 0
-    for normal, offset in polytope.facets:
-        if normal == rho:
-            pts = [p for p in lattice_points(polytope)
-                   if dot(p, normal) == -offset]
-            return len(pts) - 1
-    return 0
-
-
 def surface_node_count(nef_partition):
-    """Node count for the branch divisor of the gauge-fixed double cover
-    attached to a 2-dimensional nef-partition (e.g. 15 for the classical
-    six-line K3 configuration), on its MPCP fan, which is smooth and
-    complete when built: toric divisors meet at the 2-cones, a toric
-    divisor meets a generic curve along the matching facet's lattice
-    length, and two generic curves meet in the mixed area of their section
-    polytopes."""
+    """Node count of the branch divisor of the gauge-fixed double cover
+    attached to a 2-dimensional nef-partition (15 for the classical
+    six-line K3 configuration), on its MPCP fan X, smooth and complete
+    when built:
+
+        nodes = chi(X) + K_X^2 + sum_{i<j} D_i . D_j
+              = #maximal cones + nvol(Delta)
+                + (nvol(Delta) - sum_{dim Delta_i = 2} nvol(Delta_i)) / 2.
+
+    The branch divisor is the toric boundary plus a generic curve D_i per
+    part.  Toric divisors meet at the chi(X) torus-fixed points; they sum
+    to -K = D_1 + ... + D_r, so they meet the curves K^2 times; two curves
+    meet D_i . D_j times.  On a surface D^2 is the normalized volume of
+    D's section polytope, 0 for a segment or a point, so the pairwise sum
+    is ((sum D_i)^2 - sum D_i^2) / 2.  That difference is twice a sum of
+    intersection numbers, so it is halved exactly, never floored."""
     if nef_partition.dim != 2:
         raise InputError("node counts are for surfaces")
     fan, _ = nef_partition.mpcp
-    polytopes = nef_partition.section_polytopes
-    count = len(fan.max_cones)
-    for rho in fan.rays:
-        for poly in polytopes:
-            count += _facet_lattice_length(poly, rho)
-    for p, q in combinations(polytopes, 2):
-        count += mixed_area(p, q)
-    return count
+    volume = nef_partition.delta.nvolume
+    squares = sum(p.nvolume for p in nef_partition.section_polytopes
+                  if p.dim == 2)
+    return (len(fan.max_cones) + volume
+            + canon_num(Fraction(volume - squares, 2)))

@@ -237,7 +237,7 @@ def _chart(points, basis_idx):
     return image, kernel, [tuple(canon_num(dot(q, c)) for c in image) for q in diffs]
 
 
-def convex_hull(points, ambient_dim=None):
+def convex_hull(points):
     """Irredundant convex hull of rational points.
 
     Incremental beneath-beyond with exact orientation predicates; handles
@@ -250,8 +250,6 @@ def convex_hull(points, ambient_dim=None):
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise InputError("points of mixed dimension")
-    if ambient_dim is not None and ambient_dim != d:
-        raise InputError(f"points have dimension {d}, expected {ambient_dim}")
 
     basis_idx = _affine_basis_indices(pts)
     dim = len(basis_idx) - 1
@@ -359,24 +357,6 @@ def minkowski_sum_all(polys):
     return total
 
 
-def euclidean_area(polytope):
-    """Euclidean area of a polygon in the plane (0 when dim < 2)."""
-    if polytope.ambient_dim != 2:
-        raise InputError("euclidean_area is for ambient dimension 2")
-    if polytope.dim < 2:
-        return 0
-    return canon_num(Fraction(polytope.nvolume, 2))
-
-
-def mixed_area(p, q):
-    """area(P+Q) - area(P) - area(Q); the intersection number of the
-    corresponding nef classes on a smooth toric surface."""
-    if p.ambient_dim != 2 or q.ambient_dim != 2:
-        raise InputError("mixed_area needs ambient dimension 2")
-    return canon_num(euclidean_area(minkowski_sum(p, q))
-                     - euclidean_area(p) - euclidean_area(q))
-
-
 def cayley_pyramid(polys):
     """Cayley pyramid Conv({0} u e_1 x P_1 u ... u e_k x P_k) in R^k x R^n.
 
@@ -399,13 +379,12 @@ def cayley_pyramid(polys):
 # cones
 # ---------------------------------------------------------------------------
 
-def make_cone(generators, ambient_dim=None):
+def make_cone(generators):
     """Canonical cone from rational generators: primitive, extremal,
     lexicographically sorted.  Requires a strongly convex cone."""
     gens = sorted({primitivize(g) for g in generators if any(g)})
     if not gens:
-        d = ambient_dim if ambient_dim is not None else 0
-        return Cone(d, (), 0)
+        return Cone(0, (), 0)
     d = len(gens[0])
     dim = matrix_rank(gens)
     ineqs, _ = cone_hrep(gens)
@@ -437,7 +416,7 @@ def dual_cone(cone):
     if cone.dim != cone.ambient_dim:
         raise DomainError("dual_cone implemented for full-dimensional cones")
     ineqs, _ = cone_hrep(cone.generators)
-    return make_cone(ineqs, cone.ambient_dim)
+    return make_cone(ineqs)
 
 
 # ---------------------------------------------------------------------------

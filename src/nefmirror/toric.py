@@ -84,7 +84,7 @@ class CartierData:
     per_cone: tuple  # aligned with divisor.fan.max_cones
 
 
-def make_fan(rays, max_cones, ambient_dim=None):
+def make_fan(rays, max_cones):
     """Canonicalize: rays lex-sorted and primitive, cones as sorted index
     tuples, cone list sorted and deduplicated.  A cone that names a missing
     ray or repeats a ray index is an InputError."""
@@ -92,8 +92,6 @@ def make_fan(rays, max_cones, ambient_dim=None):
     if not rays:
         raise InputError("a fan needs at least one ray")
     d = len(rays[0])
-    if ambient_dim is not None and ambient_dim != d:
-        raise InputError("ray/ambient dimension mismatch")
     if any(len(r) != d for r in rays):
         raise InputError("rays of mixed dimension")
     for r in rays:
@@ -442,8 +440,6 @@ def linear_equivalence_witness(d1, d2):
     diff = [b - a for a, b in zip(d1.coeffs, d2.coeffs)]
     m = solve_linear(list(fan.rays), diff)
     if m is None or not is_integral(m):
-        return None
-    if any(dot(m, rho) != d for rho, d in zip(fan.rays, diff)):
         return None
     return tuple(int(x) for x in m)
 

@@ -162,9 +162,9 @@ def recorded_hulls(monkeypatch):
     hulled = []
     convex_hull = lattice.convex_hull
 
-    def recording(points, ambient_dim=None):
+    def recording(points):
         hulled.append({canon_vec(p) for p in points})
-        return convex_hull(points, ambient_dim)
+        return convex_hull(points)
 
     replace_everywhere(monkeypatch, {id(convex_hull): recording})
     return hulled
@@ -287,9 +287,9 @@ def test_run_entry_reads_sections_from_cartier_data(monkeypatch, name):
         fans.append(make_fan(*args, **kwargs))
         return fans[-1]
 
-    def recording_hull(points, ambient_dim=None):
+    def recording_hull(points):
         ray_hulls.extend(fan for fan in fans if points is fan.rays)
-        return convex_hull(points, ambient_dim)
+        return convex_hull(points)
 
     replace_everywhere(monkeypatch, {id(make_fan): recording_fan,
                                      id(convex_hull): recording_hull})

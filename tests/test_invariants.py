@@ -1,5 +1,6 @@
 """Euler characteristics, Hodge numbers, mirror duality, node counts."""
 import random
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -13,13 +14,13 @@ from conftest import (
     P4_DELTA,
     boundary_lattice_count,
     cayley_factors,
+    ccw_sort,
+    gl_canonical_form,
     random_lattice_polygon,
-    random_nef_partition,
-    random_reflexive_polygon,
     smooth_surface_fan,
 )
 from nefmirror import invariants
-from nefmirror.catalog import CatalogEntry, load_catalog, run_entry
+from nefmirror.catalog import CatalogEntry, find_entry, load_catalog, run_entry
 from nefmirror.errors import (
     ConsistencyError,
     DomainError,
@@ -39,15 +40,21 @@ from nefmirror.invariants import (
 from nefmirror.lattice import (
     cayley_pyramid,
     convex_hull,
+    is_reflexive,
     lattice_points,
     normalized_volume,
 )
-from nefmirror.nefpart import build_nef_partition, dualize
+from nefmirror.nefpart import (
+    build_nef_partition,
+    cayley_cone_duality_check,
+    dualize,
+)
 from nefmirror.toric import (
     ToricDivisor,
     anticanonical,
     divisor_from_polytope,
     hodge_numbers_smooth_toric,
+    make_fan,
     mpcp_fan,
     nef_polytope,
     normal_fan,
@@ -298,15 +305,6 @@ def test_verify_reports_pyramid_volumes():
     assert volumes[(1, 2, 3)] == 6  # = vol(nabla polar)
 
 
-def test_verify_random_reflexive_polygons():
-    rng = random.Random(202)
-    for _ in range(5):
-        poly = random_reflexive_polygon(rng)
-        np_ = random_nef_partition(poly, rng)
-        ok, _ = verify_mirror_duality(np_)
-        assert ok
-
-
 def test_lambda_volume_zero_when_degenerate():
     point = convex_hull([(0, 0)])
     assert cayley_pyramid_volume([point]) == 0
@@ -364,3 +362,102 @@ def test_nodes_consistent_with_euler():
         inv = double_cover_invariants(np_)
         assert surface_node_count(np_) == nodes
         assert inv.chi_Y == 24 - nodes
+
+
+@pytest.mark.parametrize("name, nodes, dual_nodes", [
+    ("p2-triple", 15, 15),
+    ("p2-(12)(3)", 14, 14),
+    ("p2-(3)(12)", 14, 14),
+])
+def test_nodes_of_both_catalog_sides(name, nodes, dual_nodes):
+    # the dual sides have segment sections: their curves have square 0 but
+    # meet the toric divisors whose rays are normal to the segment
+    np_ = find_entry(name).build()
+    for side, expected in ((np_, nodes), (np_.dual, dual_nodes)):
+        assert surface_node_count(side) == expected
+        assert double_cover_invariants(side).chi_Y == 24 - expected
+
+
+# ---------------------------------------------------------------------------
+# every nef-partition of every reflexive polygon
+# ---------------------------------------------------------------------------
+
+MAXIMAL_REFLEXIVE_POLYGONS = (
+    P2_DELTA,
+    [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+    [(-1, -1), (3, -1), (-1, 1)],
+)
+
+
+@cache
+def reflexive_polygons():
+    """The reflexive polygons up to GL(2, Z), as the reflexive sub-polygons
+    of the three maximal ones.  In the plane a lattice polygon is reflexive
+    iff the origin is its only interior lattice point, so dropping a vertex
+    of a reflexive polygon from its lattice points leaves a reflexive
+    polygon or one without the origin inside; every reflexive sub-polygon
+    is reached that way.  Consecutive boundary points of a reflexive
+    polygon are a lattice basis, so its face fan over all boundary points
+    is smooth, and its GL(2, Z) normal form names the polygon."""
+    found = {}
+    todo = [convex_hull(vertices) for vertices in MAXIMAL_REFLEXIVE_POLYGONS]
+    seen = set()
+    while todo:
+        poly = todo.pop()
+        if poly.vertices in seen:
+            continue
+        seen.add(poly.vertices)
+        boundary = ccw_sort([p for p in lattice_points(poly) if any(p)])
+        k = len(boundary)
+        fan = make_fan(boundary, [(i, (i + 1) % k) for i in range(k)])
+        found.setdefault(gl_canonical_form(fan), poly)
+        for v in poly.vertices:
+            smaller = convex_hull([p for p in lattice_points(poly) if p != v])
+            if smaller.dim == 2 and is_reflexive(smaller):
+                todo.append(smaller)
+    return tuple(found.values())
+
+
+def nef_partitions(polygon):
+    """Every nef-partition of the polygon, for all r >= 1, each set of
+    parts once."""
+    k = len(normal_fan(polygon).rays)
+    for blocks in set_partitions(list(range(k))):
+        try:
+            yield build_nef_partition(polygon, blocks)
+        except InputError:
+            continue  # a part that is not nef
+
+
+def set_partitions(items):
+    """Every partition of the items into nonempty blocks, each once."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1:]
+
+
+def test_sixteen_reflexive_polygons():
+    assert len(reflexive_polygons()) == 16
+
+
+def test_every_polygon_nef_partition_is_dual_with_its_node_count():
+    # both sides of every nef-partition, r = 1 to 4: the double dual is the
+    # identity, the Gorenstein cones are dual, the two Euler routes agree,
+    # and chi(Y) = 24 - #nodes, segment sections included
+    sides = 0
+    for polygon in reflexive_polygons():
+        for np_ in nef_partitions(polygon):
+            assert np_.dual.dual == np_
+            for side in (np_, np_.dual):
+                assert cayley_cone_duality_check(side)
+                ok, report = verify_mirror_duality(side)
+                assert ok, (side, report)
+                nodes = surface_node_count(side)
+                assert report["invariants"].chi_Y == 24 - nodes, side
+                sides += 1
+    assert sides == 142

@@ -55,7 +55,6 @@ from nefmirror.lattice import (
     make_cone,
     maximal_boundary_triangulation,
     minkowski_sum,
-    mixed_area,
     normalized_volume,
     polar_dual,
     pulling_triangulation,
@@ -88,8 +87,6 @@ def test_hull_hexagon():
 def test_hull_dimension_mismatch():
     with pytest.raises(InputError):
         convex_hull([(0, 0), (1, 0, 0)])
-    with pytest.raises(InputError):
-        convex_hull([(0, 0)], ambient_dim=3)
 
 
 def test_hull_against_membership_oracle():
@@ -526,7 +523,7 @@ def test_pick_property_random_polygons():
 
 
 # ---------------------------------------------------------------------------
-# minkowski_sum / mixed_area
+# minkowski_sum
 # ---------------------------------------------------------------------------
 
 def test_minkowski_hexagon_decomposition():
@@ -558,26 +555,6 @@ def test_minkowski_commutative_associative():
     assert minkowski_sum(a, b) == minkowski_sum(b, a)
     assert minkowski_sum(minkowski_sum(a, b), c) == \
         minkowski_sum(a, minkowski_sum(b, c))
-
-
-def test_mixed_area_examples():
-    unit = convex_hull(UNIT_TRIANGLE)
-    assert mixed_area(unit, unit) == 1  # two generic lines meet once
-    degree2 = convex_hull([(0, 0), (2, 0), (0, 2)])
-    assert mixed_area(unit, degree2) == 2  # Bezout: line * conic
-    point = convex_hull([(5, -3)])
-    assert mixed_area(unit, point) == 0
-
-
-def test_mixed_area_symmetry_translation():
-    rng = random.Random(31)
-    for _ in range(6):
-        p = random_lattice_polygon(rng, spread=2)
-        q = random_lattice_polygon(rng, spread=2)
-        m = mixed_area(p, q)
-        assert m == mixed_area(q, p) >= 0
-        shifted = convex_hull([(v[0] + 4, v[1] - 7) for v in q.vertices])
-        assert mixed_area(p, shifted) == m
 
 
 # ---------------------------------------------------------------------------

@@ -753,7 +753,8 @@ def _in_cone(fan, cone, vector):
 
 def test_fan_json_roundtrip():
     doc = json.loads(fan_to_json(HEX_FAN))
-    assert make_fan(doc["rays"], doc["max_cones"], doc["dim"]) == HEX_FAN
+    assert doc["dim"] == HEX_FAN.ambient_dim
+    assert make_fan(doc["rays"], doc["max_cones"]) == HEX_FAN
 
 
 @pytest.mark.parametrize("index", [5, -1])
