@@ -5,9 +5,9 @@ either a path to a nef-partition JSON file or the name of a built-in
 catalog entry.  Every command is deterministic; identical inputs yield
 byte-identical outputs.
 
-A command exits 0 on success.  An error is printed to stderr as a JSON
-object {"error": kind, "message": text}, with the kind and exit code that
-the table ERRORS below gives its class.
+A command exits 0 on success.  An error, a usage error included, is
+printed to stderr as a JSON object {"error": kind, "message": text}, with
+the kind and exit code that the table ERRORS below gives its class.
 """
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from .catalog import (
     catalog_run,
@@ -30,7 +31,7 @@ from .periods import (
     gkz_data,
     gkz_matrix_text,
     gkz_to_json,
-    serialize_operators,
+    serialize_operator,
     taut_system,
 )
 from .toric import fan_to_json
@@ -66,21 +67,34 @@ def _resolve_nef_partition(spec):
     return entry.build(), entry
 
 
-def _emit(text, output):
-    if not text.endswith("\n"):
-        text += "\n"
+# Lines per write: 1024 tautological operators are a few tens of KB, so a
+# command never holds its whole output, and makes far fewer write calls
+# than it would with one per line.
+BATCH_LINES = 1024
+
+
+def _write_lines(lines, stream):
+    lines = iter(lines)
+    while batch := list(islice(lines, BATCH_LINES)):
+        stream.write("\n".join(batch) + "\n")
+
+
+def _emit(lines, output):
+    """Write each of ``lines`` (an iterable of strings without their
+    newline) followed by a newline, to the file ``output`` or to stdout,
+    in batches of BATCH_LINES lines as the iterable yields them."""
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                _write_lines(lines, handle)
         except OSError as exc:
             raise InputError(f"cannot write {output}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        _write_lines(lines, sys.stdout)
 
 
 def _dumps(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +112,7 @@ def cmd_dualize(args):
                                 for poly in dual.section_polytopes],
         "fan": json.loads(fan_to_json(dual.fan)),
     }
-    _emit(_dumps(doc), args.output)
+    _emit([_dumps(doc)], args.output)
     return EXIT_OK
 
 
@@ -144,7 +158,7 @@ def _invariants_markdown(doc):
     lines.append("|---|------|")
     for term in doc["dk_terms"]:
         lines.append(f"| {term['J']} | {term['volume']} |")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def cmd_invariants(args):
@@ -153,7 +167,7 @@ def cmd_invariants(args):
     if args.format == "md":
         _emit(_invariants_markdown(doc), args.output)
     else:
-        _emit(_dumps(doc), args.output)
+        _emit([_dumps(doc)], args.output)
     return EXIT_OK
 
 
@@ -167,28 +181,25 @@ def cmd_gkz(args):
     else:
         data = gkz_data(np_.dual if args.side == "dual" else np_)
     if args.format == "md":
-        text = "```\n" + gkz_matrix_text(data) + "\n```\n" + \
-            "beta = (" + ", ".join(str(b) for b in data.beta) + ")\n"
-        _emit(text, args.output)
+        beta = ", ".join(str(b) for b in data.beta)
+        _emit(["```", gkz_matrix_text(data), "```", f"beta = ({beta})"],
+              args.output)
     else:
-        _emit(gkz_to_json(data) + "\n", args.output)
+        _emit([gkz_to_json(data)], args.output)
     return EXIT_OK
 
 
 def cmd_tautgen(args):
-    try:
-        degrees = [int(x) for x in args.degrees.split(",") if x.strip()]
-    except ValueError as exc:
-        raise InputError(f"--degrees needs comma-separated integers: {exc}") from exc
     if args.check:
         catalog = load_catalog()
         golden = catalog.get("taut_golden") or {}
-        if golden.get("degrees") != degrees or golden.get("dim") != args.dim:
+        if golden.get("degrees") != args.degrees or \
+                golden.get("dim") != args.dim:
             raise InputError("no stored golden operator list for these degrees")
-        operators = check_taut_golden(degrees, args.dim)
+        operators = check_taut_golden(args.degrees, args.dim)
     else:
-        operators = taut_system(degrees, args.dim)
-    _emit(serialize_operators(operators), args.output)
+        operators = taut_system(args.degrees, args.dim)
+    _emit(map(serialize_operator, operators), args.output)
     return EXIT_OK
 
 
@@ -205,7 +216,7 @@ def cmd_catalog(args):
             lines.append(f"PASS {name}")
     lines.append(f"{'all checks passed' if ok else 'FAILURES present'} "
                  f"({len(summary)} targets)")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(lines, args.output)
     return EXIT_OK if ok else EXIT_GOLDEN
 
 
@@ -213,8 +224,31 @@ def cmd_catalog(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an InputError, which main reports as JSON
+    like any other error, in place of printing the usage text."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _decimal(text):
+    """The integer that ``text`` writes in ASCII decimal digits, spaces
+    around them allowed; ``int`` would also read "1_0", "+1" or digits of
+    other scripts, and answer for a number that was not meant."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative decimal integer")
+    return int(digits)
+
+
+def _decimal_list(text):
+    return [_decimal(item) for item in text.split(",")]
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nefmirror",
         description="Batyrev-Borisov dual nef-partitions, double-cover "
                     "invariants, and GKZ/tautological systems")
@@ -242,9 +276,9 @@ def build_parser():
     p.set_defaults(func=cmd_gkz)
 
     p = sub.add_parser("tautgen", help="tautological PDE system")
-    p.add_argument("--degrees", required=True,
+    p.add_argument("--degrees", type=_decimal_list, required=True,
                    help="comma-separated bundle degrees, e.g. 1,1,1,1,2")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_decimal, required=True)
     p.add_argument("--check", action="store_true",
                    help="compare against the stored operator list")
     p.add_argument("--output", default=None)
@@ -257,8 +291,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:
         kind, code = next(row for cls, row in ERRORS.items()

@@ -128,8 +128,11 @@ def double_cover_invariants(nef_partition):
     np_ = nef_partition
     n = np_.dim
     dual = np_.dual
-    fan_x, h_x = np_.mpcp
+    # a refusal needs one side only, so the dual side goes first: on the
+    # non-unimodular 4-polytope of the tests it refuses after 3 hulls,
+    # where the primal side's pulling triangulation builds 520
     fan_xd, h_xd = dual.mpcp
+    fan_x, h_x = np_.mpcp
     chi_x = len(fan_x.max_cones)
     chi_xd = len(fan_xd.max_cones)
     sign = (-1) ** n

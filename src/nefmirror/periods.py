@@ -18,9 +18,12 @@ normal form from terms shared per coefficient pair; ``DiffTerm`` and
 ``DiffOperator`` each build in one hand-written ``__init__``, the term
 rendering its signed text there, so writing an operator joins texts.
 ``taut_system`` returns an iterator that builds each operator as it is
-reached, so ``serialize_operators`` renders and drops each operator
-before the next is built: a written system is never held whole, and
-cyclic garbage collection finds few live objects to scan.
+reached, so a reader that renders and drops each operator before the
+next is built never holds the system's operators, and cyclic garbage
+collection finds few live objects to scan.  ``serialize_operators``
+returns the whole text; the ``tautgen`` command writes the lines of
+``serialize_operator`` in batches as they are made, so it holds neither
+the operators nor the text.
 """
 from __future__ import annotations
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import comb
 from pathlib import Path
 
@@ -330,12 +331,63 @@ def test_catalog_non_utf8_file_exits_2(tmp_path):
     assert result.stdout == ""
 
 
-@pytest.mark.parametrize("degrees, dim", [("a", "2"), ("1", "-1"), (",", "2")])
+# int() reads "1_0" as 10, the Arabic-Indic digit two as 2 and "0_1" as 1,
+# and "1,,2" has an empty item: each would answer for another input
+@pytest.mark.parametrize("degrees, dim", [
+    ("a", "2"), ("1", "-1"), (",", "2"),
+    ("1_0", "2"), ("\u0662", "2"), ("2", "0_1"), ("1,,2", "2"),
+])
 def test_tautgen_rejects_bad_arguments(degrees, dim):
     result = run_cli("tautgen", "--degrees", degrees, "--dim", dim)
     assert result.returncode == 2
     assert json.loads(result.stderr)["error"] == "input"
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("invariants",), ("tautgen", "--degrees", "1", "--dim", "x"), ("bogus",),
+])
+def test_usage_errors_are_reported_as_json(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    diag = json.loads(result.stderr.splitlines()[-1])
+    assert diag["error"] == "input"
+    assert result.stdout == ""
+
+
+def test_help_exits_0():
+    result = run_cli("tautgen", "--help")
+    assert result.returncode == 0
+    assert "--degrees" in result.stdout
+
+
+def test_tautgen_writes_its_output_in_batches(tmp_path):
+    """The output is written as it is generated, so the run peaks below
+    the size of the text it writes (the whole text held once would not)."""
+    out = tmp_path / "taut.txt"
+    # a first call loads what any run loads, so the peak below is the run's
+    assert cli.main(["tautgen", "--degrees", "1", "--dim", "1",
+                     "--output", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        code = cli.main(["tautgen", "--degrees", "5", "--dim", "4",
+                         "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < out.stat().st_size
+
+
+def test_refused_tautgen_leaves_the_output_file_untouched(tmp_path):
+    # the degrees are checked before the output file is opened
+    out = tmp_path / "taut.txt"
+    out.write_bytes(b"kept\n")
+    for degrees in ("0", "a"):
+        result = run_cli("tautgen", "--degrees", degrees, "--dim", "2",
+                         "--output", str(out))
+        assert result.returncode == 2
+        assert out.read_bytes() == b"kept\n"
 
 
 def test_tautgen_ambiguous_labels_exit_2():

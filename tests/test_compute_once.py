@@ -2,19 +2,20 @@
 ``dualize`` builds nabla's normal fan and Minkowski sum once, each MPCP
 side builds its polar dual once and tests its smoothness once, each
 catalog check or ``invariants`` command computes the double-cover
-invariants once, a catalog check hulls the nef-partition's Cayley
-pyramid once, a catalog run tests each fan's completeness once and, its
-fans all simplicial, builds no ``cone_hrep`` hull for it, a hull finds
-the affine basis of each point set once and sums its volume only at the
-first read, each section polytope is read from Cartier data solved once
-per divisor, ``dualize`` checks its identities with neither
-``polar_dual`` nor ``nef_polytope``, the Gorenstein cone duality check
-hulls no Cayley pyramid of the dual side, a maximal boundary
-triangulation pulls each distinct facet configuration once and takes no
-determinant, serializing operators renders each operator once from the
-texts its terms were built with, a tautological system builds each box
-term once and one ``DiffOperator`` per operator, and GKZ data computes
-its kernel basis only when read, and then once.
+invariants once, a non-smooth pair is refused by the dual side before
+the primal side builds its MPCP fan, a catalog check hulls the
+nef-partition's Cayley pyramid once, a catalog run tests each fan's
+completeness once and, its fans all simplicial, builds no ``cone_hrep``
+hull for it, a hull finds the affine basis of each point set once and
+sums its volume only at the first read, each section polytope is read
+from Cartier data solved once per divisor, ``dualize`` checks its
+identities with neither ``polar_dual`` nor ``nef_polytope``, the
+Gorenstein cone duality check hulls no Cayley pyramid of the dual side,
+a maximal boundary triangulation pulls each distinct facet configuration
+once and takes no determinant, serializing operators renders each
+operator once from the texts its terms were built with, a tautological
+system builds each box term once and one ``DiffOperator`` per operator,
+and GKZ data computes its kernel basis only when read, and then once.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -26,7 +27,7 @@ from itertools import islice
 
 import pytest
 
-from conftest import cayley_points
+from conftest import NON_UNIMODULAR_4D, cayley_points
 from nefmirror import cli, intlin, lattice, nefpart, periods, toric
 from nefmirror.catalog import (
     CatalogEntry,
@@ -35,9 +36,14 @@ from nefmirror.catalog import (
     load_catalog,
     run_entry,
 )
+from nefmirror.errors import SmoothnessError
 from nefmirror.intlin import canon_vec
 from nefmirror.invariants import double_cover_invariants, surface_node_count
-from nefmirror.nefpart import cayley_cone_duality_check, dualize
+from nefmirror.nefpart import (
+    build_nef_partition,
+    cayley_cone_duality_check,
+    dualize,
+)
 from nefmirror.periods import gkz_data, serialize_operator, taut_system
 from nefmirror.toric import (
     ToricDivisor,
@@ -179,6 +185,17 @@ def test_run_entry_hulls_the_cayley_pyramid_once(monkeypatch):
     hulled = recorded_hulls(monkeypatch)
     assert run_entry(entry) == []
     assert hulled.count(lam_points) == 1
+
+
+def test_non_smooth_pair_is_refused_before_the_primal_side(monkeypatch):
+    # the dual side's MPCP fan is read first and refuses after a few hulls;
+    # the primal side's pulling triangulation would build 520
+    np_ = build_nef_partition(lattice.convex_hull(NON_UNIMODULAR_4D),
+                              [[0, 1, 2, 3, 4]])
+    hulled = recorded_hulls(monkeypatch)
+    with pytest.raises(SmoothnessError):
+        double_cover_invariants(np_)
+    assert len(hulled) <= 3
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
