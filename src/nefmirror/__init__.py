@@ -3,8 +3,9 @@ double-cover invariants, and GKZ/tautological period systems.
 
 All types are immutable values and all operations are pure functions, so
 everything here is safe to use from multiple threads.  A NefPartition
-computes its dual, MPCP side and Cayley pyramid on first read and keeps
-them; threads that race on that first read compute equal values.
+computes its dual, the Euler number and h-vector of its MPCP side and its
+Cayley pyramid on first read and keeps them; threads that race on that
+first read compute equal values.
 """
 
 from .errors import (

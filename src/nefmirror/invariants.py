@@ -8,9 +8,15 @@ suite plays against each other:
   inclusion-exclusion into chi of the gauge-fixed branch divisor cancels
   to vol(Lambda) = chi(X_dual) (the Cayley trick), and the branched-cover
   formula chi(D) + r(chi(X) - chi(D)) then gives chi(Y); and
-* the closed form chi(Y) = chi(X) + (-1)^n chi(X_dual), with chi of each
-  toric side cross-checked as both a maximal-cone count of the MPCP fan
-  and a normalized polar volume.
+* the closed form chi(Y) = chi(X) + (-1)^n chi(X_dual), with chi and the
+  h-vector of each toric side read from ``NefPartition.toric_numbers``:
+  in dimension n <= 3 from one lattice-point count of the polar, with no
+  fan, checked against the normalized polar volume (the Ehrhart
+  identity), and above from the MPCP fan, whose cone count is checked
+  against that volume.
+
+For n <= 3 the DK route thus sets the Cayley volume vol(Lambda) against a
+lattice-point count of the other side's polar.
 """
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
 from .intlin import canon_num, det
 from .lattice import cayley_pyramid
 from .toric import (
+    COUNT_DIM,
     divisor_from_polytope,
     is_complete,
     is_nef_polytope,
@@ -124,17 +131,17 @@ def branched_cover_euler(chi_x, chi_d, r):
 
 def double_cover_invariants(nef_partition):
     """Invariants of the double covers attached to a nef-partition and its
-    Batyrev-Borisov dual.  Requires smooth MPCP fans on both sides."""
+    Batyrev-Borisov dual, from the ``toric_numbers`` of both sides.
+    Requires smooth MPCP fans on both sides, which always exist in
+    dimension n <= COUNT_DIM."""
     np_ = nef_partition
     n = np_.dim
     dual = np_.dual
     # a refusal needs one side only, so the dual side goes first: on the
     # non-unimodular 4-polytope of the tests it refuses after 3 hulls,
     # where the primal side's pulling triangulation builds 520
-    fan_xd, h_xd = dual.mpcp
-    fan_x, h_x = np_.mpcp
-    chi_x = len(fan_x.max_cones)
-    chi_xd = len(fan_xd.max_cones)
+    chi_xd, h_xd = dual.toric_numbers
+    chi_x, h_x = np_.toric_numbers
     sign = (-1) ** n
     chi_y = chi_x + sign * chi_xd
     chi_yd = chi_xd + sign * chi_x
@@ -158,9 +165,13 @@ def verify_mirror_duality(nef_partition):
     closed form chi(X) + (-1)^n chi(X_dual), which equals (-1)^n
     chi(Y_dual) by construction.
 
-    Before the DK route reads the sections' Cayley pyramid, it checks
-    that each Delta_i pulled back to the MPCP fan is nef with section
-    polytope Delta_i again, by ``is_nef_polytope`` with no hull.
+    In dimension n > COUNT_DIM, where the MPCP fan is built, the DK
+    route first checks that each Delta_i pulled back to that fan is nef
+    with section polytope Delta_i again, by ``is_nef_polytope`` with no
+    hull.  Below, no fan is built and there is nothing to pull back to;
+    the two sides are tied there by the Cayley volume against the dual
+    side's lattice-point count, the Ehrhart identity on each side and the
+    S-volume identity.
 
     Returns (ok, report); the report lists every intermediate pyramid
     volume vol_{n+|J|}(Lambda_J), and its "invariants" entry is the
@@ -171,16 +182,17 @@ def verify_mirror_duality(nef_partition):
     n = np_.dim
     r = np_.r
     inv = double_cover_invariants(np_)
-    fan_x, _ = np_.mpcp  # checked complete when built
-
-    try:
-        unchanged = all(is_nef_polytope(divisor_from_polytope(fan_x, poly), poly)
-                        for poly in np_.section_polytopes)
-    except DomainError as exc:
-        raise ConsistencyError(
-            "pulled-back nef-partition divisor is not nef") from exc
-    if not unchanged:
-        raise ConsistencyError("pullback changed a section polytope")
+    if n > COUNT_DIM:
+        fan_x, _ = np_.mpcp  # checked complete when built
+        try:
+            unchanged = all(
+                is_nef_polytope(divisor_from_polytope(fan_x, poly), poly)
+                for poly in np_.section_polytopes)
+        except DomainError as exc:
+            raise ConsistencyError(
+                "pulled-back nef-partition divisor is not nef") from exc
+        if not unchanged:
+            raise ConsistencyError("pullback changed a section polytope")
 
     # the pulled-back polytopes are the sections, so their Cayley pyramid
     # is the one the nef-partition keeps
@@ -216,12 +228,13 @@ def verify_mirror_duality(nef_partition):
 def surface_node_count(nef_partition):
     """Node count of the branch divisor of the gauge-fixed double cover
     attached to a 2-dimensional nef-partition (15 for the classical
-    six-line K3 configuration), on its MPCP fan X, smooth and complete
-    when built:
+    six-line K3 configuration), on its smooth complete MPCP surface X:
 
         nodes = chi(X) + K_X^2 + sum_{i<j} D_i . D_j
-              = #maximal cones + nvol(Delta)
-                + (nvol(Delta) - sum_{dim Delta_i = 2} nvol(Delta_i)) / 2.
+              = chi(X) + nvol(Delta)
+                + (nvol(Delta) - sum_{dim Delta_i = 2} nvol(Delta_i)) / 2,
+
+    chi(X) from ``toric_numbers``, with no fan.
 
     The branch divisor is the toric boundary plus a generic curve D_i per
     part.  Toric divisors meet at the chi(X) torus-fixed points; they sum
@@ -232,9 +245,9 @@ def surface_node_count(nef_partition):
     intersection numbers, so it is halved exactly, never floored."""
     if nef_partition.dim != 2:
         raise InputError("node counts are for surfaces")
-    fan, _ = nef_partition.mpcp
+    chi_x, _ = nef_partition.toric_numbers
     volume = nef_partition.delta.nvolume
     squares = sum(p.nvolume for p in nef_partition.section_polytopes
                   if p.dim == 2)
-    return (len(fan.max_cones) + volume
+    return (chi_x + volume
             + canon_num(Fraction(volume - squares, 2)))

@@ -23,11 +23,14 @@ from .lattice import (
     is_reflexive,
     json_int,
     minkowski_sum_all,
+    polar_dual,
 )
 from .toric import (
+    COUNT_DIM,
     ToricDivisor,
     is_nef_polytope,
     mpcp_fan,
+    mpcp_h_vector,
     nef_polytope,
     normal_fan,
 )
@@ -38,10 +41,13 @@ class NefPartition:
     """A reflexive polytope with a nef ray partition and the derived
     section polytopes (in the order of the parts).
 
-    The Batyrev-Borisov dual (``dual``), the MPCP side (``mpcp``), the
-    hull of the sections (``sections_hull``) and their Cayley pyramid
-    (``cayley_pyramid``) are computed on first read and kept on the
-    object; equality and hashing use the four fields only."""
+    The Batyrev-Borisov dual (``dual``), the Euler characteristic and
+    h-vector of the MPCP side (``toric_numbers``), the polar dual
+    (``polar``), the MPCP fan (``mpcp``), the hull of the sections
+    (``sections_hull``) and their Cayley pyramid (``cayley_pyramid``) are
+    computed on first read and kept on the object; equality and hashing
+    use the four fields only.  The pipeline reads ``toric_numbers``, which
+    builds the MPCP fan only in dimension n > COUNT_DIM."""
 
     delta: object
     fan: object            # normal fan of delta
@@ -66,8 +72,38 @@ class NefPartition:
         """(fan, h_vector) of the MPCP desingularization of P_delta:
         ``mpcp_fan(delta)``, checked smooth and complete, its Euler
         characteristic, the maximal-cone count, checked against the polar
-        volume."""
+        volume.  ``toric_numbers`` reads it in dimension n > COUNT_DIM;
+        below, only the tests do, as the oracle of the count."""
         return mpcp_fan(self.delta)
+
+    @cached_property
+    def polar(self):
+        """P° = Delta^dual, whose nonzero lattice points are the rays of
+        the MPCP fan.  On a dual side made by ``dualize`` it is the primal
+        side's ``sections_hull`` (the polar identity), so no hull is
+        built."""
+        return polar_dual(self.delta)
+
+    @cached_property
+    def toric_numbers(self):
+        """(chi, h) of the MPCP desingularization X of P_delta: its
+        h-vector, h_p = h^{p,p}(X), and chi(X) = sum h.
+
+        In dimension n <= COUNT_DIM, h is read from one lattice-point
+        count (``mpcp_h_vector``) and no fan is built; the Ehrhart identity
+        sum h = nvol(P°) is checked as a ConsistencyError.  Above, h is
+        the MPCP fan's, whose smoothness ``mpcp_fan`` decides and whose
+        cone count, sum h, it checks against nvol(P°)."""
+        if self.dim > COUNT_DIM:
+            h = self.mpcp[1]
+        else:
+            h = mpcp_h_vector(self.delta)
+            volume = self.polar.nvolume
+            if sum(h) != volume:
+                raise ConsistencyError(
+                    "Ehrhart identity sum(h) == nvol(polar) failed: "
+                    f"{sum(h)} != {volume}")
+        return sum(h), h
 
     @cached_property
     def sections_hull(self):
@@ -180,7 +216,10 @@ def dualize(nef_partition):
         if not same:
             raise ConsistencyError(
                 f"dual section polytope {k} differs from nabla_{k}")
-    return NefPartition(nabla, dual_fan, dual_parts, nabla_parts)
+    dual = NefPartition(nabla, dual_fan, dual_parts, nabla_parts)
+    # the polar identity above: nabla's polar is the hull this side holds
+    vars(dual)["polar"] = np_.sections_hull
+    return dual
 
 
 def cayley_cone(nef_partition):

@@ -1,5 +1,6 @@
 """Fans and toric computations: normal fans, smoothness/completeness,
-Hodge numbers of smooth complete toric varieties, Cartier data,
+Hodge numbers of smooth complete toric varieties, MPCP h-vectors from a
+lattice-point count (n <= 3) or an MPCP fan, Cartier data,
 projective-bundle fans, semiample contractions, Fano tests.  Section
 polytopes are taken only of nef divisors on complete fans, where one is
 the hull of the divisor's Cartier data (``nef_polytope``), and
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
@@ -216,12 +217,51 @@ def is_complete(fan):
 # MPCP desingularization and Hodge numbers
 # ---------------------------------------------------------------------------
 
+# Up to this dimension every fine triangulation of the boundary of a
+# reflexive polytope is unimodular, so the MPCP h-vector is read from one
+# lattice-point count (``mpcp_h_vector``) and no fan is built.
+COUNT_DIM = 3
+
+
+def mpcp_h_vector(polytope):
+    """h-vector of the smooth MPCP fans of a reflexive polytope Delta of
+    dimension n <= COUNT_DIM, from one count L = #(P° ∩ Z^n) of the polar
+    dual P°, with no hull and no fan:
+
+        h = (1, L - n - 1, ..., L - n - 1, 1).
+
+    The fan over a unimodular triangulation of the boundary of a reflexive
+    P° has h-vector the Ehrhart h*-vector of P° (Batyrev 1994, with
+    Stanley 1980 and Betke-McMullen 1985); h* of a reflexive polytope is
+    palindromic, and h*_1 = L - n - 1, which fixes h* for n <= 3.  There
+    a smooth MPCP fan always exists: the facets of P° lie at lattice
+    distance 1, and an empty lattice segment or triangle has normalized
+    volume 1, so every fine boundary triangulation is unimodular.
+
+    The vertices of P° are Delta's facet normals, so the points are
+    scanned in the box they span and kept where <v, u> >= -1 on every
+    vertex v of Delta."""
+    n = polytope.ambient_dim
+    if n > COUNT_DIM:
+        raise DomainError(f"mpcp_h_vector needs dimension at most {COUNT_DIM}")
+    if not is_reflexive(polytope):
+        raise DomainError("mpcp_h_vector needs a reflexive polytope")
+    normals = [normal for normal, _ in polytope.facets]
+    box = [range(min(col), max(col) + 1) for col in zip(*normals)]
+    vertices = polytope.vertices
+    count = sum(all(dot(v, u) >= -1 for v in vertices) for u in product(*box))
+    return (1,) + (count - n - 1,) * (n - 1) + (1,)
+
+
 def mpcp_fan(polytope):
     """Maximal projective crepant partial desingularization of the toric
     variety of a reflexive polytope: the normal fan refined by all nonzero
     lattice points of the polar dual, via the maximal boundary
     triangulation.  Returns (fan, h_vector), the h-vector as in
-    ``hodge_numbers_smooth_toric``.
+    ``hodge_numbers_smooth_toric``.  A nef-partition builds it only in
+    dimension n > COUNT_DIM, where it is the smoothness certificate and
+    the source of h (``NefPartition.toric_numbers``); below, the tests
+    read it as the oracle of ``mpcp_h_vector``.
 
     The fan must be smooth: a cone over a simplex of |det| != 1 is a
     SmoothnessError.  That shows only that this one (pulling)

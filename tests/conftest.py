@@ -15,6 +15,7 @@ its fields, apart from the package's term texts rendered when the terms
 are built.  ``invert_unimodular``, which ``gl_canonical_form`` uses, is
 the package's ``scaled_inverse`` with a |det| = 1 check.
 """
+import json
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -40,6 +41,10 @@ P2_DELTA = [(2, -1), (-1, 2), (-1, -1)]
 P3_DELTA = [(3, -1, -1), (-1, 3, -1), (-1, -1, 3), (-1, -1, -1)]
 P4_DELTA = [(4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1),
             (-1, -1, -1, 4), (-1, -1, -1, -1)]
+# the two-part P^4 of the fourfold benchmark, whose MPCP fans have 5 and
+# 211 cones, as a nef-partition document
+P4_TWO_PARTS = {"delta_vertices": [list(v) for v in P4_DELTA],
+                "parts": [[0, 1], [2, 3, 4]]}
 HEX_NABLA = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
 NON_UNIMODULAR_4D = [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1),
                      (1, 1, 2, 1), (-1, -1, -1, -2)]
@@ -439,3 +444,11 @@ def p2_delta():
 @pytest.fixture
 def p2_fan(p2_delta):
     return normal_fan(p2_delta)
+
+
+@pytest.fixture
+def p4_two_parts_file(tmp_path):
+    """P4_TWO_PARTS written to a nef-partition JSON file; its path."""
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps(P4_TWO_PARTS), encoding="utf-8")
+    return str(path)

@@ -1,21 +1,24 @@
-"""Each nef-partition dualizes once and builds each MPCP fan once,
-``dualize`` builds nabla's normal fan and Minkowski sum once, each MPCP
-side builds its polar dual once and tests its smoothness once, each
-catalog check or ``invariants`` command computes the double-cover
-invariants once, a non-smooth pair is refused by the dual side before
-the primal side builds its MPCP fan, a catalog check hulls the
-nef-partition's Cayley pyramid once, a catalog run tests each fan's
-completeness once and, its fans all simplicial, builds no ``cone_hrep``
-hull for it, a hull finds the affine basis of each point set once and
-sums its volume only at the first read, each section polytope is read
-from Cartier data solved once per divisor, ``dualize`` checks its
-identities with neither ``polar_dual`` nor ``nef_polytope``, the
-Gorenstein cone duality check hulls no Cayley pyramid of the dual side,
-a maximal boundary triangulation pulls each distinct facet configuration
-once and takes no determinant, serializing operators renders each
-operator once from the texts its terms were built with, a tautological
-system builds each box term once and one ``DiffOperator`` per operator,
-and GKZ data computes its kernel basis only when read, and then once.
+"""Each nef-partition dualizes once and reads each side's toric numbers
+once, from one lattice-point count in dimension n <= 3, where a catalog
+run builds no MPCP fan and no boundary triangulation and only the primal
+side hulls its polar, and from one MPCP fan above, ``dualize`` builds
+nabla's normal fan and Minkowski sum once, each MPCP side builds its
+polar dual once and tests its smoothness once, each catalog check or
+``invariants`` command computes the double-cover invariants once, a
+non-smooth pair is refused by the dual side before the primal side
+builds its MPCP fan, a catalog check hulls the nef-partition's Cayley
+pyramid once, a catalog run tests each fan's completeness once and, its
+fans all simplicial, builds no ``cone_hrep`` hull for it, a hull finds
+the affine basis of each point set once and sums its volume only at the
+first read, each section polytope is read from Cartier data solved once
+per divisor, ``dualize`` checks its identities with neither
+``polar_dual`` nor ``nef_polytope``, the Gorenstein cone duality check
+hulls no Cayley pyramid of the dual side, a maximal boundary
+triangulation pulls each distinct facet configuration once and takes no
+determinant, serializing operators renders each operator once from the
+texts its terms were built with, a tautological system builds each box
+term once and one ``DiffOperator`` per operator, and GKZ data computes
+its kernel basis only when read, and then once.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -51,6 +54,7 @@ from nefmirror.toric import (
     cartier_data,
     is_complete,
     mpcp_fan,
+    mpcp_h_vector,
     normal_fan,
     projective_bundle_fan,
     semiample_contraction,
@@ -84,7 +88,7 @@ def count_calls(monkeypatch, functions):
 
 @pytest.fixture
 def calls(monkeypatch):
-    return count_calls(monkeypatch, (dualize, mpcp_fan))
+    return count_calls(monkeypatch, (dualize, mpcp_fan, mpcp_h_vector))
 
 
 @pytest.fixture
@@ -94,15 +98,38 @@ def invariant_calls(monkeypatch):
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
 def test_run_entry_dualizes_once_and_builds_each_side_once(calls, name):
+    # every catalog entry has n <= 3: each side's h-vector is one count
     assert run_entry(find_entry(name)) == []
-    assert calls == {"dualize": 1, "mpcp_fan": 2}
+    assert calls == {"dualize": 1, "mpcp_h_vector": 2}
 
 
-def test_cli_invariants_computes_each_side_once(calls, tmp_path):
+def test_cli_invariants_computes_each_side_once(calls, p4_two_parts_file,
+                                                tmp_path):
+    # in dimension 4 each side's h-vector is its MPCP fan's
     out = tmp_path / "inv.json"
-    argv = ["invariants", "--input", "p3-(12)(34)", "--output", str(out)]
+    argv = ["invariants", "--input", p4_two_parts_file, "--output", str(out)]
     assert cli.main(argv) == 0
     assert calls == {"dualize": 1, "mpcp_fan": 2}
+
+
+@pytest.mark.parametrize("name", ENTRY_NAMES)
+def test_toric_numbers_hull_only_the_primal_polar(monkeypatch, name):
+    # the count builds no hull, and the Ehrhart identity reads the dual
+    # side's polar from the sections hull dualize compared it with
+    np_ = find_entry(name).build()
+    dual = np_.dual
+    hulled = recorded_hulls(monkeypatch)
+    dual.toric_numbers
+    assert hulled == []
+    np_.toric_numbers
+    assert hulled == [set(np_.polar.vertices)]
+
+
+def test_catalog_run_builds_no_mpcp_fan(monkeypatch):
+    counts = count_calls(monkeypatch, (mpcp_fan,
+                                       lattice.maximal_boundary_triangulation))
+    assert catalog_run()[0]
+    assert not counts
 
 
 def test_cone_duality_and_primal_gkz_build_no_mpcp_fan(calls):
@@ -255,8 +282,8 @@ def test_boundary_triangulation_pulls_each_configuration_once(monkeypatch,
 
 
 def test_catalog_run_tests_each_fan_complete_once(monkeypatch):
-    # the MPCP fans, the bundle fan, its base and its contraction: the node
-    # count and the Fano test reuse the completeness already established
+    # the bundle fan, its base and its contraction (the entries build no
+    # MPCP fan): the Fano test reuses the completeness already established
     fans = []
 
     def recording(fan):
@@ -265,7 +292,7 @@ def test_catalog_run_tests_each_fan_complete_once(monkeypatch):
 
     replace_everywhere(monkeypatch, {id(is_complete): recording})
     assert catalog_run()[0]
-    assert len(fans) == len({id(fan) for fan in fans}) == 15
+    assert len(fans) == len({id(fan) for fan in fans}) == 3
 
 
 def test_catalog_run_builds_no_cone_hrep(monkeypatch):

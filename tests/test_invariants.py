@@ -1,5 +1,9 @@
-"""Euler characteristics, Hodge numbers, mirror duality, node counts."""
+"""Euler characteristics, Hodge numbers, mirror duality, node counts,
+the toric numbers from a count against the MPCP fan, and the GKZ
+parameter count against the Hodge numbers."""
+import json
 import random
+import re
 from functools import cache
 from itertools import combinations
 
@@ -12,6 +16,7 @@ from conftest import (
     P2_DELTA,
     P3_DELTA,
     P4_DELTA,
+    P4_TWO_PARTS,
     boundary_lattice_count,
     cayley_factors,
     ccw_sort,
@@ -19,7 +24,7 @@ from conftest import (
     random_lattice_polygon,
     smooth_surface_fan,
 )
-from nefmirror import invariants
+from nefmirror import cli, invariants, nefpart
 from nefmirror.catalog import CatalogEntry, find_entry, load_catalog, run_entry
 from nefmirror.errors import (
     ConsistencyError,
@@ -37,20 +42,25 @@ from nefmirror.invariants import (
     surface_node_count,
     verify_mirror_duality,
 )
+from nefmirror.intlin import matrix_rank
 from nefmirror.lattice import (
     cayley_pyramid,
     convex_hull,
     is_reflexive,
     lattice_points,
     normalized_volume,
+    polar_dual,
 )
 from nefmirror.nefpart import (
     build_nef_partition,
     cayley_cone_duality_check,
     dualize,
+    nef_partition_from_doc,
 )
+from nefmirror.periods import gkz_data
 from nefmirror.toric import (
     ToricDivisor,
+    _h_vector,
     anticanonical,
     divisor_from_polytope,
     hodge_numbers_smooth_toric,
@@ -137,13 +147,8 @@ def _assert_faces_are_the_pyramids(polytopes, lam):
         assert volume == cayley_pyramid_volume([polytopes[j] for j in subset])
 
 
-P4_TWO_PARTS = CatalogEntry(
-    "p4-2parts",
-    {"delta_vertices": [list(v) for v in P4_DELTA], "parts": [[0, 1], [2, 3, 4]]},
-    {})
-
-
-@pytest.mark.parametrize("entry", load_catalog()["entries"] + [P4_TWO_PARTS],
+@pytest.mark.parametrize("entry", load_catalog()["entries"]
+                         + [CatalogEntry("p4-2parts", P4_TWO_PARTS, {})],
                          ids=lambda entry: entry.name)
 def test_pyramid_volumes_are_faces_of_the_cayley_pyramid(entry):
     np_ = entry.build()
@@ -325,7 +330,9 @@ def test_verify_fails_when_a_pyramid_volume_is_off(dk_top_term_plus_one):
     (-1, "pulled-back nef-partition divisor is not nef"),
 ])
 def test_verify_fails_when_the_pullback_breaks(monkeypatch, scale, message):
-    np_ = build_nef_partition(DELTA, [[2], [1], [0]])
+    # the sections are pulled back where the MPCP fan is built, in
+    # dimension 4
+    np_ = nef_partition_from_doc(P4_TWO_PARTS)
     pull = invariants.divisor_from_polytope
 
     def scaled(fan, polytope):
@@ -335,6 +342,25 @@ def test_verify_fails_when_the_pullback_breaks(monkeypatch, scale, message):
     monkeypatch.setattr(invariants, "divisor_from_polytope", scaled)
     with pytest.raises(ConsistencyError, match=message):
         verify_mirror_duality(np_)
+
+
+def test_a_broken_ehrhart_identity_is_internal(monkeypatch, capsys):
+    # sum h = nvol(polar) is a theorem, so a failure blames the program
+    # (exit 1), not the input (exit 2); the dual side's h, (1, 4, 1) made
+    # (1, 5, 1), is read first
+    count = nefpart.mpcp_h_vector
+
+    def off_by_one(polytope):
+        h = count(polytope)
+        return (h[0], h[1] + 1) + h[2:]
+
+    monkeypatch.setattr(nefpart, "mpcp_h_vector", off_by_one)
+    message = "Ehrhart identity sum(h) == nvol(polar) failed: 7 != 6"
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        double_cover_invariants(find_entry("p2-triple").build())
+    assert cli.main(["invariants", "--input", "p2-triple"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "internal",
+                                                    "message": message}
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +471,14 @@ def test_sixteen_reflexive_polygons():
     assert len(reflexive_polygons()) == 16
 
 
+@cache
+def polygon_nef_partitions():
+    """Every nef-partition of every reflexive polygon, kept, so that the
+    tests below dualize each once."""
+    return tuple(np_ for polygon in reflexive_polygons()
+                 for np_ in nef_partitions(polygon))
+
+
 def test_every_polygon_nef_partition_is_dual_with_its_node_count():
     # both sides of every nef-partition, r = 1 to 4: the double dual is the
     # identity, the Gorenstein cones are dual, the two Euler routes agree,
@@ -461,3 +495,74 @@ def test_every_polygon_nef_partition_is_dual_with_its_node_count():
                 assert report["invariants"].chi_Y == 24 - nodes, side
                 sides += 1
     assert sides == 142
+
+
+# ---------------------------------------------------------------------------
+# the toric numbers from a count, against the MPCP fan
+# ---------------------------------------------------------------------------
+
+def _check_count_route(side):
+    """The count route's (chi, h) equals the MPCP fan's h-vector and its
+    sum, and sum h is the normalized volume of the polar (Ehrhart)."""
+    h = _h_vector(mpcp_fan(side.delta)[0])
+    assert side.toric_numbers == (sum(h), h), side
+    assert sum(h) == normalized_volume(polar_dual(side.delta)), side
+
+
+def test_count_route_matches_the_mpcp_fan_on_every_polygon_side():
+    sides = 0
+    for np_ in polygon_nef_partitions():
+        for side in (np_, np_.dual):
+            _check_count_route(side)
+            sides += 1
+    assert sides == 142
+
+
+@pytest.mark.parametrize("vertices", [
+    P3_DELTA,
+    [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)],
+], ids=["P3", "P1xP1xP1"])
+def test_count_route_matches_the_mpcp_fan_on_threefolds(vertices):
+    # both sides of every nef-partition, r = 1 to 4 for P^3 and 1 to 6 for
+    # (P^1)^3
+    for np_ in nef_partitions(convex_hull(vertices)):
+        for side in (np_, np_.dual):
+            _check_count_route(side)
+
+
+# ---------------------------------------------------------------------------
+# the GKZ parameter count against the Hodge numbers
+# ---------------------------------------------------------------------------
+
+def gkz_count(side):
+    """#columns - rank A of the side's GKZ data."""
+    data = gkz_data(side)
+    return len(data.A[0]) - matrix_rank(data.A)
+
+
+def _check_gkz_count(np_):
+    """Each nonzero lattice point of Conv(Delta_1, ..., Delta_r), the dual
+    side's polar, lies in exactly one Delta_i, and rank A = n + r, so the
+    count of each family is h_1 of the other side's MPCP."""
+    assert gkz_count(np_) == np_.dual.toric_numbers[1][1], np_
+    assert gkz_count(np_.dual) == np_.toric_numbers[1][1], np_
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in load_catalog()["entries"]])
+def test_gkz_count_is_the_other_side_h1_on_the_catalog(name):
+    _check_gkz_count(find_entry(name).build())
+
+
+def test_gkz_count_is_the_other_side_h1_on_every_polygon():
+    for np_ in polygon_nef_partitions():
+        _check_gkz_count(np_)
+
+
+@pytest.mark.parametrize("parts, count", [
+    ([[0, 1], [2, 3, 4]], 44),
+    ([[0], [1], [2], [3], [4]], 16),
+], ids=["two-part", "five-part"])
+def test_gkz_count_is_the_other_side_h1_on_p4(parts, count):
+    np_ = build_nef_partition(convex_hull(P4_DELTA), parts)
+    assert gkz_count(np_) == count
+    _check_gkz_count(np_)

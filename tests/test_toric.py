@@ -14,6 +14,8 @@ from conftest import (
     NON_UNIMODULAR_4D,
     P2_DELTA,
     P3_DELTA,
+    P4_DELTA,
+    P4_TWO_PARTS,
     complete_by_hrep,
     cone_contains,
     elementary_product,
@@ -39,6 +41,7 @@ from nefmirror.lattice import (
     normalized_volume,
     polar_dual,
 )
+from nefmirror.nefpart import nef_partition_from_doc
 from nefmirror.toric import (
     ToricDivisor,
     _cone_extends_to_basis,
@@ -58,6 +61,7 @@ from nefmirror.toric import (
     linearly_equivalent,
     make_fan,
     mpcp_fan,
+    mpcp_h_vector,
     nef_polytope,
     normal_fan,
     projective_bundle_fan,
@@ -392,6 +396,15 @@ def test_mpcp_rejects_non_reflexive():
         mpcp_fan(convex_hull([(0, 0), (1, 0), (0, 1)]))
 
 
+def test_mpcp_h_vector_rejects_what_its_count_does_not_fix():
+    # a non-reflexive polytope, and dimension 4, where h_2 is not fixed by
+    # the count
+    with pytest.raises(DomainError, match="reflexive"):
+        mpcp_h_vector(convex_hull([(0, 0), (1, 0), (0, 1)]))
+    with pytest.raises(DomainError, match="dimension at most 3"):
+        mpcp_h_vector(convex_hull(P4_DELTA))
+
+
 def test_mpcp_rejects_non_unimodular_4d():
     poly = convex_hull(NON_UNIMODULAR_4D)
     assert is_reflexive(poly)
@@ -406,15 +419,16 @@ def test_mpcp_rejects_non_unimodular_4d():
     ("normalized_volume", lambda polytope: 0,
      "maximal-cone count disagrees with polar volume"),
 ])
-def test_mpcp_reports_a_failed_theorem_as_internal(monkeypatch, capsys, name,
+def test_mpcp_reports_a_failed_theorem_as_internal(monkeypatch, capsys,
+                                                    p4_two_parts_file, name,
                                                     broken, message):
     # a smooth MPCP fan is complete with one cone per unit of polar volume,
-    # so a failure blames the program (exit 1), not the input (exit 2)
+    # so a failure blames the program (exit 1), not the input (exit 2); the
+    # pipeline builds the fan in dimension 4
     monkeypatch.setattr(toric, name, broken)
-    entry = load_catalog()["entries"][0]
     with pytest.raises(ConsistencyError, match=f"^{message}$"):
-        entry.build().mpcp
-    assert cli.main(["invariants", "--input", entry.name]) == 1
+        nef_partition_from_doc(P4_TWO_PARTS).mpcp
+    assert cli.main(["invariants", "--input", p4_two_parts_file]) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "internal",
                                                     "message": message}
 
