@@ -38,7 +38,6 @@ from .toric import (
     anticanonical,
     cartier_data,
     divisor_from_polytope,
-    fan_to_json,
     hodge_numbers_smooth_toric,
     is_ample,
     is_calabi_yau_cover,
@@ -96,7 +95,6 @@ __all__ = [
     "is_ample", "anticanonical", "is_fano", "projective_bundle_fan",
     "semiample_contraction", "linearly_equivalent",
     "linear_equivalence_witness", "is_calabi_yau_cover",
-    "fan_to_json",
     "NefPartition", "build_nef_partition", "dualize", "cayley_cone",
     "nef_partition_from_json",
     "CoverInvariants", "dk_euler", "branched_cover_euler",

@@ -105,8 +105,10 @@ def load_catalog():
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
         raise InputError("catalog entry names are not unique")
+    # a present section is checked whatever its value: 0, [] or {} is
+    # malformed, not absent
     bundle = doc.get("bundle_example")
-    if bundle:
+    if "bundle_example" in doc:
         _check_fields(bundle, "bundle_example",
                       {"delta_vertices": 2, "bundle_coeffs": 1, "r": 0},
                       others=("name", "expected"))
@@ -115,7 +117,7 @@ def load_catalog():
         _check_fields(bundle.get("expected", {}), "bundle_example expected",
                       BUNDLE_EXPECTED_DEPTHS, optional=True)
     taut = doc.get("taut_golden")
-    if taut:
+    if "taut_golden" in doc:
         _check_fields(taut, "taut_golden", {"degrees": 1, "dim": 0})
         if not taut["degrees"] or min(taut["degrees"]) < 1:
             raise InputError("catalog taut_golden: field 'degrees' must be a non-"

@@ -34,7 +34,6 @@ from .periods import (
     serialize_operator,
     taut_system,
 )
-from .toric import fan_to_json
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -110,7 +109,9 @@ def cmd_dualize(args):
         "nabla_polar_vertices": [list(v) for v in np_.sections_hull.vertices],
         "nabla_part_vertices": [[list(v) for v in poly.vertices]
                                 for poly in dual.section_polytopes],
-        "fan": json.loads(fan_to_json(dual.fan)),
+        "fan": {"dim": dual.fan.ambient_dim,
+                "rays": [list(r) for r in dual.fan.rays],
+                "max_cones": [list(c) for c in dual.fan.max_cones]},
     }
     _emit([_dumps(doc)], args.output)
     return EXIT_OK

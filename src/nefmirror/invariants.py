@@ -10,10 +10,9 @@ suite plays against each other:
   formula chi(D) + r(chi(X) - chi(D)) then gives chi(Y); and
 * the closed form chi(Y) = chi(X) + (-1)^n chi(X_dual), with chi and the
   h-vector of each toric side read from ``NefPartition.toric_numbers``:
-  in dimension n <= 3 from one lattice-point count of the polar, with no
-  fan, checked against the normalized polar volume (the Ehrhart
-  identity), and above from the MPCP fan, whose cone count is checked
-  against that volume.
+  in dimension n <= 3 from the lattice-point count of the polar, with no
+  fan, and above from the MPCP fan over it; on both routes sum h is
+  checked against the normalized polar volume (the Ehrhart identity).
 
 For n <= 3 the DK route thus sets the Cayley volume vol(Lambda) against a
 lattice-point count of the other side's polar.

@@ -46,8 +46,9 @@ class NefPartition:
     (``polar``), the MPCP fan (``mpcp``), the hull of the sections
     (``sections_hull``) and their Cayley pyramid (``cayley_pyramid``) are
     computed on first read and kept on the object; equality and hashing
-    use the four fields only.  The pipeline reads ``toric_numbers``, which
-    builds the MPCP fan only in dimension n > COUNT_DIM."""
+    use the four fields only.  The MPCP layer reads the one ``polar``:
+    ``toric_numbers`` counts its lattice points in dimension n <=
+    COUNT_DIM and reads the MPCP fan over it above."""
 
     delta: object
     fan: object            # normal fan of delta
@@ -70,18 +71,18 @@ class NefPartition:
     @cached_property
     def mpcp(self):
         """(fan, h_vector) of the MPCP desingularization of P_delta:
-        ``mpcp_fan(delta)``, checked smooth and complete, its Euler
-        characteristic, the maximal-cone count, checked against the polar
-        volume.  ``toric_numbers`` reads it in dimension n > COUNT_DIM;
-        below, only the tests do, as the oracle of the count."""
-        return mpcp_fan(self.delta)
+        ``mpcp_fan(polar)``, checked smooth and complete.
+        ``toric_numbers`` reads it in dimension n > COUNT_DIM; below, only
+        the tests do, as the oracle of the count."""
+        return mpcp_fan(self.polar)
 
     @cached_property
     def polar(self):
-        """P° = Delta^dual, whose nonzero lattice points are the rays of
-        the MPCP fan.  On a dual side made by ``dualize`` it is the primal
-        side's ``sections_hull`` (the polar identity), so no hull is
-        built."""
+        """P° = Delta^dual, the one input of the MPCP layer: its nonzero
+        lattice points are the rays of the MPCP fan, and their count gives
+        the h-vector in dimension n <= COUNT_DIM.  On a dual side made by
+        ``dualize`` it is the primal side's ``sections_hull`` (the polar
+        identity), so no hull is built."""
         return polar_dual(self.delta)
 
     @cached_property
@@ -89,20 +90,17 @@ class NefPartition:
         """(chi, h) of the MPCP desingularization X of P_delta: its
         h-vector, h_p = h^{p,p}(X), and chi(X) = sum h.
 
-        In dimension n <= COUNT_DIM, h is read from one lattice-point
-        count (``mpcp_h_vector``) and no fan is built; the Ehrhart identity
-        sum h = nvol(P°) is checked as a ConsistencyError.  Above, h is
-        the MPCP fan's, whose smoothness ``mpcp_fan`` decides and whose
-        cone count, sum h, it checks against nvol(P°)."""
-        if self.dim > COUNT_DIM:
-            h = self.mpcp[1]
-        else:
-            h = mpcp_h_vector(self.delta)
-            volume = self.polar.nvolume
-            if sum(h) != volume:
-                raise ConsistencyError(
-                    "Ehrhart identity sum(h) == nvol(polar) failed: "
-                    f"{sum(h)} != {volume}")
+        In dimension n <= COUNT_DIM, h is read from the lattice-point
+        count of ``polar`` (``mpcp_h_vector``) and no fan is built; above,
+        h is the MPCP fan's, whose smoothness ``mpcp_fan`` decides.  On
+        both routes the Ehrhart identity sum h = nvol(P°), for a fan its
+        maximal-cone count, is checked here as a ConsistencyError."""
+        h = self.mpcp[1] if self.dim > COUNT_DIM else mpcp_h_vector(self.polar)
+        volume = self.polar.nvolume
+        if sum(h) != volume:
+            raise ConsistencyError(
+                "Ehrhart identity sum(h) == nvol(polar) failed: "
+                f"{sum(h)} != {volume}")
         return sum(h), h
 
     @cached_property

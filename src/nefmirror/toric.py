@@ -1,7 +1,9 @@
 """Fans and toric computations: normal fans, smoothness/completeness,
-Hodge numbers of smooth complete toric varieties, MPCP h-vectors from a
-lattice-point count (n <= 3) or an MPCP fan, Cartier data,
-projective-bundle fans, semiample contractions, Fano tests.  Section
+Hodge numbers of smooth complete toric varieties, MPCP h-vectors, Cartier
+data, projective-bundle fans, semiample contractions, Fano tests.  The
+MPCP layer takes the polar P° of a reflexive polytope as its one input:
+the h-vector is read from the count of P°'s lattice points (n <= 3) or
+from the MPCP fan over P°'s boundary triangulation.  Section
 polytopes are taken only of nef divisors on complete fans, where one is
 the hull of the divisor's Cartier data (``nef_polytope``), and
 ``is_nef_polytope`` tests that hull against a polytope without building
@@ -15,9 +17,8 @@ on the rays of sigma.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
@@ -36,9 +37,8 @@ from .lattice import (
     cone_hrep,
     convex_hull,
     is_reflexive,
+    lattice_points,
     maximal_boundary_triangulation,
-    normalized_volume,
-    polar_dual,
 )
 
 
@@ -111,13 +111,6 @@ def make_fan(rays, max_cones):
     sorted_rays = tuple(rays[i] for i in order)
     cones = sorted({tuple(sorted(relabel[i] for i in cone)) for cone in max_cones})
     return Fan(d, sorted_rays, tuple(cones))
-
-
-def fan_to_json(fan):
-    return json.dumps({"dim": fan.ambient_dim,
-                       "rays": [list(r) for r in fan.rays],
-                       "max_cones": [list(c) for c in fan.max_cones]},
-                      sort_keys=True)
 
 
 def normal_fan(polytope):
@@ -218,15 +211,15 @@ def is_complete(fan):
 # ---------------------------------------------------------------------------
 
 # Up to this dimension every fine triangulation of the boundary of a
-# reflexive polytope is unimodular, so the MPCP h-vector is read from one
-# lattice-point count (``mpcp_h_vector``) and no fan is built.
+# reflexive polytope is unimodular, so the MPCP h-vector is read from the
+# lattice-point count of the polar (``mpcp_h_vector``) and no fan is built.
 COUNT_DIM = 3
 
 
-def mpcp_h_vector(polytope):
+def mpcp_h_vector(polar):
     """h-vector of the smooth MPCP fans of a reflexive polytope Delta of
-    dimension n <= COUNT_DIM, from one count L = #(P° ∩ Z^n) of the polar
-    dual P°, with no hull and no fan:
+    dimension n <= COUNT_DIM, read from its polar P° = Delta^dual with no
+    fan, from the count L = #(P° ∩ Z^n) of its lattice points:
 
         h = (1, L - n - 1, ..., L - n - 1, 1).
 
@@ -236,43 +229,34 @@ def mpcp_h_vector(polytope):
     palindromic, and h*_1 = L - n - 1, which fixes h* for n <= 3.  There
     a smooth MPCP fan always exists: the facets of P° lie at lattice
     distance 1, and an empty lattice segment or triangle has normalized
-    volume 1, so every fine boundary triangulation is unimodular.
-
-    The vertices of P° are Delta's facet normals, so the points are
-    scanned in the box they span and kept where <v, u> >= -1 on every
-    vertex v of Delta."""
-    n = polytope.ambient_dim
+    volume 1, so every fine boundary triangulation is unimodular."""
+    n = polar.ambient_dim
     if n > COUNT_DIM:
         raise DomainError(f"mpcp_h_vector needs dimension at most {COUNT_DIM}")
-    if not is_reflexive(polytope):
+    if not is_reflexive(polar):
         raise DomainError("mpcp_h_vector needs a reflexive polytope")
-    normals = [normal for normal, _ in polytope.facets]
-    box = [range(min(col), max(col) + 1) for col in zip(*normals)]
-    vertices = polytope.vertices
-    count = sum(all(dot(v, u) >= -1 for v in vertices) for u in product(*box))
+    count = len(lattice_points(polar))
     return (1,) + (count - n - 1,) * (n - 1) + (1,)
 
 
-def mpcp_fan(polytope):
+def mpcp_fan(polar):
     """Maximal projective crepant partial desingularization of the toric
-    variety of a reflexive polytope: the normal fan refined by all nonzero
-    lattice points of the polar dual, via the maximal boundary
-    triangulation.  Returns (fan, h_vector), the h-vector as in
-    ``hodge_numbers_smooth_toric``.  A nef-partition builds it only in
-    dimension n > COUNT_DIM, where it is the smoothness certificate and
-    the source of h (``NefPartition.toric_numbers``); below, the tests
-    read it as the oracle of ``mpcp_h_vector``.
+    variety of a reflexive polytope Delta, given its polar P° =
+    Delta^dual: the normal fan of Delta refined by all nonzero lattice
+    points of P°, the fan over the maximal boundary triangulation of P°
+    (a DomainError when P° is not reflexive).  Returns (fan, h_vector),
+    the h-vector as in ``hodge_numbers_smooth_toric``.  A nef-partition
+    builds it only in dimension n > COUNT_DIM, where it is the smoothness
+    certificate and the source of h (``NefPartition.toric_numbers``, which
+    checks sum h, the maximal-cone count, against nvol(P°)); below, the
+    tests read it as the oracle of ``mpcp_h_vector``.
 
     The fan must be smooth: a cone over a simplex of |det| != 1 is a
     SmoothnessError.  That shows only that this one (pulling)
     triangulation is not unimodular, not that no smooth MPCP fan exists,
-    and the message says no more.  A smooth MPCP fan has one maximal cone
-    per unit of the polar dual's normalized volume and is complete; both
-    are theorems, checked as ConsistencyError."""
-    if not is_reflexive(polytope):
-        raise DomainError("mpcp_fan needs a reflexive polytope")
-    dual = polar_dual(polytope)
-    tri = maximal_boundary_triangulation(dual)
+    and the message says no more.  A smooth MPCP fan is complete, a
+    theorem checked as ConsistencyError."""
+    tri = maximal_boundary_triangulation(polar)
     rays = tri.uses_points[1:]
     cones = [tuple(i - 1 for i in simplex if i != 0) for simplex in tri.simplices]
     fan = make_fan(rays, cones)
@@ -280,8 +264,6 @@ def mpcp_fan(polytope):
         raise SmoothnessError(
             "the MPCP fan of the pulling triangulation is not unimodular; "
             "no smooth MPCP fan was found")
-    if len(fan.max_cones) != normalized_volume(dual):
-        raise ConsistencyError("maximal-cone count disagrees with polar volume")
     if not is_complete(fan):
         raise ConsistencyError("MPCP fan is not complete")
     return fan, _h_vector(fan)
@@ -450,20 +432,15 @@ def semiample_contraction(fan, divisor):
     """Fan obtained by merging maximal cones that share a Cartier datum of
     a nef divisor on a complete fan with full-dimensional polytope
     conv(m_sigma); equals the normal fan of that polytope."""
-    data = cartier_data(divisor)
-    if not _is_convex(data):
-        raise DomainError("semiample contraction needs a nef divisor")
-    polytope = convex_hull(sorted(set(data.per_cone)))
+    points = _nef_cartier_points(divisor)
+    polytope = convex_hull(sorted(points))
     if polytope.dim != fan.ambient_dim:
         raise DomainError("divisor polytope is not full-dimensional")
     contracted = normal_fan(polytope)
-    ray_set = set(contracted.rays)
-    if not ray_set <= set(fan.rays):
+    if not set(contracted.rays) <= set(fan.rays):
         raise ConsistencyError("contracted fan has rays outside the original fan")
-    vertex_set = set(polytope.vertices)
-    for m in data.per_cone:
-        if m not in vertex_set:
-            raise ConsistencyError("Cartier datum is not a vertex of the polytope")
+    if not points <= set(polytope.vertices):
+        raise ConsistencyError("Cartier datum is not a vertex of the polytope")
     return contracted
 
 

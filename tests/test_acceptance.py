@@ -184,7 +184,7 @@ def test_criterion_09_bundle_contraction_pipeline():
 def test_criterion_10_hodge_suite():
     for name, np_ in PARTITIONS.items():
         inv = double_cover_invariants(np_)
-        fan, _ = mpcp_fan(np_.delta)
+        fan, _ = mpcp_fan(np_.polar)
         h, _ = hodge_numbers_smooth_toric(fan)
         hodge = dict(inv.hodge_offdiag)
         n = np_.dim

@@ -498,6 +498,15 @@ def _set(*keys, value):
      ["entry 'p1-legendre' nef_partition", "'parts'"]),
     (_set("entries", 3, "nef_partition", "part", value=[[0], [1]]),
      ["entry 'p1-legendre' nef_partition", "'part'"]),
+    # a present section is checked whatever its truth value, never skipped
+    # as if absent
+    (_set("bundle_example", value=0), ["bundle_example", "object"]),
+    (_set("bundle_example", value=[]), ["bundle_example", "object"]),
+    (_set("bundle_example", value={}), ["bundle_example", "'delta_vertices'"]),
+    (_set("bundle_example", value=None), ["bundle_example", "object"]),
+    (_set("taut_golden", value=False), ["taut_golden", "object"]),
+    (_set("taut_golden", value=""), ["taut_golden", "object"]),
+    (_set("taut_golden", value={}), ["taut_golden", "'degrees'"]),
 ], ids=["float-bundle", "entry-without-name", "top-level-list", "float-degree",
         "bundle-without-name", "string-chi", "float-h21", "bool-nodes",
         "string-vertex", "flat-rays", "list-block", "unknown-side", "float-A", "word-beta",
@@ -505,7 +514,9 @@ def _set(*keys, value):
         "unknown-expected-key", "unknown-gkz-key", "unknown-bundle-key",
         "unknown-bundle-expected-key", "unknown-taut-key", "zero-degree",
         "no-degrees", "negative-dim", "nef-partition-without-parts",
-        "unknown-nef-partition-key"])
+        "unknown-nef-partition-key", "zero-bundle", "list-bundle",
+        "empty-bundle", "null-bundle", "false-taut", "string-taut",
+        "empty-taut"])
 def test_catalog_file_validated_at_load(tmp_path, corrupt, words):
     from nefmirror.catalog import catalog_path
     with open(catalog_path(), encoding="utf-8") as handle:

@@ -20,6 +20,7 @@ from conftest import (
     boundary_lattice_count,
     cayley_factors,
     ccw_sort,
+    elementary_product,
     gl_canonical_form,
     random_lattice_polygon,
     smooth_surface_fan,
@@ -42,7 +43,7 @@ from nefmirror.invariants import (
     surface_node_count,
     verify_mirror_duality,
 )
-from nefmirror.intlin import matrix_rank
+from nefmirror.intlin import dot, matrix_rank
 from nefmirror.lattice import (
     cayley_pyramid,
     convex_hull,
@@ -265,7 +266,7 @@ def test_five_part_p4_passes_every_catalog_check():
 
 def test_invariants_off_middle_hodge():
     inv = double_cover_invariants(TRIPLE)
-    fan, _ = mpcp_fan(DELTA)
+    fan, _ = mpcp_fan(polar_dual(DELTA))
     h, _ = hodge_numbers_smooth_toric(fan)
     hodge = dict(inv.hodge_offdiag)
     assert hodge[(0, 0)] == h[0] == 1
@@ -350,8 +351,8 @@ def test_a_broken_ehrhart_identity_is_internal(monkeypatch, capsys):
     # (1, 5, 1), is read first
     count = nefpart.mpcp_h_vector
 
-    def off_by_one(polytope):
-        h = count(polytope)
+    def off_by_one(polar):
+        h = count(polar)
         return (h[0], h[1] + 1) + h[2:]
 
     monkeypatch.setattr(nefpart, "mpcp_h_vector", off_by_one)
@@ -504,9 +505,10 @@ def test_every_polygon_nef_partition_is_dual_with_its_node_count():
 def _check_count_route(side):
     """The count route's (chi, h) equals the MPCP fan's h-vector and its
     sum, and sum h is the normalized volume of the polar (Ehrhart)."""
-    h = _h_vector(mpcp_fan(side.delta)[0])
+    polar = polar_dual(side.delta)
+    h = _h_vector(mpcp_fan(polar)[0])
     assert side.toric_numbers == (sum(h), h), side
-    assert sum(h) == normalized_volume(polar_dual(side.delta)), side
+    assert sum(h) == normalized_volume(polar), side
 
 
 def test_count_route_matches_the_mpcp_fan_on_every_polygon_side():
@@ -516,6 +518,42 @@ def test_count_route_matches_the_mpcp_fan_on_every_polygon_side():
             _check_count_route(side)
             sides += 1
     assert sides == 142
+
+
+def moved_nef_partition(np_, g):
+    """The nef-partition g . np_ for g in GL(2, Z): the polygon is moved by
+    g, and each ray rho of its normal fan by g^{-T}, which keeps <v, rho>,
+    so every part keeps its rays."""
+    (a, b), (c, d) = g
+    sign = a * d - b * c  # +-1, so g^{-1} = sign * adj(g)
+    inverse_transpose = ((sign * d, -sign * c), (-sign * b, sign * a))
+    polygon = convex_hull([tuple(dot(row, v) for row in g)
+                           for v in np_.delta.vertices])
+    rays = normal_fan(polygon).rays
+    parts = [[rays.index(tuple(dot(row, np_.fan.rays[i])
+                               for row in inverse_transpose))
+              for i in part] for part in np_.parts]
+    return build_nef_partition(polygon, parts)
+
+
+def _surface_numbers(np_):
+    return (np_.toric_numbers, np_.dual.toric_numbers,
+            surface_node_count(np_), surface_node_count(np_.dual),
+            double_cover_invariants(np_).chi_Y)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
+                          st.integers(-2, 2), st.booleans()),
+                min_size=1, max_size=5))
+def test_polygon_numbers_are_gl2z_invariant(ops):
+    # the count scans the bounding box of each moved polar, sheared by g,
+    # and tests membership there; the toric numbers of both sides, the node
+    # count and chi(Y) of every nef-partition of the 16 polygons stay put
+    g = elementary_product(2, ops)
+    for np_ in polygon_nef_partitions():
+        moved = moved_nef_partition(np_, g)
+        assert _surface_numbers(moved) == _surface_numbers(np_), (np_, g)
 
 
 @pytest.mark.parametrize("vertices", [

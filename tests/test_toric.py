@@ -25,7 +25,7 @@ from conftest import (
     smooth_surface_fan,
 )
 from nefmirror import cli, toric
-from nefmirror.catalog import load_catalog
+from nefmirror.catalog import find_entry, load_catalog
 from nefmirror.errors import (
     ConsistencyError,
     DomainError,
@@ -49,7 +49,6 @@ from nefmirror.toric import (
     bundle_nef_divisor,
     cartier_data,
     divisor_from_polytope,
-    fan_to_json,
     hodge_numbers_smooth_toric,
     is_ample,
     is_calabi_yau_cover,
@@ -343,51 +342,50 @@ def test_flat_cones_do_not_complete_a_fan():
 # MPCP
 # ---------------------------------------------------------------------------
 
-def _check_h_vector(polytope, fan, h_vector, expected):
-    """The h-vector of a triangulated MPCP fan against facts it must obey:
-    Dehn-Sommerville h_p = h_{n-p}, h_1 = #rays - n, and sum h_p = #maximal
-    cones = nvol of the polar, then against its known value."""
+def _check_h_vector(polar, fan, h_vector, expected):
+    """The h-vector of the MPCP fan over a polar against facts it must
+    obey: Dehn-Sommerville h_p = h_{n-p}, h_1 = #rays - n, and sum h_p =
+    #maximal cones = nvol of the polar, then against its known value."""
     n = fan.ambient_dim
     assert len(h_vector) == n + 1
     assert all(h_vector[p] == h_vector[n - p] for p in range(n + 1))
     assert h_vector[1] == len(fan.rays) - n
-    assert sum(h_vector) == len(fan.max_cones) == normalized_volume(
-        polar_dual(polytope))
+    assert sum(h_vector) == len(fan.max_cones) == normalized_volume(polar)
     assert h_vector == expected
 
 
 def test_mpcp_hexagon():
-    poly = convex_hull(HEX_NABLA)
-    fan, h_vector = mpcp_fan(poly)
-    _check_h_vector(poly, fan, h_vector, (1, 4, 1))
+    polar = polar_dual(convex_hull(HEX_NABLA))
+    fan, h_vector = mpcp_fan(polar)
+    _check_h_vector(polar, fan, h_vector, (1, 4, 1))
     assert is_smooth(fan) and is_complete(fan)
     assert set(fan.rays) == NU_RAYS
     assert len(fan.max_cones) == 6  # P^2 blown up at three points
 
 
 def test_mpcp_p2_delta_is_plane_fan():
-    poly = convex_hull(P2_DELTA)
-    fan, h_vector = mpcp_fan(poly)
-    _check_h_vector(poly, fan, h_vector, (1, 1, 1))
+    polar = polar_dual(convex_hull(P2_DELTA))
+    fan, h_vector = mpcp_fan(polar)
+    _check_h_vector(polar, fan, h_vector, (1, 1, 1))
     assert fan == P2_FAN
 
 
 def test_mpcp_p3_simplex_smooth():
-    poly = convex_hull(P3_DELTA)
-    fan, h_vector = mpcp_fan(poly)
-    _check_h_vector(poly, fan, h_vector, (1, 1, 1, 1))
+    polar = polar_dual(convex_hull(P3_DELTA))
+    fan, h_vector = mpcp_fan(polar)
+    _check_h_vector(polar, fan, h_vector, (1, 1, 1, 1))
     assert is_smooth(fan)
     assert len(fan.max_cones) == 4
 
 
 def test_mpcp_refines_face_fan_with_all_dual_points():
-    poly = polar_dual(convex_hull(P2_DELTA))  # dual of the ray simplex
-    fan, h_vector = mpcp_fan(poly)
-    _check_h_vector(poly, fan, h_vector, (1, 7, 1))
-    dual = polar_dual(poly)
-    boundary = [p for p in lattice_points(dual) if p != (0, 0)]
+    # the MPCP fan of the ray simplex, whose polar is P2_DELTA's polytope
+    polar = convex_hull(P2_DELTA)
+    fan, h_vector = mpcp_fan(polar)
+    _check_h_vector(polar, fan, h_vector, (1, 7, 1))
+    boundary = [p for p in lattice_points(polar) if p != (0, 0)]
     assert set(fan.rays) == set(boundary)
-    assert len(fan.max_cones) == normalized_volume(dual)
+    assert len(fan.max_cones) == normalized_volume(polar)
     assert is_complete(fan)
 
 
@@ -411,23 +409,24 @@ def test_mpcp_rejects_non_unimodular_4d():
     with pytest.raises(SmoothnessError, match="^the MPCP fan of the pulling "
                        "triangulation is not unimodular; no smooth MPCP fan "
                        "was found$"):
-        mpcp_fan(poly)
+        mpcp_fan(polar_dual(poly))
 
 
 @pytest.mark.parametrize("name, broken, message", [
     ("is_complete", lambda fan: False, "MPCP fan is not complete"),
-    ("normalized_volume", lambda polytope: 0,
-     "maximal-cone count disagrees with polar volume"),
+    ("_h_vector", lambda fan: (1, 0, 0, 0, 0),
+     "Ehrhart identity sum(h) == nvol(polar) failed: 1 != 211"),
 ])
 def test_mpcp_reports_a_failed_theorem_as_internal(monkeypatch, capsys,
                                                     p4_two_parts_file, name,
                                                     broken, message):
     # a smooth MPCP fan is complete with one cone per unit of polar volume,
     # so a failure blames the program (exit 1), not the input (exit 2); the
-    # pipeline builds the fan in dimension 4
+    # pipeline builds the fan in dimension 4 and reads the dual side, with
+    # its 211 cones, first
     monkeypatch.setattr(toric, name, broken)
-    with pytest.raises(ConsistencyError, match=f"^{message}$"):
-        nef_partition_from_doc(P4_TWO_PARTS).mpcp
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        nef_partition_from_doc(P4_TWO_PARTS).dual.toric_numbers
     assert cli.main(["invariants", "--input", p4_two_parts_file]) == 1
     assert json.loads(capsys.readouterr().err) == {"error": "internal",
                                                     "message": message}
@@ -765,10 +764,13 @@ def _in_cone(fan, cone, vector):
     return cone_contains(make_cone(fan.cone_rays(cone)), vector)
 
 
-def test_fan_json_roundtrip():
-    doc = json.loads(fan_to_json(HEX_FAN))
-    assert doc["dim"] == HEX_FAN.ambient_dim
-    assert make_fan(doc["rays"], doc["max_cones"]) == HEX_FAN
+def test_fan_json_roundtrip(capsys):
+    # the fan that dualize writes reads back as the dual side's fan
+    assert cli.main(["dualize", "--input", "p2-triple"]) == 0
+    doc = json.loads(capsys.readouterr().out)["fan"]
+    dual = find_entry("p2-triple").build().dual
+    assert doc["dim"] == dual.fan.ambient_dim
+    assert make_fan(doc["rays"], doc["max_cones"]) == dual.fan
 
 
 @pytest.mark.parametrize("index", [5, -1])
