@@ -1,25 +1,24 @@
-"""Exact integer/rational linear algebra on plain tuples.
+"""Exact integer linear algebra on plain tuples.
 
-No floats anywhere: entries are ints or fractions.Fraction.  Elimination
-runs over the integers in two routines: fraction-free Bareiss row
-elimination for rank, solve, nullspace, determinant and the scaled
+No floats and no rescaling: every matrix eliminated here is integral,
+since every polytope, fan, cone and divisor is built from ``int``
+coordinates (``lattice.integer_vector`` checks them at the public
+constructors).  Elimination runs in two routines: fraction-free Bareiss
+row elimination for rank, solve, nullspace, determinant and the scaled
 inverse, and unimodular column reduction (:func:`lattice_split`) for
-integer kernels and lattice charts.  The columns of :func:`scaled_inverse`
-are the inner facet normals of a simplex (from its edge matrix) or of a
-simplicial cone (from its generators), so the hull's first simplex and
-the completeness test read them from one elimination.  Integer input
-stays ``int`` throughout: :func:`canon_vec` and :func:`primitivize` build
-no Fraction for it, and :func:`nullspace` and :func:`scaled_inverse`
-return integers.  Fraction enters only through rational inputs, which are
-scaled once by a common denominator, and through results that are
-genuinely rational.  Vectors are tuples, matrices are lists/tuples of row
-tuples.  This is deliberately small-scale code (a few dozen rows) written
-for clarity and determinism, not asymptotics.
+integer kernels and lattice charts.  The columns of
+:func:`scaled_inverse` are the inner facet normals of a simplex (from its
+edge matrix) or of a simplicial cone (from its generators), so the hull's
+first simplex and the completeness test read them from one elimination.
+Results are ints; only a non-integral :func:`solve_linear` entry is a
+Fraction.  Vectors are tuples, matrices are lists/tuples of row tuples.
+This is deliberately small-scale code (a few dozen rows) written for
+clarity and determinism, not asymptotics.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def canon_num(x):
@@ -27,10 +26,6 @@ def canon_num(x):
     if isinstance(x, Fraction):
         return int(x) if x.denominator == 1 else x
     return x
-
-
-def canon_vec(v):
-    return tuple(x if type(x) is int else canon_num(Fraction(x)) for x in v)
 
 
 def dot(u, v):
@@ -42,18 +37,13 @@ def vsub(u, v):
 
 
 def is_integral(v):
-    return all(isinstance(canon_num(x), int) for x in v)
+    return all(type(x) is int for x in v)
 
 
 def primitivize(v):
-    """Scale a nonzero rational vector to the primitive integer vector on
-    the same ray.  Raises on the zero vector.  An integer vector is only
-    divided by its gcd; rational entries are first scaled by the lcm of
-    their denominators."""
-    if not all(type(x) is int for x in v):
-        fracs = [Fraction(x) for x in v]
-        scale = lcm(*(x.denominator for x in fracs))
-        v = [int(x * scale) for x in fracs]
+    """The primitive integer vector on the ray of a nonzero integer
+    vector: v divided by the gcd of its entries.  Raises on the zero
+    vector."""
     g = gcd(*v)
     if g == 0:
         raise ValueError("cannot primitivize the zero vector")
@@ -62,15 +52,13 @@ def primitivize(v):
 
 def _eliminate(rows):
     """Fraction-free Gauss-Jordan elimination over Z (Bareiss, Math. Comp.
-    22, 1968): each pivot step replaces every other row by
-    (p*row - f*pivot_row) / previous pivot, an exact integer division.
-    Rational input is scaled once by the lcm of its denominators.  Returns
-    (m, pivots, last, sign, scale) with m = last * rref(scale * rows), rows
-    in swapped order, and last = sign * det(scale * rows) for a square
+    22, 1968) of an integer matrix: each pivot step replaces every other
+    row by (p*row - f*pivot_row) / previous pivot, an exact integer
+    division.  Returns (m, pivots, last, sign) with m = last * rref(rows),
+    rows in swapped order, and last = sign * det(rows) for a square
     nonsingular matrix (last = 1 when there is no pivot).
     """
-    scale = lcm(*{x.denominator for row in rows for x in row})
-    m = [[int(x * scale) for x in row] for row in rows]
+    m = list(rows)  # rows are replaced, never changed in place
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -93,7 +81,7 @@ def _eliminate(rows):
                 m[i] = [(p * a - f * b) // last for a, b in zip(m[i], prow)]
         pivots.append(c)
         last = p
-    return m, pivots, last, sign, scale
+    return m, pivots, last, sign
 
 
 def _quotient(a, b):
@@ -118,7 +106,7 @@ def solve_linear(rows, rhs):
     if not rows:
         return ()
     ncols = len(rows[0])
-    m, pivots, last, _, _ = _eliminate(
+    m, pivots, last, _ = _eliminate(
         [tuple(row) + (b,) for row, b in zip(rows, rhs)])
     if ncols in pivots:  # pivot in the rhs column
         return None
@@ -137,7 +125,7 @@ def nullspace(rows):
     if not rows:
         return []
     ncols = len(rows[0])
-    m, pivots, last, _, _ = _eliminate(rows)
+    m, pivots, last, _ = _eliminate(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -150,25 +138,24 @@ def nullspace(rows):
 
 
 def det(rows):
-    """Exact determinant of a square matrix: the signed final pivot of the
-    elimination, divided by the scale of rational input."""
-    n = len(rows)
-    _, pivots, last, sign, scale = _eliminate(rows)
-    if len(pivots) < n:
+    """Exact determinant of a square integer matrix: the signed final
+    pivot of the elimination."""
+    _, pivots, last, sign = _eliminate(rows)
+    if len(pivots) < len(rows):
         return 0
-    return _quotient(sign * last, scale ** n)
+    return sign * last
 
 
 def scaled_inverse(rows):
     """A positive integer multiple c * rows^-1 of the inverse of a square
-    matrix, from one elimination of [rows | I], or None when rows is
-    singular.  The right block of the eliminated matrix is last * rows^-1,
-    integral even for rational input, and is negated when last < 0.
+    integer matrix, from one elimination of [rows | I], or None when rows
+    is singular.  The right block of the eliminated matrix is
+    last * rows^-1, the adjugate up to sign, negated when last < 0.
     Since rows @ X = c * I, column i of X vanishes on every row but row i,
     where it is positive: read as cone generators or simplex edges, it is
     the inner normal of the facet opposite row i."""
     n = len(rows)
-    m, pivots, last, _, _ = _eliminate(
+    m, pivots, last, _ = _eliminate(
         [(*row, *(0,) * i, 1, *(0,) * (n - 1 - i))
          for i, row in enumerate(rows)])
     if pivots != list(range(n)):
@@ -179,15 +166,14 @@ def scaled_inverse(rows):
 
 
 def lattice_split(rows):
-    """Unimodular column reduction: T in GL(m, Z) with rows @ T = [H | 0],
-    H of full column rank, returned as its columns ``(image, kernel)``.
-    ``kernel`` is a basis of {x in Z^m : rows @ x = 0}; dot products with
-    the ``image`` columns map span_Q(rows) ∩ Z^m onto Z^rank.  Rational
-    input is scaled once by the lcm of its denominators."""
-    scale = lcm(*{x.denominator for row in rows for x in row})
+    """Unimodular column reduction of an integer matrix: T in GL(m, Z)
+    with rows @ T = [H | 0], H of full column rank, returned as its
+    columns ``(image, kernel)``.  ``kernel`` is a basis of
+    {x in Z^m : rows @ x = 0}; dot products with the ``image`` columns map
+    span_Q(rows) ∩ Z^m onto Z^rank."""
     nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    cols = [[int(rows[r][c] * scale) for r in range(nrows)] for c in range(ncols)]
+    cols = [list(col) for col in zip(*rows)]
+    ncols = len(cols)
     transform = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
     active = list(range(ncols))
     pivots = []

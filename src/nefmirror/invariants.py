@@ -20,11 +20,10 @@ lattice-point count of the other side's polar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
-from .intlin import canon_num, det
+from .intlin import det
 from .lattice import cayley_pyramid
 from .toric import (
     COUNT_DIM,
@@ -241,12 +240,16 @@ def surface_node_count(nef_partition):
     meet D_i . D_j times.  On a surface D^2 is the normalized volume of
     D's section polytope, 0 for a segment or a point, so the pairwise sum
     is ((sum D_i)^2 - sum D_i^2) / 2.  That difference is twice a sum of
-    intersection numbers, so it is halved exactly, never floored."""
+    intersection numbers, so an odd one is a ConsistencyError."""
     if nef_partition.dim != 2:
         raise InputError("node counts are for surfaces")
     chi_x, _ = nef_partition.toric_numbers
     volume = nef_partition.delta.nvolume
     squares = sum(p.nvolume for p in nef_partition.section_polytopes
                   if p.dim == 2)
-    return (chi_x + volume
-            + canon_num(Fraction(volume - squares, 2)))
+    pairings, odd = divmod(volume - squares, 2)
+    if odd:
+        raise ConsistencyError(
+            "pairing sum 2 * sum_{i<j} D_i.D_j == nvol(Delta) - "
+            f"sum nvol(Delta_i) is odd: {volume} - {squares}")
+    return chi_x + volume + pairings

@@ -1,26 +1,26 @@
-"""Exact rational polyhedral kernel.
+"""Exact lattice polyhedral kernel.
 
-Lattice points are plain int tuples, rational vectors are tuples of ints
-and fractions.Fraction; every predicate is exact.  On lattice input the
-hull and the pulling triangulation build no Fraction.  The hull reads
-the inner normals of its first simplex's facets from the columns of one
-scaled inverse of its edge matrix, grows every later facet from a
-horizon ridge as an integer combination of the two facets that meet
-there, and reads vertices from facet incidence; the pulling test is
-cross-multiplied.  Polytopes are
-built exclusively through :func:`convex_hull`, which produces an
-irredundant V- and H-representation and a triangulation of the boundary.
-The normalized volume is summed from that triangulation on first read
-(most hulls are never asked for it), measured in the polytope's affine
-span against the induced lattice: in an integer chart of the span, from
-one unimodular column reduction of its affine-basis directions, when the
-polytope is lower-dimensional.
+Points, normals and offsets are ints and int tuples, and every predicate
+is exact.  Every polytope and cone is integral by construction:
+:func:`convex_hull` and :func:`make_cone` refuse any other coordinate
+(:func:`integer_vector`), and the polar dual is taken only of a reflexive
+polytope.  The hull reads the inner normals of its first simplex's
+facets from the columns of one scaled inverse of its edge matrix, grows
+every later facet from a horizon ridge as an integer combination of the
+two facets that meet there, and reads vertices from facet incidence; the
+pulling test is cross-multiplied.  Polytopes are built exclusively
+through :func:`convex_hull`, which produces an irredundant V- and
+H-representation and a triangulation of the boundary.  The normalized
+volume is summed from that triangulation on first read (most hulls are
+never asked for it), measured in the polytope's affine span against the
+induced lattice: in an integer chart of the span, from one unimodular
+column reduction of its affine-basis directions, when the polytope is
+lower-dimensional.
 
 Conventions
 -----------
 * A facet ``(normal, offset)`` means the inequality ``<x, normal> >= -offset``.
-  Normals are primitive integer vectors; the offset is an integer for
-  lattice polytopes and may be a Fraction for rational ones.
+  Normals are primitive integer vectors and offsets are integers.
 * An equation ``(normal, rhs)`` means ``<x, normal> == rhs`` and is present
   only for lower-dimensional polytopes (it cuts out the affine span).
 * All point lists are sorted lexicographically; this makes every operation
@@ -29,18 +29,13 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import ceil, floor
 
 from .errors import ConsistencyError, DomainError, InputError
 from .intlin import (
-    canon_num,
-    canon_vec,
     det,
     dot,
-    is_integral,
     lattice_split,
     matrix_rank,
     pivot_columns,
@@ -56,7 +51,7 @@ from .intlin import (
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """A rational polytope with exact V- and H-representations.
+    """A lattice polytope with exact V- and H-representations.
 
     ``dim`` is the affine dimension; ``facets`` cut the polytope out of its
     affine span, and ``equations`` cut the span out of ambient space.
@@ -79,21 +74,16 @@ class LatticePolytope:
     def nvolume(self):
         """Normalized volume in the affine span, summed on first read: one
         determinant per boundary simplex coned from the chart boundary's
-        lex-first point, a vertex, which keeps them integral for lattice
-        polytopes.  Simplices through that vertex add 0 and are skipped."""
+        lex-first point, a vertex.  Simplices through that vertex add 0
+        and are skipped."""
         if self.dim == 0:
             return 1
         simplices = self._volume_boundary
         apex = simplices[0][0]
-        return canon_num(sum(abs(det([vsub(p, apex) for p in simplex]))
-                             for simplex in simplices if simplex[0] != apex))
-
-    @cached_property
-    def is_lattice(self):
-        return all(is_integral(v) for v in self.vertices)
+        return sum(abs(det([vsub(p, apex) for p in simplex]))
+                   for simplex in simplices if simplex[0] != apex)
 
     def contains(self, point):
-        point = canon_vec(point)
         if len(point) != self.ambient_dim:
             raise InputError("point/polytope dimension mismatch")
         for normal, rhs in self.equations:
@@ -115,7 +105,7 @@ class LatticePolytope:
 
 @dataclass(frozen=True)
 class Cone:
-    """A strongly convex rational polyhedral cone given by its primitive
+    """A strongly convex lattice cone given by its primitive integer
     extremal generators (lexicographically sorted)."""
 
     ambient_dim: int
@@ -188,7 +178,7 @@ def _full_dim_hull(points, start):
     for i, normal in zip(start, opposite):
         simplex = frozenset(start) - {i}
         normal = primitivize(normal)
-        offset = canon_num(-dot(points[min(simplex)], normal))
+        offset = -dot(points[min(simplex)], normal)
         add_facet(simplex, (normal, offset))
 
     for i in range(len(points)):
@@ -210,7 +200,7 @@ def _full_dim_hull(points, start):
                 normal = primitivize(tuple(
                     h_g * a - h_f * b for a, b in zip(n_f, facets[g][0])))
                 ridges[ridge] = [g]
-                add_facet(ridge | {i}, (normal, canon_num(-dot(p, normal))))
+                add_facet(ridge | {i}, (normal, -dot(p, normal)))
 
     # merge coplanar simplicial facets into geometric facets
     merged = sorted(set(facets.values()))
@@ -234,17 +224,17 @@ def _chart(points, basis_idx):
     origin = points[0]
     image, kernel = lattice_split([vsub(points[i], origin) for i in basis_idx[1:]])
     diffs = [vsub(p, origin) for p in points]
-    return image, kernel, [tuple(canon_num(dot(q, c)) for c in image) for q in diffs]
+    return image, kernel, [tuple(dot(q, c) for c in image) for q in diffs]
 
 
 def convex_hull(points):
-    """Irredundant convex hull of rational points.
+    """Irredundant convex hull of lattice points.
 
     Incremental beneath-beyond with exact orientation predicates; handles
     lower-dimensional hulls through an affine chart over the induced
-    lattice.
+    lattice.  A coordinate that is not an ``int`` is an InputError.
     """
-    pts = sorted({canon_vec(p) for p in points})
+    pts = sorted({integer_vector(p) for p in points})
     if not pts:
         raise InputError("convex_hull needs at least one point")
     d = len(pts[0])
@@ -277,8 +267,8 @@ def convex_hull(points):
     facets = []
     for n, c in facets_c:
         a = tuple(dot(n, row) for row in zip(*image))
-        facets.append((a, canon_num(c - dot(pts[0], a))))
-    equations = sorted((k, canon_num(dot(pts[0], k))) for k in kernel)
+        facets.append((a, c - dot(pts[0], a)))
+    equations = sorted((k, dot(pts[0], k)) for k in kernel)
     return LatticePolytope(d, tuple(vertices), tuple(sorted(facets)),
                            tuple(equations), dim, boundary, boundary_c)
 
@@ -288,30 +278,26 @@ def convex_hull(points):
 # ---------------------------------------------------------------------------
 
 def polar_dual(polytope):
-    """Polar dual {u : <m,u> >= -1 for all m in P}.
-
-    Requires a full-dimensional polytope with the origin strictly interior;
-    an involution on reflexive polytopes.
+    """Polar dual {u : <m,u> >= -1 for all m in P} of a reflexive polytope:
+    the hull of its facet normals, an involution.  Any other polytope is a
+    DomainError; a facet at lattice distance > 1 makes the polar rational.
     """
     if polytope.dim != polytope.ambient_dim:
         raise DomainError("polar dual needs a full-dimensional polytope")
     if any(offset <= 0 for _, offset in polytope.facets):
         raise DomainError("origin is not strictly interior")
-    duals = [tuple(x // offset if x % offset == 0 else Fraction(x, offset)
-                   for x in normal)
-             for normal, offset in polytope.facets]
-    return convex_hull(duals)
+    if any(offset != 1 for _, offset in polytope.facets):
+        raise DomainError("the polar dual is not a lattice polytope: "
+                          "a facet is not at lattice distance 1")
+    return convex_hull([normal for normal, _ in polytope.facets])
 
 
 def is_reflexive(polytope):
-    """True iff the polytope is full-dimensional with integral vertices and
-    every facet at lattice distance one (equivalently, the polar dual is
-    again a lattice polytope)."""
-    if polytope.dim != polytope.ambient_dim:
-        return False
-    if not polytope.is_lattice:
-        return False
-    return all(offset == 1 for _, offset in polytope.facets)
+    """True iff the polytope is full-dimensional with every facet at
+    lattice distance one (equivalently, the polar dual is again a lattice
+    polytope); its vertices are integral by construction."""
+    return (polytope.dim == polytope.ambient_dim
+            and all(offset == 1 for _, offset in polytope.facets))
 
 
 def lattice_points(polytope):
@@ -325,8 +311,8 @@ def _scan_lattice_points(polytope):
     the desk-scale polytopes in scope."""
     verts = polytope.vertices
     d = polytope.ambient_dim
-    lo = [min(floor(v[i]) for v in verts) for i in range(d)]
-    hi = [max(ceil(v[i]) for v in verts) for i in range(d)]
+    lo = [min(v[i] for v in verts) for i in range(d)]
+    hi = [max(v[i] for v in verts) for i in range(d)]
     out = []
     for candidate in product(*[range(lo[i], hi[i] + 1) for i in range(d)]):
         if polytope.contains(candidate):
@@ -336,8 +322,7 @@ def _scan_lattice_points(polytope):
 
 def normalized_volume(polytope):
     """dim(P)!-scaled volume of P inside its affine span, measured against
-    the lattice induced on the span.  An exact integer for lattice
-    polytopes; may be a Fraction for rational ones."""
+    the lattice induced on the span: an exact integer."""
     return polytope.nvolume
 
 
@@ -380,9 +365,11 @@ def cayley_pyramid(polys):
 # ---------------------------------------------------------------------------
 
 def make_cone(generators):
-    """Canonical cone from rational generators: primitive, extremal,
-    lexicographically sorted.  Requires a strongly convex cone."""
-    gens = sorted({primitivize(g) for g in generators if any(g)})
+    """Canonical cone from integer generators: primitive, extremal,
+    lexicographically sorted.  Requires a strongly convex cone; a
+    coordinate that is not an ``int`` is an InputError."""
+    gens = sorted({primitivize(g) for g in map(integer_vector, generators)
+                   if any(g)})
     if not gens:
         return Cone(0, (), 0)
     d = len(gens[0])
@@ -436,9 +423,9 @@ def pulling_triangulation(points):
     the pulled point, a cell point q joins conv(a ∪ G) iff the ray from a
     through q leaves the cell through G: h_G(q) < h_G(a) and
     h_G(a) * h_H(q) >= h_G(q) * h_H(a) for every facet H.  The test is
-    cross-multiplied, so it stays in ``int`` on lattice input.
+    cross-multiplied, so it stays in ``int``.
     """
-    pts = [canon_vec(p) for p in points]
+    pts = list(points)
     f = len(pts[0])
     if f == 0:
         return [(0,)]
@@ -510,8 +497,17 @@ def maximal_boundary_triangulation(polytope):
 
 
 # ---------------------------------------------------------------------------
-# JSON input
+# integer input
 # ---------------------------------------------------------------------------
+
+def integer_vector(v):
+    """``v`` as a tuple of ints; any other coordinate (a Fraction, a
+    float, a bool) is an InputError.  The public constructors check here."""
+    v = tuple(v)
+    if not all(type(x) is int for x in v):
+        raise InputError(f"expected integer coordinates, got {v!r}")
+    return v
+
 
 def json_int(x):
     """An integer read from JSON, exactly: a float, a string or a boolean

@@ -23,7 +23,6 @@ from math import comb
 
 from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
 from .intlin import (
-    canon_vec,
     det,
     dot,
     is_integral,
@@ -36,6 +35,7 @@ from .intlin import (
 from .lattice import (
     cone_hrep,
     convex_hull,
+    integer_vector,
     is_reflexive,
     lattice_points,
     maximal_boundary_triangulation,
@@ -66,12 +66,13 @@ class Fan:
 @dataclass(frozen=True)
 class ToricDivisor:
     """Torus-invariant divisor sum a_rho D_rho; coefficients follow the
-    fan's canonical ray order."""
+    fan's canonical ray order and must be ints."""
 
     fan: Fan
     coeffs: tuple
 
     def __post_init__(self):
+        integer_vector(self.coeffs)
         if len(self.coeffs) != len(self.fan.rays):
             raise InputError("divisor needs one coefficient per ray")
 
@@ -87,16 +88,17 @@ class CartierData:
 
 def make_fan(rays, max_cones):
     """Canonicalize: rays lex-sorted and primitive, cones as sorted index
-    tuples, cone list sorted and deduplicated.  A cone that names a missing
-    ray or repeats a ray index is an InputError."""
-    rays = [canon_vec(r) for r in rays]
+    tuples, cone list sorted and deduplicated.  A ray with a coordinate
+    that is not an ``int``, and a cone that names a missing ray or repeats
+    a ray index, is an InputError."""
+    rays = [integer_vector(r) for r in rays]
     if not rays:
         raise InputError("a fan needs at least one ray")
     d = len(rays[0])
     if any(len(r) != d for r in rays):
         raise InputError("rays of mixed dimension")
     for r in rays:
-        if not is_integral(r) or not any(r) or primitivize(r) != r:
+        if not any(r) or primitivize(r) != r:
             raise InputError(f"ray {r} is not a primitive integer vector")
     if len(set(rays)) != len(rays):
         raise InputError("duplicate rays")
@@ -318,7 +320,7 @@ def cartier_data(divisor):
             raise DomainError("Cartier data needs full-dimensional maximal cones")
         if not is_integral(m):
             raise DomainError(f"divisor is not Cartier on cone {cone}")
-        per_cone.append(tuple(int(x) for x in m))
+        per_cone.append(m)
     return CartierData(divisor, tuple(per_cone))
 
 
@@ -367,10 +369,7 @@ def is_ample(divisor):
     fan = divisor.fan
     for cone, m in zip(fan.max_cones, data.per_cone):
         for i, (rho, a) in enumerate(zip(fan.rays, divisor.coeffs)):
-            if i in cone:
-                if dot(m, rho) != -a:
-                    return False
-            elif dot(m, rho) <= -a:
+            if i not in cone and dot(m, rho) <= -a:
                 return False
     return True
 
@@ -458,7 +457,7 @@ def linear_equivalence_witness(d1, d2):
     m = solve_linear(list(fan.rays), diff)
     if m is None or not is_integral(m):
         return None
-    return tuple(int(x) for x in m)
+    return m
 
 
 def linearly_equivalent(d1, d2):

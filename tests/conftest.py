@@ -14,9 +14,13 @@ simplicial cones.  ``serialize_by_parts`` writes an operator's line from
 its fields, apart from the package's term texts rendered when the terms
 are built.  ``invert_unimodular``, which ``gl_canonical_form`` uses, is
 the package's ``scaled_inverse`` with a |det| = 1 check.
+``reflexive_polygons`` enumerates the 16 reflexive polygons and
+``nef_partitions`` every nef-partition of one; ``polygon_nef_partitions``
+keeps all of them, so that the test modules dualize each once.
 """
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 import pytest
@@ -25,7 +29,6 @@ from hypothesis import strategies as st
 from nefmirror import invariants
 from nefmirror.errors import ConsistencyError, DomainError, InputError
 from nefmirror.intlin import (
-    canon_vec,
     det,
     dot,
     matrix_rank,
@@ -117,8 +120,8 @@ def in_convex_hull_oracle(point, points):
     d = len(point)
     for size in range(1, d + 2):
         for subset in combinations(points, size):
-            rows = [[Fraction(p[i]) for p in subset] for i in range(d)]
-            rows.append([Fraction(1)] * size)
+            rows = [[p[i] for p in subset] for i in range(d)]
+            rows.append([1] * size)
             sol = solve_linear(rows, list(point) + [1])
             if sol is not None and all(x >= 0 for x in sol):
                 if all(sum(r * s for r, s in zip(row, sol)) == b
@@ -174,6 +177,73 @@ def random_nef_partition(polytope, rng, max_parts=3):
         except InputError:
             continue
     return build_nef_partition(polytope, [list(range(k))])
+
+
+MAXIMAL_REFLEXIVE_POLYGONS = (
+    P2_DELTA,
+    [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+    [(-1, -1), (3, -1), (-1, 1)],
+)
+
+
+@cache
+def reflexive_polygons():
+    """The reflexive polygons up to GL(2, Z), as the reflexive sub-polygons
+    of the three maximal ones.  In the plane a lattice polygon is reflexive
+    iff the origin is its only interior lattice point, so dropping a vertex
+    of a reflexive polygon from its lattice points leaves a reflexive
+    polygon or one without the origin inside; every reflexive sub-polygon
+    is reached that way.  Consecutive boundary points of a reflexive
+    polygon are a lattice basis, so its face fan over all boundary points
+    is smooth, and its GL(2, Z) normal form names the polygon."""
+    found = {}
+    todo = [convex_hull(vertices) for vertices in MAXIMAL_REFLEXIVE_POLYGONS]
+    seen = set()
+    while todo:
+        poly = todo.pop()
+        if poly.vertices in seen:
+            continue
+        seen.add(poly.vertices)
+        boundary = ccw_sort([p for p in lattice_points(poly) if any(p)])
+        k = len(boundary)
+        fan = make_fan(boundary, [(i, (i + 1) % k) for i in range(k)])
+        found.setdefault(gl_canonical_form(fan), poly)
+        for v in poly.vertices:
+            smaller = convex_hull([p for p in lattice_points(poly) if p != v])
+            if smaller.dim == 2 and is_reflexive(smaller):
+                todo.append(smaller)
+    return tuple(found.values())
+
+
+def nef_partitions(polygon):
+    """Every nef-partition of the polygon, for all r >= 1, each set of
+    parts once."""
+    k = len(normal_fan(polygon).rays)
+    for blocks in set_partitions(list(range(k))):
+        try:
+            yield build_nef_partition(polygon, blocks)
+        except InputError:
+            continue  # a part that is not nef
+
+
+def set_partitions(items):
+    """Every partition of the items into nonempty blocks, each once."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in set_partitions(rest):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1:]
+
+
+@cache
+def polygon_nef_partitions():
+    """Every nef-partition of every reflexive polygon, kept, so that each
+    is dualized once across the test modules."""
+    return tuple(np_ for polygon in reflexive_polygons()
+                 for np_ in nef_partitions(polygon))
 
 
 def smooth_surface_fan(polygon):
@@ -255,7 +325,7 @@ def cayley_polytope(polys):
 
 def pyramid(polytope, apex):
     """Hull of P and an apex outside P's affine span; dim goes up by one."""
-    apex = canon_vec(apex)
+    apex = tuple(apex)
     in_span = (polytope.dim == polytope.ambient_dim
                or all(dot(apex, n) == rhs for n, rhs in polytope.equations))
     if in_span:
@@ -353,7 +423,7 @@ def reference_pulling(points):
     q is below a's level over the facet G (lam < 1) and the point z where
     the ray from a through q leaves the cell satisfies every facet
     inequality.  Points are pulled in the order given."""
-    pts = [canon_vec(p) for p in points]
+    pts = [tuple(p) for p in points]
     f = len(pts[0])
     if f == 0:
         return [(0,)]

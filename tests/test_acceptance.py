@@ -9,8 +9,7 @@ import time
 
 from conftest import (
     boundary_lattice_count,
-    random_nef_partition,
-    random_reflexive_polygon,
+    polygon_nef_partitions,
     random_lattice_polygon,
     s_polytope,
     smooth_surface_fan,
@@ -123,10 +122,7 @@ def test_criterion_05_mirror_duality_suite():
             == sign * report["chi_Ydual"]
         checked += 1
     assert checked >= 6
-    rng = random.Random(20260810)
-    for _ in range(8):
-        poly = random_reflexive_polygon(rng)
-        np_ = random_nef_partition(poly, rng)
+    for np_ in polygon_nef_partitions():
         ok, report = verify_mirror_duality(np_)
         assert ok
         assert report["chi_Y_dk"] == report["chi_Y_closed_form"] \

@@ -40,7 +40,6 @@ from nefmirror.catalog import (
     run_entry,
 )
 from nefmirror.errors import SmoothnessError
-from nefmirror.intlin import canon_vec
 from nefmirror.invariants import double_cover_invariants, surface_node_count
 from nefmirror.nefpart import (
     build_nef_partition,
@@ -198,7 +197,7 @@ def recorded_hulls(monkeypatch):
     convex_hull = lattice.convex_hull
 
     def recording(points):
-        hulled.append({canon_vec(p) for p in points})
+        hulled.append({tuple(p) for p in points})
         return convex_hull(points)
 
     replace_everywhere(monkeypatch, {id(convex_hull): recording})

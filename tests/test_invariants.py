@@ -4,7 +4,6 @@ parameter count against the Hodge numbers."""
 import json
 import random
 import re
-from functools import cache
 from itertools import combinations
 
 import pytest
@@ -19,10 +18,11 @@ from conftest import (
     P4_TWO_PARTS,
     boundary_lattice_count,
     cayley_factors,
-    ccw_sort,
     elementary_product,
-    gl_canonical_form,
+    nef_partitions,
+    polygon_nef_partitions,
     random_lattice_polygon,
+    reflexive_polygons,
     smooth_surface_fan,
 )
 from nefmirror import cli, invariants, nefpart
@@ -47,7 +47,6 @@ from nefmirror.intlin import dot, matrix_rank
 from nefmirror.lattice import (
     cayley_pyramid,
     convex_hull,
-    is_reflexive,
     lattice_points,
     normalized_volume,
     polar_dual,
@@ -65,7 +64,6 @@ from nefmirror.toric import (
     anticanonical,
     divisor_from_polytope,
     hodge_numbers_smooth_toric,
-    make_fan,
     mpcp_fan,
     nef_polytope,
     normal_fan,
@@ -378,6 +376,19 @@ def test_nodes_split_is_fourteen():
     assert surface_node_count(SPLIT) == 14
 
 
+def test_an_odd_pairing_sum_is_internal():
+    # nvol(Delta) - sum nvol(Delta_i) is twice sum_{i<j} D_i.D_j, so an
+    # odd difference (here one section polytope dropped: 9 - 2) blames the
+    # program, by the name of the pairing sum, instead of giving a
+    # fractional node count
+    dropped = nefpart.NefPartition(TRIPLE.delta, TRIPLE.fan, TRIPLE.parts,
+                                   TRIPLE.section_polytopes[:2])
+    message = ("pairing sum 2 * sum_{i<j} D_i.D_j == nvol(Delta) - "
+               "sum nvol(Delta_i) is odd: 9 - 2")
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        surface_node_count(dropped)
+
+
 def test_nodes_reject_threefold():
     with pytest.raises(InputError):
         surface_node_count(P3_12_34)
@@ -409,75 +420,8 @@ def test_nodes_of_both_catalog_sides(name, nodes, dual_nodes):
 # every nef-partition of every reflexive polygon
 # ---------------------------------------------------------------------------
 
-MAXIMAL_REFLEXIVE_POLYGONS = (
-    P2_DELTA,
-    [(1, 1), (1, -1), (-1, 1), (-1, -1)],
-    [(-1, -1), (3, -1), (-1, 1)],
-)
-
-
-@cache
-def reflexive_polygons():
-    """The reflexive polygons up to GL(2, Z), as the reflexive sub-polygons
-    of the three maximal ones.  In the plane a lattice polygon is reflexive
-    iff the origin is its only interior lattice point, so dropping a vertex
-    of a reflexive polygon from its lattice points leaves a reflexive
-    polygon or one without the origin inside; every reflexive sub-polygon
-    is reached that way.  Consecutive boundary points of a reflexive
-    polygon are a lattice basis, so its face fan over all boundary points
-    is smooth, and its GL(2, Z) normal form names the polygon."""
-    found = {}
-    todo = [convex_hull(vertices) for vertices in MAXIMAL_REFLEXIVE_POLYGONS]
-    seen = set()
-    while todo:
-        poly = todo.pop()
-        if poly.vertices in seen:
-            continue
-        seen.add(poly.vertices)
-        boundary = ccw_sort([p for p in lattice_points(poly) if any(p)])
-        k = len(boundary)
-        fan = make_fan(boundary, [(i, (i + 1) % k) for i in range(k)])
-        found.setdefault(gl_canonical_form(fan), poly)
-        for v in poly.vertices:
-            smaller = convex_hull([p for p in lattice_points(poly) if p != v])
-            if smaller.dim == 2 and is_reflexive(smaller):
-                todo.append(smaller)
-    return tuple(found.values())
-
-
-def nef_partitions(polygon):
-    """Every nef-partition of the polygon, for all r >= 1, each set of
-    parts once."""
-    k = len(normal_fan(polygon).rays)
-    for blocks in set_partitions(list(range(k))):
-        try:
-            yield build_nef_partition(polygon, blocks)
-        except InputError:
-            continue  # a part that is not nef
-
-
-def set_partitions(items):
-    """Every partition of the items into nonempty blocks, each once."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for blocks in set_partitions(rest):
-        yield [[first]] + blocks
-        for i in range(len(blocks)):
-            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1:]
-
-
 def test_sixteen_reflexive_polygons():
     assert len(reflexive_polygons()) == 16
-
-
-@cache
-def polygon_nef_partitions():
-    """Every nef-partition of every reflexive polygon, kept, so that the
-    tests below dualize each once."""
-    return tuple(np_ for polygon in reflexive_polygons()
-                 for np_ in nef_partitions(polygon))
 
 
 def test_every_polygon_nef_partition_is_dual_with_its_node_count():

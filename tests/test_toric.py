@@ -2,6 +2,7 @@
 bundle / contraction pipeline for compactified line bundles."""
 import json
 import re
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -796,3 +797,16 @@ def test_make_fan_rejects_a_zero_ray(rays, cones):
     with pytest.raises(InputError,
                        match=re.escape(f"ray {rays[0]} is not a primitive")):
         make_fan(rays, cones)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 1), 1.0, True],
+                         ids=["fraction", "float", "bool"])
+def test_fan_and_divisor_refuse_a_non_integer_coordinate(bad):
+    # the kernel is integer-only: a ray or a coefficient that is a
+    # Fraction, a float or a bool is refused where it enters
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    cones = [(0, 1), (1, 2), (0, 2)]
+    with pytest.raises(InputError, match="expected integer coordinates"):
+        make_fan([(bad, 0)] + rays[1:], cones)
+    with pytest.raises(InputError, match="expected integer coordinates"):
+        ToricDivisor(make_fan(rays, cones), (1, bad, 1))
