@@ -71,6 +71,16 @@ def test_det_is_leibniz(rows):
 
 
 @SETTINGS
+@given(st.integers(1, 4).flatmap(
+    lambda n: matrices(n, n, st.integers(-10**9, 10**9))))
+def test_det_of_integer_matrix_is_int(rows):
+    # Entries large enough that any float or divided step would lose digits.
+    value = det(rows)
+    assert type(value) is int
+    assert value == leibniz(rows)
+
+
+@SETTINGS
 @given(any_matrix)
 def test_rank_is_largest_nonzero_minor(rows):
     assert matrix_rank(rows) == minor_rank(rows)
