@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 
 from .catalog import (
     catalog_run,
@@ -31,8 +30,7 @@ from .periods import (
     gkz_data,
     gkz_matrix_text,
     gkz_to_json,
-    serialize_operator,
-    taut_system,
+    taut_text,
 )
 
 EXIT_OK = 0
@@ -66,30 +64,23 @@ def _resolve_nef_partition(spec):
     return entry.build(), entry
 
 
-# Lines per write: 1024 tautological operators are a few tens of KB, so a
-# command never holds its whole output, and makes far fewer write calls
-# than it would with one per line.
-BATCH_LINES = 1024
-
-
-def _write_lines(lines, stream):
-    lines = iter(lines)
-    while batch := list(islice(lines, BATCH_LINES)):
-        stream.write("\n".join(batch) + "\n")
-
-
-def _emit(lines, output):
-    """Write each of ``lines`` (an iterable of strings without their
-    newline) followed by a newline, to the file ``output`` or to stdout,
-    in batches of BATCH_LINES lines as the iterable yields them."""
+def _write(chunks, output):
+    """Write the text ``chunks`` to the file ``output`` or to stdout, in
+    turn as the iterable yields them."""
     if output:
         try:
             with open(output, "w", encoding="utf-8") as handle:
-                _write_lines(lines, handle)
+                handle.writelines(chunks)
         except OSError as exc:
             raise InputError(f"cannot write {output}: {exc}") from exc
     else:
-        _write_lines(lines, sys.stdout)
+        sys.stdout.writelines(chunks)
+
+
+def _emit(lines, output):
+    """Write ``lines`` (strings without their newline), each followed by a
+    newline, in one write."""
+    _write(["\n".join(lines) + "\n"], output)
 
 
 def _dumps(doc):
@@ -197,10 +188,8 @@ def cmd_tautgen(args):
         if golden.get("degrees") != args.degrees or \
                 golden.get("dim") != args.dim:
             raise InputError("no stored golden operator list for these degrees")
-        operators = check_taut_golden(args.degrees, args.dim)
-    else:
-        operators = taut_system(args.degrees, args.dim)
-    _emit(map(serialize_operator, operators), args.output)
+        check_taut_golden(args.degrees, args.dim)
+    _write(taut_text(args.degrees, args.dim), args.output)
     return EXIT_OK
 
 

@@ -307,16 +307,39 @@ def lattice_points(polytope):
 
 
 def _scan_lattice_points(polytope):
-    """Bounding-box scan with exact H-representation membership; fine for
-    the desk-scale polytopes in scope."""
-    verts = polytope.vertices
+    """The lattice points in lex order.  The first d - 1 coordinates range
+    over the bounding box; for each such prefix the last coordinate ranges
+    over the interval that the facets and equations leave of the box's,
+    and ``contains`` stays the exact test of every candidate.  So the cost
+    follows the box's projection, not its volume."""
     d = polytope.ambient_dim
+    if d == 0:
+        return [()]
+    verts = polytope.vertices
     lo = [min(v[i] for v in verts) for i in range(d)]
     hi = [max(v[i] for v in verts) for i in range(d)]
+    # each facet <x, n> >= -offset, and each equation <x, n> == rhs as
+    # <x, n> >= rhs and <x, -n> >= -rhs, split as (n without its last
+    # entry, last entry, right-hand side)
+    halfspaces = [(n, -offset) for n, offset in polytope.facets]
+    for n, rhs in polytope.equations:
+        halfspaces += [(n, rhs), (tuple(-c for c in n), -rhs)]
+    bounds = [(n[:-1], n[-1], rhs) for n, rhs in halfspaces]
     out = []
-    for candidate in product(*[range(lo[i], hi[i] + 1) for i in range(d)]):
-        if polytope.contains(candidate):
-            out.append(candidate)
+    for prefix in product(*[range(lo[i], hi[i] + 1) for i in range(d - 1)]):
+        low, high = lo[-1], hi[-1]
+        for head, a, rhs in bounds:
+            rest = rhs - dot(prefix, head)      # a * x >= rest
+            if a > 0:
+                low = max(low, -(-rest // a))
+            elif a < 0:
+                high = min(high, rest // a)
+            elif rest > 0:
+                high = low - 1
+        for x in range(low, high + 1):
+            candidate = prefix + (x,)
+            if polytope.contains(candidate):
+                out.append(candidate)
     return out
 
 

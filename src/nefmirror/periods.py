@@ -13,17 +13,16 @@ P^dim consists of one Euler operator per bundle (eigenvalue -1/2), one
 symmetry operator per ordered pair of homogeneous coordinates (diagonal
 constant +1), and all second-order binomial box operators between
 coefficient pairs with equal bundle multiset and equal total monomial.
-The box operators, nearly all of a large system, are built directly in
-normal form from terms shared per coefficient pair; ``DiffTerm`` and
-``DiffOperator`` each build in one hand-written ``__init__``, the term
-rendering its signed text there, so writing an operator joins texts.
-``taut_system`` returns an iterator that builds each operator as it is
-reached, so a reader that renders and drops each operator before the
-next is built never holds the system's operators, and cyclic garbage
-collection finds few live objects to scan.  ``serialize_operators``
-returns the whole text; the ``tautgen`` command writes the lines of
-``serialize_operator`` in batches as they are made, so it holds neither
-the operators nor the text.
+``taut_system`` is the operator view: an iterator that builds each
+operator as it is reached, the box operators, nearly all of a large
+system, directly in normal form from terms shared per coefficient pair.
+``DiffTerm`` and ``DiffOperator`` each build in one hand-written
+``__init__``, the term rendering its signed text there, so writing an
+operator joins texts.  ``taut_text`` is the text view that the
+``tautgen`` command writes: the same lines, in chunks of whole lines,
+with the Euler and symmetry operators rendered by ``serialize_operator``
+and each box line d(p_i) - d(p_j) joined from the pairs' labels, so no
+box operator is built.  Both share the buckets of ``_box_buckets``.
 """
 from __future__ import annotations
 
@@ -281,15 +280,27 @@ def coefficient_variables(bundle_degrees, dim):
 
 def taut_system(bundle_degrees, dim):
     """An iterator over the tautological PDE system for sections of
-    O(d_1) x ... x O(d_k) over P^dim: Euler, symmetry, and box operators
-    (in that order).  The degrees are checked here, at the call; each
-    operator is built as the iterator reaches it, so a consumer that
-    writes and drops them in turn holds one operator at a time."""
+    O(d_1) x ... x O(d_k) over P^dim as ``DiffOperator``s: Euler,
+    symmetry, and box operators (in that order).  The degrees are checked
+    here, at the call; each operator is built as the iterator reaches it,
+    so a consumer that writes and drops them in turn holds one operator at
+    a time.  ``taut_text`` writes the same system without the operators."""
     variables = coefficient_variables(bundle_degrees, dim)
     return _taut_operators(variables, len(bundle_degrees), dim + 1)
 
 
-def _taut_operators(variables, n_bundles, n_vars):
+def taut_text(bundle_degrees, dim):
+    """An iterator over the text of ``taut_system(bundle_degrees, dim)``,
+    one line per operator, each ending in a newline, in chunks of whole
+    lines.  The degrees are checked here, at the call.  The Euler and
+    symmetry operators are rendered by ``serialize_operator``; the box
+    operators, nearly all of the text, are written from their coefficient
+    labels, one chunk per pair of a bucket, with no operator built."""
+    variables = coefficient_variables(bundle_degrees, dim)
+    return _taut_chunks(variables, len(bundle_degrees), dim + 1)
+
+
+def _first_order_operators(variables, n_bundles, n_vars):
     by_bundle = {}
     for v in variables:
         by_bundle.setdefault(v.bundle, []).append(v)
@@ -317,27 +328,52 @@ def _taut_operators(variables, n_bundles, n_vars):
                               var.label))
             yield make_operator(terms, 1 if u == v_idx else 0)
 
-    # Box operators: all binomial relations between unordered coefficient
-    # pairs with equal bundle multiset and equal total monomial.  Each is
-    # built directly in make_operator's normal form: the pairs are sorted
-    # label tuples, distinct and ascending within a bucket, so d(p_i) -
-    # d(p_j) for i < j has its terms in canonical order.  The +1 term of
-    # each pair but the last and the -1 term of each pair but the first are
-    # built, and their texts rendered, once and shared by every operator
-    # that uses them.  ``variables`` is ordered by bundle, so v1.bundle <=
-    # v2.bundle and the flat key sorts as (bundle multiset, monomial).
+
+def _box_buckets(variables):
+    """The sorted label pairs of each bucket of unordered coefficient pairs
+    with equal bundle multiset and equal total monomial, in key order.
+    ``variables`` is ordered by bundle, so v1.bundle <= v2.bundle and the
+    flat key sorts as (bundle multiset, monomial)."""
     buckets = {}
     for v1, v2 in combinations_with_replacement(variables, 2):
         key = (v1.bundle, v2.bundle, *map(add, v1.monomial, v2.monomial))
         a, b = v1.label, v2.label
         buckets.setdefault(key, []).append((a, b) if a <= b else (b, a))
     for key in sorted(buckets):
-        pairs = sorted(buckets[key])
+        yield sorted(buckets[key])
+
+
+def _taut_operators(variables, n_bundles, n_vars):
+    yield from _first_order_operators(variables, n_bundles, n_vars)
+
+    # Box operators: all binomial relations d(p_i) - d(p_j), i < j, within
+    # a bucket.  Each is built directly in make_operator's normal form: the
+    # pairs are distinct and ascending, so its terms are in canonical
+    # order.  The +1 term of each pair but the last and the -1 term of each
+    # pair but the first are built, and their texts rendered, once and
+    # shared by every operator that uses them.
+    for pairs in _box_buckets(variables):
         minus = [DiffTerm(-1, p, "") for p in pairs[1:]]
         for i, p in enumerate(pairs[:-1]):
             plus = DiffTerm(1, p, "")
             for m in minus[i:]:
                 yield DiffOperator((plus, m), 0)
+
+
+def _taut_chunks(variables, n_bundles, n_vars):
+    for op in _first_order_operators(variables, n_bundles, n_vars):
+        yield serialize_operator(op) + "\n"
+    # The line of the box operator d(p_i) - d(p_j) is t_i + " - " + t_j,
+    # t = d(x)*d(y), as serialize_operator renders it.  The lines of one
+    # p_i make one chunk: with head = t_i + " - " and l = t + "\n",
+    # head + head.join(l_(i+1), l_(i+2), ...) is head + l_(i+1) + head +
+    # l_(i+2) + ..., joined in one call.
+    for pairs in _box_buckets(variables):
+        texts = ["d(" + ")*d(".join(p) + ")" for p in pairs]
+        lines = [t + "\n" for t in texts]
+        for i, t in enumerate(texts[:-1]):
+            head = t + " - "
+            yield head + head.join(lines[i + 1:])
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +384,7 @@ def serialize_operator(op):
     """The operator's line: its terms' texts joined, then the signed
     constant, with the leading " + " dropped or " - " made "-"; "0" when
     there is neither a term nor a constant."""
-    terms = op.terms
-    if len(terms) == 2:
-        text = terms[0].text + terms[1].text
-    else:
-        text = "".join([t.text for t in terms])
+    text = "".join([t.text for t in op.terms])
     constant = op.constant
     if constant:
         text += f" - {-constant}" if constant < 0 else f" + {constant}"

@@ -10,10 +10,13 @@ the Cayley pyramid in two hulls (the Cayley polytope, then the pyramid
 over it) and the S-polytope from lattice points, apart from the package's
 single hull.  ``complete_by_hrep`` decides completeness from every
 cone's ``cone_hrep``, apart from the package's scaled inverse on
-simplicial cones.  ``serialize_by_parts`` writes an operator's line from
-its fields, apart from the package's term texts rendered when the terms
-are built.  ``invert_unimodular``, which ``gl_canonical_form`` uses, is
-the package's ``scaled_inverse`` with a |det| = 1 check.
+simplicial cones.  ``box_lattice_points`` tests every point of the
+bounding box, apart from the package's scan, which narrows the last
+coordinate to the interval the facets leave.  ``serialize_by_parts``
+writes an operator's line from its fields, apart from the package's term
+texts rendered when the terms are built.  ``invert_unimodular``, which
+``gl_canonical_form`` uses, is the package's ``scaled_inverse`` with a
+|det| = 1 check.
 ``reflexive_polygons`` enumerates the 16 reflexive polygons and
 ``nef_partitions`` every nef-partition of one; ``polygon_nef_partitions``
 keeps all of them, so that the test modules dualize each once.
@@ -21,7 +24,7 @@ keeps all of them, so that the test modules dualize each once.
 import json
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -77,6 +80,15 @@ def elementary_product(n, ops):
         if negate:
             m[i % n] = [-a for a in m[i % n]]
     return [tuple(row) for row in m]
+
+
+def box_lattice_points(polytope):
+    """The lattice points of a polytope, in lex order: every point of its
+    bounding box that the polytope contains."""
+    verts = polytope.vertices
+    ranges = [range(min(v[i] for v in verts), max(v[i] for v in verts) + 1)
+              for i in range(polytope.ambient_dim)]
+    return [p for p in product(*ranges) if polytope.contains(p)]
 
 
 def ccw_sort(points):

@@ -27,13 +27,13 @@ CLI = [sys.executable, "-m", "nefmirror.cli"]
 SOURCE_ROOT = str(Path(nefmirror.__file__).resolve().parent.parent)
 
 
-def run_cli(*args, env_extra=None, **kwargs):
+def run_cli(*args, env_extra=None, text=True, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SOURCE_ROOT, env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+    return subprocess.run(CLI + list(args), capture_output=True, text=text,
                           env=env, **kwargs)
 
 
@@ -377,6 +377,27 @@ def test_tautgen_writes_its_output_in_batches(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < out.stat().st_size
+
+
+def test_tautgen_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path):
+    out = tmp_path / "taut.txt"
+    args = ("tautgen", "--degrees", "5", "--dim", "4")
+    to_stdout = run_cli(*args, text=False)
+    to_file = run_cli(*args, "--output", str(out), text=False)
+    assert to_stdout.returncode == to_file.returncode == 0
+    assert to_file.stdout == b""
+    assert to_stdout.stdout == out.read_bytes()
+    assert to_stdout.stdout.endswith(b"\n")
+
+
+def test_tautgen_check_writes_the_bytes_it_writes_unchecked():
+    args = ("tautgen", "--degrees", "1,1,1,1,2", "--dim", "2")
+    unchecked = run_cli(*args, text=False)
+    checked = run_cli(*args, "--check", text=False)
+    assert unchecked.returncode == checked.returncode == 0
+    assert checked.stdout == unchecked.stdout
+    # 5 Euler, 9 symmetry and 60 box operators
+    assert checked.stdout.count(b"\n") == 5 + 9 + 60
 
 
 def test_refused_tautgen_leaves_the_output_file_untouched(tmp_path):

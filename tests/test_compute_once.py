@@ -434,6 +434,17 @@ def test_taut_system_builds_box_terms_only_as_they_are_reached(monkeypatch):
     assert 0 < 100 * first < total
 
 
+def test_taut_text_builds_no_box_operator(monkeypatch):
+    # only the Euler and symmetry operators are built, one per bundle and
+    # one per ordered pair of homogeneous coordinates; the box lines are
+    # written from their labels
+    n_lines = sum(1 for _ in taut_system([2, 3], 2))
+    operators = record_inits(monkeypatch, periods.DiffOperator)
+    text = "".join(periods.taut_text([2, 3], 2))
+    assert text.count("\n") == n_lines
+    assert len(operators) == 2 + 3 ** 2
+
+
 def test_gkz_kernel_basis_is_computed_once_on_first_read(monkeypatch,
                                                          tmp_path):
     counts = count_calls(monkeypatch, (intlin.lattice_split,))

@@ -22,6 +22,7 @@ from conftest import (
     P3_DELTA,
     P4_DELTA,
     boundary_lattice_count,
+    box_lattice_points,
     cayley_factors,
     cayley_polytope,
     cone_contains,
@@ -491,6 +492,56 @@ def test_lattice_points_anticanonical_by_pick():
     interior = area - Fraction(boundary, 2) + 1  # Pick
     assert (area, boundary, interior) == (Fraction(9, 2), 9, 1)
     assert len(lattice_points(poly)) == boundary + interior == 10
+
+
+def sheared_p3(k):
+    """The anticanonical polytope of P^3 moved by ((1,0,0),(k,1,0),(k,k,1)):
+    its 35 lattice points stay, while its bounding box grows with k."""
+    g = ((1, 0, 0), (k, 1, 0), (k, k, 1))
+    return convex_hull([tuple(dot(row, v) for row in g) for v in P3_DELTA])
+
+
+def assert_scan_matches_the_box_scan(poly):
+    """The scan finds the box scan's points, and tests no other candidate:
+    the facets and equations leave the exact interval of the last
+    coordinate, so its cost does not follow the box's volume."""
+    tested = []
+    contains = lattice.LatticePolytope.contains
+
+    def counting(self, point):
+        tested.append(point)
+        return contains(self, point)
+
+    lattice.LatticePolytope.contains = counting
+    try:
+        pts = lattice._scan_lattice_points(poly)
+    finally:
+        lattice.LatticePolytope.contains = contains
+    assert pts == box_lattice_points(poly)
+    assert tested == pts
+
+
+@pytest.mark.parametrize("k", [0, 3, 10])
+def test_lattice_points_of_a_sheared_p3_match_the_box_scan(k):
+    poly = sheared_p3(k)
+    assert len(lattice_points(poly)) == 35
+    assert_scan_matches_the_box_scan(poly)
+
+
+def test_lattice_points_of_the_catalog_polytopes_match_the_box_scan():
+    for entry in load_catalog()["entries"]:
+        np_ = entry.build()
+        for side in (np_, np_.dual):
+            for poly in (side.delta, side.polar, *side.section_polytopes):
+                assert_scan_matches_the_box_scan(poly)
+
+
+@SETTINGS
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=6)))
+def test_lattice_points_match_the_box_scan(pts):
+    # full-dimensional and lower-dimensional hulls, points and segments
+    assert_scan_matches_the_box_scan(convex_hull(pts))
 
 
 # ---------------------------------------------------------------------------
