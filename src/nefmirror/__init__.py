@@ -75,7 +75,7 @@ from .periods import (
     gkz_data,
     parse_operators,
     serialize_operators,
-    taut_system,
+    taut_text,
 )
 from .catalog import catalog_run, find_entry, load_catalog
 
@@ -100,6 +100,6 @@ __all__ = [
     "CoverInvariants", "dk_euler", "branched_cover_euler",
     "double_cover_invariants", "verify_mirror_duality", "surface_node_count",
     "GKZData", "CoeffVar", "DiffOperator",
-    "gkz_data", "taut_system", "serialize_operators", "parse_operators",
+    "gkz_data", "taut_text", "serialize_operators", "parse_operators",
     "load_catalog", "find_entry", "catalog_run",
 ]

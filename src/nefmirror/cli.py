@@ -188,8 +188,12 @@ def cmd_tautgen(args):
         if golden.get("degrees") != args.degrees or \
                 golden.get("dim") != args.dim:
             raise InputError("no stored golden operator list for these degrees")
-        check_taut_golden(args.degrees, args.dim)
-    _write(taut_text(args.degrees, args.dim), args.output)
+        # the golden degrees give a short text: check it, then write it
+        chunks = list(taut_text(args.degrees, args.dim))
+        check_taut_golden(chunks)
+    else:
+        chunks = taut_text(args.degrees, args.dim)
+    _write(chunks, args.output)
     return EXIT_OK
 
 

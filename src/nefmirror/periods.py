@@ -13,21 +13,17 @@ P^dim consists of one Euler operator per bundle (eigenvalue -1/2), one
 symmetry operator per ordered pair of homogeneous coordinates (diagonal
 constant +1), and all second-order binomial box operators between
 coefficient pairs with equal bundle multiset and equal total monomial.
-``taut_system`` is the operator view: an iterator that builds each
-operator as it is reached, the box operators, nearly all of a large
-system, directly in normal form from terms shared per coefficient pair.
-``DiffTerm`` and ``DiffOperator`` each build in one hand-written
-``__init__``, the term rendering its signed text there, so writing an
-operator joins texts.  ``taut_text`` is the text view that the
-``tautgen`` command writes: the same lines, in chunks of whole lines,
-with the Euler and symmetry operators rendered by ``serialize_operator``
-and each box line d(p_i) - d(p_j) joined from the pairs' labels, so no
-box operator is built.  Both share the buckets of ``_box_buckets``.
+``taut_text`` generates it, as the text that the ``tautgen`` command
+writes: the Euler and symmetry operators are built by ``make_operator``
+and rendered by ``serialize_operator``, and each box line d(p_i) - d(p_j),
+nearly all of a large system, is joined from the pairs' labels with no
+operator built.  ``parse_operators`` reads the text back as
+``DiffOperator``s in the same normal form.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -151,64 +147,30 @@ class CoeffVar:
     monomial: tuple      # exponent vector over homogeneous coordinates
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DiffTerm:
     """coeff * multiplier * d(derivs...); coeff is an int when integral and
-    a Fraction otherwise.  ``text`` is the term's signed text, " + t" or
-    " - t", rendered once by ``__init__``: t is |coeff| (left out when it
-    is 1), the multiplier and one d(x) per derivative, joined by "*", or
-    "1" when there are none.  It takes no part in equality, hashing or
-    repr.  The hand-written ``__init__`` (which the dataclass keeps) sets
-    the frozen slots through their descriptors, one frame per term."""
+    a Fraction otherwise."""
 
     coeff: int | Fraction
     derivs: tuple        # sorted labels, order <= 2
     multiplier: str       # variable label or ""
-    text: str = field(init=False, repr=False, compare=False)
-
-    def __init__(self, coeff, derivs, multiplier):
-        magnitude = abs(coeff)
-        factors = [] if magnitude == 1 else [str(magnitude)]
-        if multiplier:
-            factors.append(multiplier)
-        if derivs:
-            factors.append("d(" + ")*d(".join(derivs) + ")")
-        _set_coeff(self, coeff)
-        _set_derivs(self, derivs)
-        _set_multiplier(self, multiplier)
-        _set_text(self, (" - " if coeff < 0 else " + ") + ("*".join(factors) or "1"))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class DiffOperator:
     """Sum of terms plus a constant; terms are canonically sorted,
     nonzero and distinct in (derivs, multiplier), so equality is
     syntactic equality of normal forms.  Like the
-    coefficients, the constant is an int when integral.  Like
-    ``DiffTerm``, it sets its frozen slots in one hand-written
-    ``__init__``."""
+    coefficients, the constant is an int when integral."""
 
     terms: tuple
     constant: int | Fraction
-
-    def __init__(self, terms, constant):
-        _set_terms(self, terms)
-        _set_constant(self, constant)
 
     def negated(self):
         return DiffOperator(
             tuple(DiffTerm(-t.coeff, t.derivs, t.multiplier) for t in self.terms),
             -self.constant)
-
-
-# The slot descriptors' setters: a frozen dataclass's own __setattr__ raises,
-# and these write a slot without the attribute lookup of object.__setattr__.
-_set_coeff = DiffTerm.coeff.__set__
-_set_derivs = DiffTerm.derivs.__set__
-_set_multiplier = DiffTerm.multiplier.__set__
-_set_text = DiffTerm.text.__set__
-_set_terms = DiffOperator.terms.__set__
-_set_constant = DiffOperator.constant.__set__
 
 
 def _exact(value):
@@ -278,29 +240,34 @@ def coefficient_variables(bundle_degrees, dim):
     return list(by_label.values())
 
 
-def taut_system(bundle_degrees, dim):
-    """An iterator over the tautological PDE system for sections of
-    O(d_1) x ... x O(d_k) over P^dim as ``DiffOperator``s: Euler,
-    symmetry, and box operators (in that order).  The degrees are checked
-    here, at the call; each operator is built as the iterator reaches it,
-    so a consumer that writes and drops them in turn holds one operator at
-    a time.  ``taut_text`` writes the same system without the operators."""
-    variables = coefficient_variables(bundle_degrees, dim)
-    return _taut_operators(variables, len(bundle_degrees), dim + 1)
-
-
 def taut_text(bundle_degrees, dim):
-    """An iterator over the text of ``taut_system(bundle_degrees, dim)``,
-    one line per operator, each ending in a newline, in chunks of whole
-    lines.  The degrees are checked here, at the call.  The Euler and
-    symmetry operators are rendered by ``serialize_operator``; the box
-    operators, nearly all of the text, are written from their coefficient
-    labels, one chunk per pair of a bucket, with no operator built."""
+    """An iterator over the text of the tautological PDE system for
+    sections of O(d_1) x ... x O(d_k) over P^dim: one line per operator,
+    Euler, symmetry and box operators in that order, each line ending in a
+    newline, in chunks of whole lines.  The degrees are checked here, at
+    the call.  The Euler and symmetry operators are rendered by
+    ``serialize_operator``; the box operators, nearly all of the text, are
+    written from their coefficient labels, one chunk per pair of a bucket,
+    with no operator built."""
     variables = coefficient_variables(bundle_degrees, dim)
     return _taut_chunks(variables, len(bundle_degrees), dim + 1)
 
 
-def _first_order_operators(variables, n_bundles, n_vars):
+def _box_buckets(variables):
+    """The sorted label pairs of each bucket of unordered coefficient pairs
+    with equal bundle multiset and equal total monomial, in key order.
+    ``variables`` is ordered by bundle, so v1.bundle <= v2.bundle and the
+    flat key sorts as (bundle multiset, monomial)."""
+    buckets = {}
+    for v1, v2 in combinations_with_replacement(variables, 2):
+        key = (v1.bundle, v2.bundle, *map(add, v1.monomial, v2.monomial))
+        a, b = v1.label, v2.label
+        buckets.setdefault(key, []).append((a, b) if a <= b else (b, a))
+    for key in sorted(buckets):
+        yield sorted(buckets[key])
+
+
+def _taut_chunks(variables, n_bundles, n_vars):
     by_bundle = {}
     for v in variables:
         by_bundle.setdefault(v.bundle, []).append(v)
@@ -308,7 +275,7 @@ def _first_order_operators(variables, n_bundles, n_vars):
     # Euler operators: (sum_m c_m d/dc_m + 1/2) omega = 0, one per bundle.
     for bundle in range(n_bundles):
         terms = [(1, (v.label,), v.label) for v in by_bundle[bundle]]
-        yield make_operator(terms, Fraction(1, 2))
+        yield serialize_operator(make_operator(terms, Fraction(1, 2))) + "\n"
 
     # Symmetry operators from the gl(dim+1) action x_u -> x_u + eps x_v:
     # the monomial exponent m contributes m_u * c_m d/dc_{m - e_u + e_v};
@@ -326,46 +293,14 @@ def _first_order_operators(variables, n_bundles, n_vars):
                 target[v_idx] += 1
                 terms.append((mu, (label_of[(var.bundle, tuple(target))],),
                               var.label))
-            yield make_operator(terms, 1 if u == v_idx else 0)
-
-
-def _box_buckets(variables):
-    """The sorted label pairs of each bucket of unordered coefficient pairs
-    with equal bundle multiset and equal total monomial, in key order.
-    ``variables`` is ordered by bundle, so v1.bundle <= v2.bundle and the
-    flat key sorts as (bundle multiset, monomial)."""
-    buckets = {}
-    for v1, v2 in combinations_with_replacement(variables, 2):
-        key = (v1.bundle, v2.bundle, *map(add, v1.monomial, v2.monomial))
-        a, b = v1.label, v2.label
-        buckets.setdefault(key, []).append((a, b) if a <= b else (b, a))
-    for key in sorted(buckets):
-        yield sorted(buckets[key])
-
-
-def _taut_operators(variables, n_bundles, n_vars):
-    yield from _first_order_operators(variables, n_bundles, n_vars)
+            op = make_operator(terms, 1 if u == v_idx else 0)
+            yield serialize_operator(op) + "\n"
 
     # Box operators: all binomial relations d(p_i) - d(p_j), i < j, within
-    # a bucket.  Each is built directly in make_operator's normal form: the
-    # pairs are distinct and ascending, so its terms are in canonical
-    # order.  The +1 term of each pair but the last and the -1 term of each
-    # pair but the first are built, and their texts rendered, once and
-    # shared by every operator that uses them.
-    for pairs in _box_buckets(variables):
-        minus = [DiffTerm(-1, p, "") for p in pairs[1:]]
-        for i, p in enumerate(pairs[:-1]):
-            plus = DiffTerm(1, p, "")
-            for m in minus[i:]:
-                yield DiffOperator((plus, m), 0)
-
-
-def _taut_chunks(variables, n_bundles, n_vars):
-    for op in _first_order_operators(variables, n_bundles, n_vars):
-        yield serialize_operator(op) + "\n"
-    # The line of the box operator d(p_i) - d(p_j) is t_i + " - " + t_j,
-    # t = d(x)*d(y), as serialize_operator renders it.  The lines of one
-    # p_i make one chunk: with head = t_i + " - " and l = t + "\n",
+    # a bucket.  The pairs are distinct and ascending, so the line of
+    # d(p_i) - d(p_j) is t_i + " - " + t_j, t = d(x)*d(y), as
+    # serialize_operator renders the normal form.  The lines of one p_i
+    # make one chunk: with head = t_i + " - " and l = t + "\n",
     # head + head.join(l_(i+1), l_(i+2), ...) is head + l_(i+1) + head +
     # l_(i+2) + ..., joined in one call.
     for pairs in _box_buckets(variables):
@@ -380,11 +315,24 @@ def _taut_chunks(variables, n_bundles, n_vars):
 # serialization
 # ---------------------------------------------------------------------------
 
+def _term_text(term):
+    """The term's signed text, " + t" or " - t": t is |coeff| (left out
+    when it is 1), the multiplier and one d(x) per derivative, joined by
+    "*", or "1" when there are none."""
+    magnitude = abs(term.coeff)
+    factors = [] if magnitude == 1 else [str(magnitude)]
+    if term.multiplier:
+        factors.append(term.multiplier)
+    if term.derivs:
+        factors.append("d(" + ")*d(".join(term.derivs) + ")")
+    return (" - " if term.coeff < 0 else " + ") + ("*".join(factors) or "1")
+
+
 def serialize_operator(op):
     """The operator's line: its terms' texts joined, then the signed
     constant, with the leading " + " dropped or " - " made "-"; "0" when
     there is neither a term nor a constant."""
-    text = "".join([t.text for t in op.terms])
+    text = "".join(map(_term_text, op.terms))
     constant = op.constant
     if constant:
         text += f" - {-constant}" if constant < 0 else f" + {constant}"
@@ -440,10 +388,3 @@ def parse_operator(line):
 
 def parse_operators(text):
     return [parse_operator(line) for line in text.splitlines() if line.strip()]
-
-
-def operators_contain(generated, wanted):
-    """Containment test used by the golden checks: every wanted operator
-    appears among the generated ones, up to overall sign."""
-    pool = set(generated)
-    return all(op in pool or op.negated() in pool for op in wanted)

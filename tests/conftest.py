@@ -13,10 +13,11 @@ cone's ``cone_hrep``, apart from the package's scaled inverse on
 simplicial cones.  ``box_lattice_points`` tests every point of the
 bounding box, apart from the package's scan, which narrows the last
 coordinate to the interval the facets leave.  ``serialize_by_parts``
-writes an operator's line from its fields, apart from the package's term
-texts rendered when the terms are built.  ``invert_unimodular``, which
-``gl_canonical_form`` uses, is the package's ``scaled_inverse`` with a
-|det| = 1 check.
+writes an operator's line from its fields, apart from the package's
+signed term texts joined in one pass.  ``taut_operators`` reads the
+text that ``taut_text`` generates back as operators.
+``invert_unimodular``, which ``gl_canonical_form`` uses, is the
+package's ``scaled_inverse`` with a |det| = 1 check.
 ``reflexive_polygons`` enumerates the 16 reflexive polygons and
 ``nef_partitions`` every nef-partition of one; ``polygon_nef_partitions``
 keeps all of them, so that the test modules dualize each once.
@@ -41,6 +42,7 @@ from nefmirror.intlin import (
 )
 from nefmirror.lattice import cone_hrep, convex_hull, is_reflexive, lattice_points
 from nefmirror.nefpart import build_nef_partition
+from nefmirror.periods import parse_operators, taut_text
 from nefmirror.toric import make_fan, normal_fan
 
 P2_DELTA = [(2, -1), (-1, 2), (-1, -1)]
@@ -470,6 +472,12 @@ def reference_pulling(points):
     return sorted(cells)
 
 
+def taut_operators(degrees, dim):
+    """The operators of the tautological system, parsed from the text that
+    ``taut_text`` generates, in its order."""
+    return parse_operators("".join(taut_text(degrees, dim)))
+
+
 def _term_text_by_parts(coeff, term):
     """Text of the term with coeff, a positive number, as its coefficient."""
     parts = []
@@ -485,7 +493,7 @@ def _term_text_by_parts(coeff, term):
 
 def serialize_by_parts(op):
     """An operator's line rebuilt from its fields, term by term, apart from
-    the package's text rendered once per term."""
+    the package's signed term texts."""
     chunks = []
     for term in op.terms:
         if term.coeff < 0:

@@ -202,7 +202,7 @@ def test_catalog_reports_a_taut_exception_as_a_failure(monkeypatch, tmp_path):
     def raising(degrees, dim):
         raise RuntimeError("raised on purpose")
 
-    monkeypatch.setattr(catalog, "taut_system", raising)
+    monkeypatch.setattr(catalog, "taut_text", raising)
     out = tmp_path / "catalog.txt"
     assert cli.main(["catalog", "--output", str(out)]) == 4
     assert ("FAIL taut-system-golden\n    RuntimeError: raised on purpose\n"
@@ -409,6 +409,20 @@ def test_refused_tautgen_leaves_the_output_file_untouched(tmp_path):
                          "--output", str(out))
         assert result.returncode == 2
         assert out.read_bytes() == b"kept\n"
+
+
+def test_failed_tautgen_check_leaves_the_output_file_untouched(monkeypatch,
+                                                              tmp_path):
+    # a golden Euler operator matches only exactly, never up to sign, and
+    # the output file is opened only after the check has passed
+    golden = catalog.golden_taut_operators()
+    negated = [golden[0].negated()] + golden[1:]
+    monkeypatch.setattr(catalog, "golden_taut_operators", lambda: negated)
+    out = tmp_path / "taut.txt"
+    out.write_bytes(b"kept\n")
+    assert cli.main(["tautgen", "--degrees", "1,1,1,1,2", "--dim", "2",
+                     "--check", "--output", str(out)]) == 4
+    assert out.read_bytes() == b"kept\n"
 
 
 def test_tautgen_ambiguous_labels_exit_2():

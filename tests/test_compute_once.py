@@ -15,10 +15,10 @@ per divisor, ``dualize`` checks its identities with neither
 ``polar_dual`` nor ``nef_polytope``, the Gorenstein cone duality check
 hulls no Cayley pyramid of the dual side, a maximal boundary
 triangulation pulls each distinct facet configuration once and takes no
-determinant, serializing operators renders each operator once from the
-texts its terms were built with, a tautological system builds each box
-term once and one ``DiffOperator`` per operator, and GKZ data computes
-its kernel basis only when read, and then once.
+determinant, serializing operators renders each operator once and
+builds no term, the text of a tautological system builds no box
+operator, and GKZ data computes its kernel basis only when read, and
+then once.
 
 The counters wrap the functions at every ``nefmirror.*`` module attribute
 bound to them: ``from .x import f`` copies the binding, so wrapping the
@@ -26,11 +26,10 @@ defining module alone would miss calls.
 """
 import sys
 from collections import Counter
-from itertools import islice
 
 import pytest
 
-from conftest import NON_UNIMODULAR_4D, cayley_points
+from conftest import NON_UNIMODULAR_4D, cayley_points, taut_operators
 from nefmirror import cli, intlin, lattice, nefpart, periods, toric
 from nefmirror.catalog import (
     CatalogEntry,
@@ -46,7 +45,7 @@ from nefmirror.nefpart import (
     cayley_cone_duality_check,
     dualize,
 )
-from nefmirror.periods import gkz_data, serialize_operator, taut_system
+from nefmirror.periods import gkz_data, serialize_operator
 from nefmirror.toric import (
     ToricDivisor,
     bundle_nef_divisor,
@@ -391,9 +390,9 @@ def record_inits(monkeypatch, cls):
 
 def test_serialize_operators_renders_each_operator_once(monkeypatch):
     # the tracer's periods.serialize_operator.calls stays one per operator,
-    # and no term is built, so no term text is rendered, while serializing
+    # and no term is built while serializing
     built = record_inits(monkeypatch, periods.DiffTerm)
-    ops = list(taut_system([2, 3], 2))
+    ops = taut_operators([2, 3], 2)
     assert built
     built.clear()
     counts = count_calls(monkeypatch, (serialize_operator,))
@@ -402,46 +401,17 @@ def test_serialize_operators_renders_each_operator_once(monkeypatch):
     assert not built
 
 
-def test_taut_system_builds_each_box_term_once(monkeypatch):
-    # box terms are the only ones without a multiplier: at most a +1 and a
-    # -1 term per coefficient pair, each built once, and one DiffOperator
-    # per operator returned
-    terms = record_inits(monkeypatch, periods.DiffTerm)
-    operators = record_inits(monkeypatch, periods.DiffOperator)
-    ops = list(taut_system([2, 3], 2))
-    n_vars = len(periods.coefficient_variables([2, 3], 2))
-    box_terms = [t for t in terms if not t.multiplier]
-    assert 0 < len(box_terms) <= 2 * (n_vars * (n_vars + 1) // 2)
-    assert len(box_terms) == len(set(box_terms))
-    assert len(operators) == len(ops)
-    assert {id(op) for op in operators} == {id(op) for op in ops}
-
-
-def test_taut_system_builds_box_terms_only_as_they_are_reached(monkeypatch):
-    # the degrees are checked at the call, but no term is built until the
-    # iterator is read; the Euler and symmetry operators and the first box
-    # operator of (5;4) build a small fraction of its box terms
-    terms = record_inits(monkeypatch, periods.DiffTerm)
-    ops = taut_system([5], 4)
-    assert not terms
-    head = list(islice(ops, 1 + 5 ** 2 + 1))
-    assert [t.coeff for t in head[-1].terms] == [1, -1]  # the first box
-    first = sum(1 for t in terms if not t.multiplier)
-    for _ in ops:
-        pass
-    total = sum(1 for t in terms if not t.multiplier)
-    assert total == 14000
-    assert 0 < 100 * first < total
-
-
 def test_taut_text_builds_no_box_operator(monkeypatch):
     # only the Euler and symmetry operators are built, one per bundle and
-    # one per ordered pair of homogeneous coordinates; the box lines are
-    # written from their labels
-    n_lines = sum(1 for _ in taut_system([2, 3], 2))
+    # one per ordered pair of homogeneous coordinates; the box lines, one
+    # per two pairs of a bucket, are written from their labels
+    variables = periods.coefficient_variables([2, 3], 2)
+    n_box = sum(len(pairs) * (len(pairs) - 1) // 2
+                for pairs in periods._box_buckets(variables))
     operators = record_inits(monkeypatch, periods.DiffOperator)
     text = "".join(periods.taut_text([2, 3], 2))
-    assert text.count("\n") == n_lines
+    assert n_box > 0
+    assert text.count("\n") == 2 + 3 ** 2 + n_box
     assert len(operators) == 2 + 3 ** 2
 
 
