@@ -489,12 +489,24 @@ def test_taut_text_is_the_serialized_system(degrees, dim):
         assert serialize_operator(parse_operator(line)) == line
 
 
-@pytest.mark.parametrize("degrees, dim, digest", [
+# sha256 of the tautgen output of three large systems
+TAUT_DIGESTS = [
     ([6], 3, "eccf757e4b62b814d6150d1803711a9cae4d987ef97cb4f661f8e406ae6d1b62"),
     ([3, 3], 4,
      "0bafc4a17032f687a48d93f58b330a3af8765c99919afb7bb00d75a54ca57740"),
     ([5], 4, "6b1cc290c96373c0bffee8b2d5c712ae1649a74728ad3357f654705022c89beb"),
-])
+]
+
+
+@pytest.mark.parametrize("degrees, dim, digest", TAUT_DIGESTS)
+def test_taut_system_bytes_pinned(degrees, dim, digest):
+    """The operators of three large systems, read back from the text and
+    serialized again, give the tautgen output byte for byte."""
+    text = serialize_operators(taut_operators(degrees, dim)) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("degrees, dim, digest", TAUT_DIGESTS)
 def test_taut_text_bytes_pinned(degrees, dim, digest):
     """The tautgen output of three large systems, byte for byte."""
     text = "".join(taut_text(degrees, dim))
