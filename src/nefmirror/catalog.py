@@ -34,7 +34,11 @@ from importlib import resources
 from .errors import GoldenMismatchError, InputError
 from .invariants import surface_node_count, verify_mirror_duality
 from .lattice import convex_hull, json_int, normalized_volume
-from .nefpart import cayley_cone_duality_check, nef_partition_from_doc
+from .nefpart import (
+    cayley_cone_duality_check,
+    dualize_document,
+    nef_partition_from_doc,
+)
 from .periods import (
     gkz_data,
     gkz_equal_up_to_group_permutation,
@@ -220,16 +224,24 @@ def check_taut_golden(chunks):
     golden Euler or symmetry operator must be one of the generated lines,
     and each box operator, whose terms have no multiplier, one of them or
     the negation of one.  A golden line is read into the normal form that
-    ``serialize_operator`` writes, so equal lines are equal operators."""
+    ``serialize_operator`` writes, so equal lines are equal operators.
+    The first golden operator that fails is named, with its kind, in the
+    GoldenMismatchError."""
     lines = set("".join(chunks).splitlines())
     for op in golden_taut_operators():
-        if serialize_operator(op) in lines:
+        line = serialize_operator(op)
+        if line in lines:
             continue
-        if not any(t.multiplier for t in op.terms) and \
-                serialize_operator(op.negated()) in lines:
+        box = not any(t.multiplier for t in op.terms)
+        if box and serialize_operator(op.negated()) in lines:
             continue
+        # the Euler operators alone carry the constant 1/2 (eigenvalue
+        # -1/2); a symmetry operator's constant is 0 or 1
+        kind = "box" if box else \
+            "symmetry" if type(op.constant) is int else "Euler"
         raise GoldenMismatchError(
-            "generated tautological system is missing golden operators")
+            "generated tautological system is missing the golden "
+            f"{kind} operator {line}")
 
 
 def run_bundle_example(doc):
@@ -262,40 +274,43 @@ def run_bundle_example(doc):
     r_h = ToricDivisor(contracted, tuple(r * c for c in h_pushed.coeffs))
     check("r*H' anticanonical", linearly_equivalent(r_h, anticanonical(contracted)))
     return failures + _expected_failures(doc.get("expected", {}), {
-        "bundle_n_rays": lambda: len(bundle_fan.rays),
-        "bundle_n_max_cones": lambda: len(bundle_fan.max_cones),
-        "contracted_n_rays": lambda: len(contracted.rays),
-        "contracted_n_max_cones": lambda: len(contracted.max_cones),
+        "bundle_n_rays": len(bundle_fan.rays),
+        "bundle_n_max_cones": len(bundle_fan.max_cones),
+        "contracted_n_rays": len(contracted.rays),
+        "contracted_n_max_cones": len(contracted.max_cones),
     })
+
+
+# The fields of an entry's "expected" block that the invariants document
+# prints under the same name.
+INVARIANTS_FIELDS = ("chi_X", "chi_Xdual", "chi_Y", "chi_Ydual", "h11_Y",
+                     "h21_Y")
 
 
 def run_entry(entry):
     """All checks for one nef-partition entry.  Returns a list of failure
-    messages (empty = pass)."""
+    messages (empty = pass).  The expected invariants and dual geometry
+    are compared with the documents the ``invariants`` and ``dualize``
+    commands print for the entry."""
     failures = []
     np_ = entry.build()
 
-    ok, report = verify_mirror_duality(np_)
+    ok, invariants = verify_mirror_duality(np_)
     if not ok:
         failures.append("mirror duality cross-check failed")
-    inv = report["invariants"]
     s_vol = normalized_volume(np_.cayley_pyramid)
     if s_vol != normalized_volume(np_.sections_hull):
         failures.append("volume identity vol(S) == vol(nabla polar) failed")
     if not cayley_cone_duality_check(np_):
         failures.append("Gorenstein cone duality failed")
-    failures += _expected_failures(entry.expected, {
-        "chi_X": lambda: inv.chi_X,
-        "chi_Xdual": lambda: inv.chi_Xdual,
-        "chi_Y": lambda: inv.chi_Y,
-        "chi_Ydual": lambda: inv.chi_Ydual,
-        "h11_Y": lambda: inv.h11_Y,
-        "h21_Y": lambda: inv.h21_Y,
-        "s_volume": lambda: s_vol,
-        "node_count": lambda: surface_node_count(np_),
-        "dual_fan_rays": lambda: [list(r) for r in np_.dual.fan.rays],
-        "nabla_vertices": lambda: [list(v) for v in np_.dual.delta.vertices],
-    })
+    dual = dualize_document(np_)
+    got = {field: invariants.get(field) for field in INVARIANTS_FIELDS}
+    got["s_volume"] = s_vol
+    if "node_count" in entry.expected:  # surfaces only
+        got["node_count"] = surface_node_count(np_)
+    got["dual_fan_rays"] = dual["fan"]["rays"]
+    got["nabla_vertices"] = dual["nabla_vertices"]
+    failures += _expected_failures(entry.expected, got)
     for side, golden in entry.expected.get("gkz", {}).items():
         try:
             check_gkz_golden(np_, side, golden)
@@ -304,17 +319,12 @@ def run_entry(entry):
     return failures
 
 
-def _expected_failures(expected, computed):
-    """One failure line for each field of ``expected`` whose value differs
-    from the one ``computed[field]()`` returns; a field the block does not
-    name is not computed."""
-    failures = []
-    for field, compute in computed.items():
-        if field in expected:
-            got = compute()
-            if got != expected[field]:
-                failures.append(f"{field}: computed {got}, expected {expected[field]}")
-    return failures
+def _expected_failures(expected, got):
+    """One failure line for each field of ``got`` that ``expected`` names
+    with a different value, in the order of ``got``."""
+    return [f"{field}: computed {value}, expected {expected[field]}"
+            for field, value in got.items()
+            if field in expected and value != expected[field]]
 
 
 def _run_taut_golden(doc):

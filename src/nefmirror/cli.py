@@ -5,6 +5,12 @@ either a path to a nef-partition JSON file or the name of a built-in
 catalog entry.  Every command is deterministic; identical inputs yield
 byte-identical outputs.
 
+The library builds each document a command prints: ``invariants`` prints
+the report of ``verify_mirror_duality`` and ``dualize`` the document of
+``nefpart.dualize_document``, the same ones that ``catalog`` checks its
+goldens against.  This module only formats them, as sorted JSON
+(``_dumps``) or as markdown (``_invariants_markdown``).
+
 A command exits 0 on success.  An error, a usage error included, is
 printed to stderr as a JSON object {"error": kind, "message": text}, with
 the kind and exit code that the table ERRORS below gives its class.
@@ -25,7 +31,7 @@ from .catalog import (
 )
 from .errors import DomainError, GoldenMismatchError, InputError, SmoothnessError
 from .invariants import verify_mirror_duality
-from .nefpart import nef_partition_from_json
+from .nefpart import dualize_document, nef_partition_from_json
 from .periods import (
     gkz_data,
     gkz_matrix_text,
@@ -93,39 +99,8 @@ def _dumps(doc):
 
 def cmd_dualize(args):
     np_, _entry = _resolve_nef_partition(args.input)
-    dual = np_.dual
-    doc = {
-        "nabla_vertices": [list(v) for v in dual.delta.vertices],
-        "parts": [list(p) for p in dual.parts],
-        "nabla_polar_vertices": [list(v) for v in np_.sections_hull.vertices],
-        "nabla_part_vertices": [[list(v) for v in poly.vertices]
-                                for poly in dual.section_polytopes],
-        "fan": {"dim": dual.fan.ambient_dim,
-                "rays": [list(r) for r in dual.fan.rays],
-                "max_cones": [list(c) for c in dual.fan.max_cones]},
-    }
-    _emit([_dumps(doc)], args.output)
+    _emit([_dumps(dualize_document(np_))], args.output)
     return EXIT_OK
-
-
-def _invariants_doc(np_):
-    ok, report = verify_mirror_duality(np_)
-    inv = report["invariants"]
-    hodge = {f"{p},{q}": value for (p, q), value in inv.hodge_offdiag}
-    doc = {
-        "n": inv.n,
-        "chi_X": inv.chi_X,
-        "chi_Xdual": inv.chi_Xdual,
-        "chi_Y": inv.chi_Y,
-        "chi_Ydual": inv.chi_Ydual,
-        "duality_ok": bool(ok),
-        "hodge": hodge,
-        "dk_terms": report["dk_terms"],
-    }
-    if inv.n == 3:
-        doc["h11_Y"] = inv.h11_Y
-        doc["h21_Y"] = inv.h21_Y
-    return doc
 
 
 def _invariants_markdown(doc):
@@ -155,7 +130,7 @@ def _invariants_markdown(doc):
 
 def cmd_invariants(args):
     np_, _entry = _resolve_nef_partition(args.input)
-    doc = _invariants_doc(np_)
+    _ok, doc = verify_mirror_duality(np_)
     if args.format == "md":
         _emit(_invariants_markdown(doc), args.output)
     else:

@@ -10,23 +10,15 @@ integer kernels and lattice charts.  The columns of
 :func:`scaled_inverse` are the inner facet normals of a simplex (from its
 edge matrix) or of a simplicial cone (from its generators), so the hull's
 first simplex and the completeness test read them from one elimination.
-Results are ints; only a non-integral :func:`solve_linear` entry is a
-Fraction.  Vectors are tuples, matrices are lists/tuples of row tuples.
-This is deliberately small-scale code (a few dozen rows) written for
-clarity and determinism, not asymptotics.
+Every result is made of ints: :func:`solve_linear` returns only an
+integral solution.  Vectors are tuples, matrices are lists/tuples of row
+tuples.  This is deliberately small-scale code (a few dozen rows) written
+for clarity and determinism, not asymptotics.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
-
-
-def canon_num(x):
-    """Normalize a rational to int when it is integral."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    return x
 
 
 def dot(u, v):
@@ -35,10 +27,6 @@ def dot(u, v):
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def is_integral(v):
-    return all(type(x) is int for x in v)
 
 
 def primitivize(v):
@@ -85,12 +73,6 @@ def _eliminate(rows):
     return m, pivots, last, sign
 
 
-def _quotient(a, b):
-    """a / b as an int when exact, else as a Fraction."""
-    q, r = divmod(a, b)
-    return q if r == 0 else Fraction(a, b)
-
-
 def pivot_columns(rows):
     """Pivot columns of the row echelon form: each column that is not in
     the span of the columns before it."""
@@ -102,8 +84,10 @@ def matrix_rank(rows):
 
 
 def solve_linear(rows, rhs):
-    """One exact solution x of rows @ x = rhs (free variables set to 0),
-    or None when the system is inconsistent."""
+    """The solution x of rows @ x = rhs with its free variables 0, when
+    the system is consistent and that solution is integral; else None.
+    When rows has full column rank the solution is unique, so None means
+    that no integral solution exists."""
     if not rows:
         return ()
     ncols = len(rows[0])
@@ -113,7 +97,10 @@ def solve_linear(rows, rhs):
         return None
     x = [0] * ncols
     for row, c in zip(m, pivots):
-        x[c] = _quotient(row[ncols], last)
+        q, rem = divmod(row[ncols], last)
+        if rem:
+            return None
+        x[c] = q
     return tuple(x)
 
 

@@ -16,6 +16,11 @@ suite plays against each other:
 
 For n <= 3 the DK route thus sets the Cayley volume vol(Lambda) against a
 lattice-point count of the other side's polar.
+
+``verify_mirror_duality`` plays the two routes against each other and
+returns its report as the one document of these numbers: the
+``invariants`` command prints it, and ``catalog`` checks its goldens
+against it.
 """
 from __future__ import annotations
 
@@ -171,10 +176,11 @@ def verify_mirror_duality(nef_partition):
     side's lattice-point count, the Ehrhart identity on each side and the
     S-volume identity.
 
-    Returns (ok, report); the report lists every intermediate pyramid
-    volume vol_{n+|J|}(Lambda_J), and its "invariants" entry is the
-    CoverInvariants of double_cover_invariants, so callers need not
-    compute them again.
+    Returns (ok, report).  The report is the document the ``invariants``
+    command prints: n, chi_X, chi_Xdual, chi_Y, chi_Ydual (the closed
+    form), duality_ok (= ok), hodge, mapping "p,q" with p+q != n to
+    h^{p,q}(Y), dk_terms, every pyramid volume vol_{n+|J|}(Lambda_J) with
+    J counted from 1, and for n = 3 h11_Y and h21_Y.
     """
     np_ = nef_partition
     n = np_.dim
@@ -200,22 +206,21 @@ def verify_mirror_duality(nef_partition):
     chi_union = (-1) ** (n + 1) * volumes[tuple(range(r))]
 
     chi_branch = inv.chi_X + chi_union
-    chi_y_dk = branched_cover_euler(inv.chi_X, chi_branch, 2)
-    ok = chi_y_dk == inv.chi_Y
+    ok = branched_cover_euler(inv.chi_X, chi_branch, 2) == inv.chi_Y
     report = {
         "n": n,
-        "r": r,
         "chi_X": inv.chi_X,
         "chi_Xdual": inv.chi_Xdual,
-        "chi_branch_divisor": chi_branch,
-        "chi_Y_dk": chi_y_dk,
-        "chi_Y_closed_form": inv.chi_Y,
+        "chi_Y": inv.chi_Y,
         "chi_Ydual": inv.chi_Ydual,
         "duality_ok": ok,
+        "hodge": {f"{p},{q}": value for (p, q), value in inv.hodge_offdiag},
         "dk_terms": [{"J": [j + 1 for j in subset], "volume": volumes[subset]}
                      for subset in sorted(volumes)],
-        "invariants": inv,
     }
+    if n == 3:
+        report["h11_Y"] = inv.h11_Y
+        report["h21_Y"] = inv.h21_Y
     return ok, report
 
 

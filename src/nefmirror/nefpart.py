@@ -220,6 +220,24 @@ def dualize(nef_partition):
     return dual
 
 
+def dualize_document(nef_partition):
+    """The document the ``dualize`` command prints: the vertices of nabla
+    and of its polar Conv(Delta_1, ..., Delta_r), the dual parts, the
+    vertices of each nabla_k and the normal fan of nabla."""
+    dual = nef_partition.dual
+    return {
+        "nabla_vertices": [list(v) for v in dual.delta.vertices],
+        "parts": [list(p) for p in dual.parts],
+        "nabla_polar_vertices": [list(v) for v in
+                                 nef_partition.sections_hull.vertices],
+        "nabla_part_vertices": [[list(v) for v in poly.vertices]
+                                for poly in dual.section_polytopes],
+        "fan": {"dim": dual.fan.ambient_dim,
+                "rays": [list(r) for r in dual.fan.rays],
+                "max_cones": [list(c) for c in dual.fan.max_cones]},
+    }
+
+
 def cayley_cone(nef_partition):
     """Gorenstein cone sigma_Delta over the Cayley polytope of the section
     polytopes inside R^r x M_R, read from the section polytopes with no

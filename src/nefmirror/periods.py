@@ -30,7 +30,7 @@ from itertools import combinations_with_replacement
 from operator import add
 
 from .errors import DomainError, InputError
-from .intlin import canon_num, integer_kernel_basis
+from .intlin import integer_kernel_basis
 from .lattice import lattice_points
 
 
@@ -175,7 +175,10 @@ class DiffOperator:
 
 def _exact(value):
     """An exact scalar as an int when integral, else as a Fraction."""
-    return value if type(value) is int else canon_num(Fraction(value))
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return int(value) if value.denominator == 1 else value
 
 
 def make_operator(terms, constant=0):

@@ -25,7 +25,6 @@ from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
 from .intlin import (
     det,
     dot,
-    is_integral,
     lattice_split,
     matrix_rank,
     primitivize,
@@ -318,8 +317,6 @@ def cartier_data(divisor):
             raise DomainError(f"divisor is not Cartier on cone {cone}")
         if matrix_rank(rows) < fan.ambient_dim:
             raise DomainError("Cartier data needs full-dimensional maximal cones")
-        if not is_integral(m):
-            raise DomainError(f"divisor is not Cartier on cone {cone}")
         per_cone.append(m)
     return CartierData(divisor, tuple(per_cone))
 
@@ -454,10 +451,7 @@ def linear_equivalence_witness(d1, d2):
         raise InputError("divisors live on different fans")
     fan = d1.fan
     diff = [b - a for a, b in zip(d1.coeffs, d2.coeffs)]
-    m = solve_linear(list(fan.rays), diff)
-    if m is None or not is_integral(m):
-        return None
-    return m
+    return solve_linear(list(fan.rays), diff)
 
 
 def linearly_equivalent(d1, d2):

@@ -2,7 +2,8 @@
 
 The oracles here are deliberately independent of the package internals:
 polygon areas come from the shoelace formula after an exact angular sort,
-membership tests from Caratheodory-style barycentric solves, and the
+membership tests from Caratheodory-style barycentric solves over Q
+(``rational_solve``, apart from the package's integer kernel), and the
 smooth surface completion from elementary 2-cone subdivision.  The
 pulling reference keeps the ray-shooting form, in Fraction arithmetic, of
 the package's cross-multiplied integer test.  The Cayley references build
@@ -38,7 +39,6 @@ from nefmirror.intlin import (
     matrix_rank,
     primitivize,
     scaled_inverse,
-    solve_linear,
 )
 from nefmirror.lattice import cone_hrep, convex_hull, is_reflexive, lattice_points
 from nefmirror.nefpart import build_nef_partition
@@ -53,6 +53,8 @@ P4_DELTA = [(4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1),
 # 211 cones, as a nef-partition document
 P4_TWO_PARTS = {"delta_vertices": [list(v) for v in P4_DELTA],
                 "parts": [[0, 1], [2, 3, 4]]}
+P4_FIVE_PARTS = {"delta_vertices": [list(v) for v in P4_DELTA],
+                 "parts": [[0], [1], [2], [3], [4]]}
 HEX_NABLA = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
 NON_UNIMODULAR_4D = [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1),
                      (1, 1, 2, 1), (-1, -1, -1, -2)]
@@ -127,20 +129,36 @@ def shoelace_area(points):
     return abs(twice) / 2
 
 
+def rational_solve(rows, rhs):
+    """The solution in Fractions of rows @ x = rhs when there is exactly
+    one, else None, by plain Gauss-Jordan elimination over Q."""
+    ncols = len(rows[0]) if rows else 0
+    m = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for c in range(ncols):
+        pr = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pr is None:
+            return None  # c is a free column
+        m[c], m[pr] = m[pr], m[c]
+        m[c] = [a / m[c][c] for a in m[c]]
+        for i in range(len(m)):
+            if i != c and m[i][c]:
+                m[i] = [a - m[i][c] * b for a, b in zip(m[i], m[c])]
+    if any(row[ncols] for row in m[ncols:]):
+        return None
+    return [row[ncols] for row in m[:ncols]]
+
+
 def in_convex_hull_oracle(point, points):
     """Exact membership via barycentric solves over affinely independent
     subsets (Caratheodory); independent of the hull code."""
-    from itertools import combinations
     d = len(point)
     for size in range(1, d + 2):
         for subset in combinations(points, size):
             rows = [[p[i] for p in subset] for i in range(d)]
             rows.append([1] * size)
-            sol = solve_linear(rows, list(point) + [1])
+            sol = rational_solve(rows, list(point) + [1])
             if sol is not None and all(x >= 0 for x in sol):
-                if all(sum(r * s for r, s in zip(row, sol)) == b
-                       for row, b in zip(rows, list(point) + [1])):
-                    return True
+                return True
     return False
 
 

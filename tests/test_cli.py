@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import P4_DELTA
+from conftest import P4_FIVE_PARTS, P4_TWO_PARTS
 import nefmirror
-from nefmirror import catalog, cli, errors
+from nefmirror import catalog, cli, errors, invariants, nefpart
 from nefmirror.catalog import (
     CatalogEntry,
     find_entry,
@@ -96,8 +96,7 @@ def test_invariants_markdown():
 def test_invariants_five_part_p4(tmp_path):
     # the Cayley pyramids of five parts lie in R^(5+4) = R^9
     path = tmp_path / "p4.json"
-    path.write_text(json.dumps({"delta_vertices": P4_DELTA,
-                                "parts": [[0], [1], [2], [3], [4]]}))
+    path.write_text(json.dumps(P4_FIVE_PARTS))
     result = run_cli("invariants", "--input", str(path))
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
@@ -278,7 +277,8 @@ def test_invariants_unwritable_output_exits_2(tmp_path):
 
 
 # sha256 of the stdout of `nefmirror invariants --input <entry>`; the JSON
-# and markdown carry every dk_terms volume.
+# and markdown carry every dk_terms volume.  The two P^4 inputs, written to
+# files (PINNED_FILES), pin the n = 4 route, where the MPCP fans are built.
 INVARIANTS_SHA256 = {
     ("p2-triple", "json"): "d731ecd23ce14bd6b48cd20ad0d0507741b0c1e437c23cbed4aac59027a62ca7",
     ("p2-triple", "md"): "9f0371e8899921827d7b0252fc143186e3889a07fc8a0b476ad08c444e28fe8f",
@@ -292,6 +292,10 @@ INVARIANTS_SHA256 = {
     ("p3-(12)(34)", "md"): "c42ba95c12b1af1880a9c0199ca0e132c308430cc849bc029d483dea94b3f857",
     ("p3-(123)(4)", "json"): "faec52432b17a8df97ae74a66ee4abf81b00831fd72bcc8c4bcd74132575d0a1",
     ("p3-(123)(4)", "md"): "99e3d304a89a13aab1a1de8e6a9c11c914de39791fca87addb1c0dd902b16f73",
+    ("p4-2parts", "json"): "a05d15a2dd1ccd632b3b05378957bfc6ec4a85c52c8e4949c85c7324cf8200d6",
+    ("p4-2parts", "md"): "4707b61ee7371836a567cfe761dc032169293b68b8997fe8bc60127d23d588bc",
+    ("p4-5parts", "json"): "dbdeefb1f4f1ce52f6f365ed91a4bc696d4d5acea5d9bd6a24c1ec2c964dce19",
+    ("p4-5parts", "md"): "e657cae6495864a8a907fd1c187f199d43802f66601e84cb3205fa64ff5592f1",
 }
 
 
@@ -304,21 +308,80 @@ DUALIZE_SHA256 = {
     "p1-legendre": "02d315b074860a5da9fc38c819ea4a3fdf0a317a2b3c5ca256833437694e8881",
     "p3-(12)(34)": "7c982a6ef13b8c799c5d089b4fa9f77e0d5ab253ed94f3baf3841fe0ae1c6d2b",
     "p3-(123)(4)": "9d334a1beb3496cd943dd5b6f081b8bf58007a9dbefad4a8d42ae364af6c31d8",
+    "p4-2parts": "ff0b6783c94c5097b6ac7a7cf1c5e20ceaaa81fa190d70b08e25147e68242e47",
+    "p4-5parts": "c0af5ec6c4c1da41138ccbb9bac8eb37da0312988f15fc87ca53cde76d8a246e",
 }
 
+# The pinned inputs that are not catalog entries: nef-partition documents.
+PINNED_FILES = {"p4-2parts": P4_TWO_PARTS, "p4-5parts": P4_FIVE_PARTS}
 
-def test_invariants_output_bytes_are_pinned(capsys):
+
+def pinned_input(name, tmp_path):
+    """The --input of a pinned input: a catalog entry name, or the path of
+    the file its document is written to."""
+    if name not in PINNED_FILES:
+        return name
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(PINNED_FILES[name]), encoding="utf-8")
+    return str(path)
+
+
+def test_invariants_output_bytes_are_pinned(capsys, tmp_path):
     for (name, fmt), digest in INVARIANTS_SHA256.items():
-        assert cli.main(["invariants", "--input", name, "--format", fmt]) == 0
+        argv = ["invariants", "--input", pinned_input(name, tmp_path),
+                "--format", fmt]
+        assert cli.main(argv) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == digest, (name, fmt)
 
 
-def test_dualize_output_bytes_are_pinned(capsys):
+def test_dualize_output_bytes_are_pinned(capsys, tmp_path):
     for name, digest in DUALIZE_SHA256.items():
-        assert cli.main(["dualize", "--input", name]) == 0
+        assert cli.main(["dualize", "--input", pinned_input(name, tmp_path)]) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == digest, name
+
+
+def test_catalog_fails_when_the_invariants_document_is_wrong(monkeypatch,
+                                                            capsys):
+    # catalog compares its goldens with the document `invariants` prints,
+    # so a fault in that document fails the catalog too
+    verify = invariants.verify_mirror_duality
+
+    def swapped(np_):
+        ok, doc = verify(np_)
+        doc["chi_X"], doc["chi_Xdual"] = doc["chi_Xdual"], doc["chi_X"]
+        return ok, doc
+
+    monkeypatch.setattr(cli, "verify_mirror_duality", swapped)
+    monkeypatch.setattr(catalog, "verify_mirror_duality", swapped)
+    assert cli.main(["invariants", "--input", "p2-(3)(12)"]) == 0
+    assert json.loads(capsys.readouterr().out)["chi_X"] == 7
+    assert cli.main(["catalog"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL p2-(3)(12)\n    chi_X: computed 7, expected 3\n" \
+           "    chi_Xdual: computed 3, expected 7\n" in out
+    assert out.endswith("FAILURES present (8 targets)\n")
+
+
+def test_catalog_fails_when_the_dualize_document_is_wrong(monkeypatch,
+                                                         capsys):
+    # catalog compares its goldens with the document `dualize` prints
+    document = nefpart.dualize_document
+
+    def dropped(np_):
+        doc = document(np_)
+        del doc["nabla_vertices"][0]
+        return doc
+
+    monkeypatch.setattr(cli, "dualize_document", dropped)
+    monkeypatch.setattr(catalog, "dualize_document", dropped)
+    assert cli.main(["dualize", "--input", "p2-triple"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["nabla_vertices"]) == 5
+    assert cli.main(["catalog"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL p2-triple\n    nabla_vertices: computed " in out
+    assert out.endswith("FAILURES present (8 targets)\n")
 
 
 def test_catalog_non_utf8_file_exits_2(tmp_path):

@@ -1,8 +1,9 @@
 """The exact elimination kernel against reference definitions.
 
 Reference values come from definitions that share no code with
-``nefmirror.intlin``: the Leibniz expansion for determinants, and the
-largest nonvanishing minor for ranks.  Matrices are small (up to 4x5) with
+``nefmirror.intlin``: the Leibniz expansion for determinants, the
+largest nonvanishing minor for ranks, and elimination over Q
+(``rational_solve``) for solutions.  Matrices are small (up to 4x5) with
 int entries: the kernel is integer-only.
 """
 from fractions import Fraction
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import elementary_product, invert_unimodular, leibniz
+from conftest import elementary_product, invert_unimodular, leibniz, rational_solve
 from nefmirror.intlin import (
     det,
     integer_kernel_basis,
@@ -54,12 +55,6 @@ def minor_rank(rows):
 
 def matvec(rows, x):
     return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
-
-
-def is_canonical(x):
-    """Exact results are ints when integral, Fractions (of a solution)
-    otherwise."""
-    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
 @SETTINGS
@@ -108,7 +103,7 @@ def test_nullspace_spans_kernel(rows):
     assert len(basis) == ncols - matrix_rank(rows)
     for v in basis:
         assert len(v) == ncols
-        assert all(is_canonical(x) for x in v)
+        assert all(type(x) is int for x in v)
         assert all(x == 0 for x in matvec(rows, v))
     if basis:
         assert minor_rank(basis) == len(basis)
@@ -119,15 +114,39 @@ def test_nullspace_spans_kernel(rows):
                                           st.lists(ints, min_size=s[0],
                                                    max_size=s[0]))))
 def test_solve_linear_exactly_when_consistent(system):
+    # the solution with free variables 0 is read over Q on the pivot
+    # columns, each one not in the span of the columns before it;
+    # solve_linear returns it when it is integral, and None otherwise
     rows, rhs = system
     x = solve_linear(rows, rhs)
     augmented = [row + (b,) for row, b in zip(rows, rhs)]
     if minor_rank(augmented) > minor_rank(rows):
         assert x is None
-    else:
-        assert x is not None
-        assert all(is_canonical(v) for v in x)
+        return
+    ncols = len(rows[0])
+    pivots = [c for c in range(ncols)
+              if minor_rank([row[:c + 1] for row in rows])
+              > minor_rank([row[:c] for row in rows])]
+    want = [Fraction(0)] * ncols
+    for c, value in zip(pivots, rational_solve(
+            [[row[c] for c in pivots] for row in rows], rhs)):
+        want[c] = value
+    if all(v.denominator == 1 for v in want):
+        assert x == tuple(want)
+        assert all(type(v) is int for v in x)
         assert matvec(rows, x) == tuple(rhs)
+    else:
+        assert x is None
+
+
+@pytest.mark.parametrize("rows, rhs, solution", [
+    ([(2, 0), (0, 3)], [4, 9], (2, 3)),
+    ([(2, 0), (0, 3)], [4, 1], None),   # x_2 = 1/3
+    ([(2, 3)], [1], None),              # x_2 = 0 leaves x_1 = 1/2
+    ([(1, 1), (1, 1)], [1, 2], None),   # inconsistent
+])
+def test_solve_linear_returns_only_integral_solutions(rows, rhs, solution):
+    assert solve_linear(rows, rhs) == solution
 
 
 @SETTINGS

@@ -296,8 +296,8 @@ def test_invariants_rejects_non_unimodular():
 def test_verify_catalog_entries():
     for np_ in (TRIPLE, SPLIT, TRIVIAL, P3_12_34, P3_123_4):
         ok, report = verify_mirror_duality(np_)
-        assert ok
-        assert report["chi_Y_dk"] == report["chi_Y_closed_form"]
+        assert ok and report["duality_ok"]
+        assert report["chi_Y"] == (-1) ** np_.dim * report["chi_Ydual"]
 
 
 def test_verify_reports_pyramid_volumes():
@@ -318,8 +318,10 @@ def test_verify_fails_when_a_pyramid_volume_is_off(dk_top_term_plus_one):
     # the DK route is the one that can disagree with the closed form
     ok, report = verify_mirror_duality(TRIPLE)
     assert not ok
-    assert not report["duality_ok"]
-    assert report["chi_Y_dk"] != report["chi_Y_closed_form"] == 9
+    assert report["duality_ok"] is False
+    assert report["chi_Y"] == 9  # the closed form
+    # the report prints the volume the DK route read
+    assert {"J": [1, 2, 3], "volume": 7} in report["dk_terms"]
 
 
 @pytest.mark.parametrize("scale, message", [
@@ -437,7 +439,7 @@ def test_every_polygon_nef_partition_is_dual_with_its_node_count():
                 ok, report = verify_mirror_duality(side)
                 assert ok, (side, report)
                 nodes = surface_node_count(side)
-                assert report["invariants"].chi_Y == 24 - nodes, side
+                assert report["chi_Y"] == 24 - nodes, side
                 sides += 1
     assert sides == 142
 

@@ -210,8 +210,32 @@ def test_taut_golden_check_rejects_a_negated_euler_operator(monkeypatch):
     golden = golden_taut_operators()
     negated = [golden[0].negated()] + golden[1:]
     monkeypatch.setattr(catalog, "golden_taut_operators", lambda: negated)
-    with pytest.raises(GoldenMismatchError):
+    with pytest.raises(GoldenMismatchError) as info:
         check_taut_golden(taut_text([1, 1, 1, 1, 2], 2))
+    # the message names the failing golden line and its kind
+    assert str(info.value) == (
+        "generated tautological system is missing the golden Euler operator "
+        "-b11*d(b11) - b21*d(b21) - b31*d(b31) - b41*d(b41) - b51*d(b51) "
+        "- b61*d(b61) - 1/2")
+
+
+@pytest.mark.parametrize("index, kind", [(5, "symmetry"), (11, "symmetry"),
+                                         (14, "box")])
+def test_taut_golden_check_names_the_kind_of_a_missing_operator(monkeypatch,
+                                                               index, kind):
+    # golden 5 is an off-diagonal symmetry operator (constant 0), golden 11
+    # a diagonal one (constant 1) and golden 14 the first box operator;
+    # doubling one leaves a line the system does not hold
+    golden = golden_taut_operators()
+    doubled = make_operator([(2 * t.coeff, t.derivs, t.multiplier)
+                             for t in golden[index].terms],
+                            2 * golden[index].constant)
+    monkeypatch.setattr(catalog, "golden_taut_operators", lambda: [doubled])
+    with pytest.raises(GoldenMismatchError) as info:
+        check_taut_golden(taut_text([1, 1, 1, 1, 2], 2))
+    assert str(info.value) == (
+        f"generated tautological system is missing the golden {kind} "
+        f"operator {serialize_operator(doubled)}")
 
 
 def test_taut_single_linear_bundle_on_line():
