@@ -28,7 +28,6 @@ from .lattice import (
     make_cone,
     maximal_boundary_triangulation,
     minkowski_sum,
-    normalized_volume,
     polar_dual,
 )
 from .toric import (
@@ -61,7 +60,6 @@ from .nefpart import (
     nef_partition_from_json,
 )
 from .invariants import (
-    CoverInvariants,
     branched_cover_euler,
     dk_euler,
     double_cover_invariants,
@@ -86,7 +84,7 @@ __all__ = [
     "ConsistencyError", "GoldenMismatchError",
     "LatticePolytope", "Cone", "Triangulation",
     "convex_hull", "polar_dual", "is_reflexive", "lattice_points",
-    "normalized_volume", "minkowski_sum", "cayley_pyramid",
+    "minkowski_sum", "cayley_pyramid",
     "dual_cone", "make_cone", "maximal_boundary_triangulation",
     "Fan", "ToricDivisor", "CartierData",
     "make_fan", "normal_fan", "mpcp_fan", "is_smooth", "is_complete",
@@ -97,7 +95,7 @@ __all__ = [
     "linear_equivalence_witness", "is_calabi_yau_cover",
     "NefPartition", "build_nef_partition", "dualize", "cayley_cone",
     "nef_partition_from_json",
-    "CoverInvariants", "dk_euler", "branched_cover_euler",
+    "dk_euler", "branched_cover_euler",
     "double_cover_invariants", "verify_mirror_duality", "surface_node_count",
     "GKZData", "CoeffVar", "DiffOperator",
     "gkz_data", "taut_text", "serialize_operators", "parse_operators",

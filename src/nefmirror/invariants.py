@@ -17,19 +17,20 @@ suite plays against each other:
 For n <= 3 the DK route thus sets the Cayley volume vol(Lambda) against a
 lattice-point count of the other side's polar.
 
-``verify_mirror_duality`` plays the two routes against each other and
-returns its report as the one document of these numbers: the
-``invariants`` command prints it, and ``catalog`` checks its goldens
-against it.
+``verify_mirror_duality`` is the one place that checks the mirror pair's
+theorem set: the two routes against each other, the Ehrhart identity on
+each side and Gorenstein cone duality.  It returns its report as the one
+document of these numbers: the ``invariants`` command prints it, and
+``catalog`` checks its goldens, s_volume included, against it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
 from .intlin import det
 from .lattice import cayley_pyramid
+from .nefpart import cayley_cone_duality_check
 from .toric import (
     COUNT_DIM,
     divisor_from_polytope,
@@ -38,24 +39,6 @@ from .toric import (
     is_smooth,
     nef_polytope,
 )
-
-
-@dataclass(frozen=True)
-class CoverInvariants:
-    """Euler characteristics and Hodge data of the mirror pair (Y, Y_dual).
-
-    hodge_offdiag maps (p, q) with p+q != n to h^{p,q}(Y) = h^{p,q}(X);
-    h11 and h21 are filled in the threefold case only.
-    """
-
-    n: int
-    chi_X: int
-    chi_Xdual: int
-    chi_Y: int
-    chi_Ydual: int
-    hodge_offdiag: tuple  # tuple of ((p, q), value), sorted
-    h11_Y: object
-    h21_Y: object
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +117,12 @@ def branched_cover_euler(chi_x, chi_d, r):
 
 def double_cover_invariants(nef_partition):
     """Invariants of the double covers attached to a nef-partition and its
-    Batyrev-Borisov dual, from the ``toric_numbers`` of both sides.
-    Requires smooth MPCP fans on both sides, which always exist in
-    dimension n <= COUNT_DIM."""
+    Batyrev-Borisov dual, from the ``toric_numbers`` of both sides, as the
+    fields of the ``invariants`` document: n, chi_X, chi_Xdual, chi_Y and
+    chi_Ydual (the closed form chi(X) + (-1)^n chi(X_dual) and its mirror),
+    hodge, mapping "p,q" with p+q != n to h^{p,q}(Y) = h^{p,q}(X), and for
+    n = 3 h11_Y and h21_Y.  Requires smooth MPCP fans on both sides, which
+    always exist in dimension n <= COUNT_DIM."""
     np_ = nef_partition
     n = np_.dim
     dual = np_.dual
@@ -146,46 +132,57 @@ def double_cover_invariants(nef_partition):
     chi_xd, h_xd = dual.toric_numbers
     chi_x, h_x = np_.toric_numbers
     sign = (-1) ** n
-    chi_y = chi_x + sign * chi_xd
-    chi_yd = chi_xd + sign * chi_x
-    offdiag = []
-    for p in range(n + 1):
-        for q in range(n + 1):
-            if p + q != n:
-                offdiag.append(((p, q), h_x[p] if p == q else 0))
-    h11 = h21 = None
+    inv = {
+        "n": n,
+        "chi_X": chi_x,
+        "chi_Xdual": chi_xd,
+        "chi_Y": chi_x + sign * chi_xd,
+        "chi_Ydual": chi_xd + sign * chi_x,
+        "hodge": {f"{p},{q}": h_x[p] if p == q else 0
+                  for p in range(n + 1) for q in range(n + 1) if p + q != n},
+    }
     if n == 3:
-        h11 = h_x[1]
-        h21 = h_xd[1]
-    return CoverInvariants(
-        n=n, chi_X=chi_x, chi_Xdual=chi_xd, chi_Y=chi_y, chi_Ydual=chi_yd,
-        hodge_offdiag=tuple(sorted(offdiag)),
-        h11_Y=h11, h21_Y=h21)
+        inv["h11_Y"] = h_x[1]
+        inv["h21_Y"] = h_xd[1]
+    return inv
 
 
 def verify_mirror_duality(nef_partition):
-    """Recompute chi(Y) through the DK route and check it against the
-    closed form chi(X) + (-1)^n chi(X_dual), which equals (-1)^n
-    chi(Y_dual) by construction.
+    """Check the theorem set of the mirror pair (Y, Y_dual) and return its
+    document.  The identities:
 
-    In dimension n > COUNT_DIM, where the MPCP fan is built, the DK
-    route first checks that each Delta_i pulled back to that fan is nef
-    with section polytope Delta_i again, by ``is_nef_polytope`` with no
-    hull.  Below, no fan is built and there is nothing to pull back to;
-    the two sides are tied there by the Cayley volume against the dual
-    side's lattice-point count, the Ehrhart identity on each side and the
-    S-volume identity.
+    * the Ehrhart identity sum h = nvol(polar) on each side, checked by
+      ``toric_numbers`` when ``double_cover_invariants`` reads chi(X) and
+      chi(X_dual); on the dual side that polar is Conv(Delta_1, ...,
+      Delta_r), by the polar identity ``dualize`` checks;
+    * Gorenstein cone duality dual_cone(sigma_Delta) == sigma_nabla, by
+      ``cayley_cone_duality_check``;
+    * in dimension n > COUNT_DIM, where the MPCP fan is built, each
+      Delta_i pulled back to that fan is nef with section polytope Delta_i
+      again, by ``is_nef_polytope`` with no hull (below, no fan is built
+      and there is nothing to pull back to);
+    * the DK route: chi(Y) recomputed from the Cayley pyramid volumes
+      equals the closed form chi(X) + (-1)^n chi(X_dual), which equals
+      (-1)^n chi(Y_dual) by construction.  The route reduces to vol(Lambda)
+      = chi(X_dual) = nvol(Conv(Delta_i)), so it holds exactly when the
+      S-volume identity does.
+
+    A failed Ehrhart, Gorenstein or pullback identity raises
+    ConsistencyError; the DK route's verdict is ``ok``.
 
     Returns (ok, report).  The report is the document the ``invariants``
-    command prints: n, chi_X, chi_Xdual, chi_Y, chi_Ydual (the closed
-    form), duality_ok (= ok), hodge, mapping "p,q" with p+q != n to
-    h^{p,q}(Y), dk_terms, every pyramid volume vol_{n+|J|}(Lambda_J) with
-    J counted from 1, and for n = 3 h11_Y and h21_Y.
+    command prints: the fields of ``double_cover_invariants``, duality_ok
+    (= ok) and dk_terms, every pyramid volume vol_{n+|J|}(Lambda_J) with J
+    counted from 1.
     """
     np_ = nef_partition
     n = np_.dim
     r = np_.r
     inv = double_cover_invariants(np_)
+    if not cayley_cone_duality_check(np_):
+        raise ConsistencyError(
+            "Gorenstein cone duality dual_cone(sigma_Delta) == sigma_nabla "
+            "failed")
     if n > COUNT_DIM:
         fan_x, _ = np_.mpcp  # checked complete when built
         try:
@@ -205,23 +202,14 @@ def verify_mirror_duality(nef_partition):
     # term (the Cayley trick)
     chi_union = (-1) ** (n + 1) * volumes[tuple(range(r))]
 
-    chi_branch = inv.chi_X + chi_union
-    ok = branched_cover_euler(inv.chi_X, chi_branch, 2) == inv.chi_Y
-    report = {
-        "n": n,
-        "chi_X": inv.chi_X,
-        "chi_Xdual": inv.chi_Xdual,
-        "chi_Y": inv.chi_Y,
-        "chi_Ydual": inv.chi_Ydual,
+    chi_branch = inv["chi_X"] + chi_union
+    ok = branched_cover_euler(inv["chi_X"], chi_branch, 2) == inv["chi_Y"]
+    return ok, {
+        **inv,
         "duality_ok": ok,
-        "hodge": {f"{p},{q}": value for (p, q), value in inv.hodge_offdiag},
         "dk_terms": [{"J": [j + 1 for j in subset], "volume": volumes[subset]}
                      for subset in sorted(volumes)],
     }
-    if n == 3:
-        report["h11_Y"] = inv.h11_Y
-        report["h21_Y"] = inv.h21_Y
-    return ok, report
 
 
 # ---------------------------------------------------------------------------

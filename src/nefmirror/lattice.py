@@ -72,7 +72,9 @@ class LatticePolytope:
 
     @cached_property
     def nvolume(self):
-        """Normalized volume in the affine span, summed on first read: one
+        """Normalized volume in the affine span, dim(P)! times the volume
+        against the lattice induced on the span, an exact integer.  It is
+        summed on first read: one
         determinant per boundary simplex coned from the chart boundary's
         lex-first point, a vertex.  Simplices through that vertex add 0
         and are skipped."""
@@ -341,12 +343,6 @@ def _scan_lattice_points(polytope):
             if polytope.contains(candidate):
                 out.append(candidate)
     return out
-
-
-def normalized_volume(polytope):
-    """dim(P)!-scaled volume of P inside its affine span, measured against
-    the lattice induced on the span: an exact integer."""
-    return polytope.nvolume
 
 
 def minkowski_sum(p, q):

@@ -31,7 +31,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import strategies as st
 
-from nefmirror import invariants
+from nefmirror import invariants, nefpart
 from nefmirror.errors import ConsistencyError, DomainError, InputError
 from nefmirror.intlin import (
     det,
@@ -40,7 +40,13 @@ from nefmirror.intlin import (
     primitivize,
     scaled_inverse,
 )
-from nefmirror.lattice import cone_hrep, convex_hull, is_reflexive, lattice_points
+from nefmirror.lattice import (
+    Cone,
+    cone_hrep,
+    convex_hull,
+    is_reflexive,
+    lattice_points,
+)
 from nefmirror.nefpart import build_nef_partition
 from nefmirror.periods import parse_operators, taut_text
 from nefmirror.toric import make_fan, normal_fan
@@ -542,6 +548,20 @@ def dk_top_term_plus_one(monkeypatch):
         return out
 
     monkeypatch.setattr(invariants, "_pyramid_volumes", plus_one)
+
+
+@pytest.fixture
+def cayley_cone_drops_last_generator(monkeypatch):
+    """Break Gorenstein cone duality: sigma_nabla, read by
+    ``cayley_cone_duality_check`` from ``nefpart.cayley_cone``, loses its
+    last generator."""
+    cone = nefpart.cayley_cone
+
+    def dropped(nef_partition):
+        sigma = cone(nef_partition)
+        return Cone(sigma.ambient_dim, sigma.generators[:-1], sigma.dim)
+
+    monkeypatch.setattr(nefpart, "cayley_cone", dropped)
 
 
 @pytest.fixture

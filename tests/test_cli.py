@@ -513,7 +513,28 @@ def test_catalog_reports_a_failed_dk_cross_check(dk_top_term_plus_one,
     assert cli.main(["catalog", "--output", str(out)]) == 4
     text = out.read_text()
     assert "FAIL p2-triple\n    mirror duality cross-check failed" in text
+    # s_volume is the printed top DK term, so the catalog sees it too
+    assert "\n    s_volume: computed 7, expected 6\n" in text
     assert "FAILURES present" in text
+
+
+def test_invariants_refuses_a_failed_gorenstein_cone_duality(
+        cayley_cone_drops_last_generator, capsys):
+    assert cli.main(["invariants", "--input", "p2-triple"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "internal"
+    assert "Gorenstein" in err["message"]
+
+
+def test_catalog_reports_a_failed_gorenstein_cone_duality(
+        cayley_cone_drops_last_generator, tmp_path):
+    out = tmp_path / "catalog.txt"
+    assert cli.main(["catalog", "--output", str(out)]) == 4
+    text = out.read_text()
+    assert ("FAIL p2-triple\n    ConsistencyError: Gorenstein cone duality "
+            "dual_cone(sigma_Delta) == sigma_nabla failed\n") in text
 
 
 def _float_bundle(doc):

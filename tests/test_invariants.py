@@ -48,7 +48,6 @@ from nefmirror.lattice import (
     cayley_pyramid,
     convex_hull,
     lattice_points,
-    normalized_volume,
     polar_dual,
 )
 from nefmirror.nefpart import (
@@ -92,7 +91,7 @@ def test_dk_single_line():
 
 def test_dk_cubic():
     assert dk_euler(P2_FAN, [anticanonical(P2_FAN)]) == -9
-    assert -normalized_volume(DELTA) == -9  # genus 1 with 9 punctures
+    assert -DELTA.nvolume == -9  # genus 1 with 9 punctures
 
 
 def test_dk_three_lines_union():
@@ -121,7 +120,7 @@ def test_dk_single_divisor_equals_minus_volume():
         fan = smooth_surface_fan(poly)
         divisor = divisor_from_polytope(fan, poly)
         assert nef_polytope(divisor) == poly
-        assert dk_euler(fan, [divisor]) == -normalized_volume(poly)
+        assert dk_euler(fan, [divisor]) == -poly.nvolume
 
 
 def test_dk_pick_oracle_random():
@@ -216,16 +215,16 @@ def test_branched_cover_rejects_bad_degree():
 
 def test_invariants_p2_triple():
     inv = double_cover_invariants(TRIPLE)
-    assert (inv.chi_X, inv.chi_Xdual) == (3, 6)
-    assert inv.chi_Y == inv.chi_Ydual == 9
+    assert (inv["chi_X"], inv["chi_Xdual"]) == (3, 6)
+    assert inv["chi_Y"] == inv["chi_Ydual"] == 9
     assert verify_mirror_duality(TRIPLE)[0]
 
 
 def test_invariants_p3():
     inv = double_cover_invariants(P3_12_34)
-    v = normalized_volume(P3_12_34.sections_hull)
-    assert inv.chi_Y == 4 - v
-    assert inv.chi_Ydual == v - 4
+    v = P3_12_34.sections_hull.nvolume
+    assert inv["chi_Y"] == 4 - v
+    assert inv["chi_Ydual"] == v - 4
     assert verify_mirror_duality(P3_12_34)[0]
 
 
@@ -233,8 +232,8 @@ def test_invariants_square_r1():
     square = convex_hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     np_ = build_nef_partition(square, [[0, 1, 2, 3]])
     inv = double_cover_invariants(np_)
-    assert inv.chi_Y == inv.chi_X + inv.chi_Xdual
-    assert (inv.chi_X, inv.chi_Xdual) == (4, 8)
+    assert inv["chi_Y"] == inv["chi_X"] + inv["chi_Xdual"]
+    assert (inv["chi_X"], inv["chi_Xdual"]) == (4, 8)
 
 
 def test_invariants_p4_two_parts_in_sheared_coordinates():
@@ -245,7 +244,7 @@ def test_invariants_p4_two_parts_in_sheared_coordinates():
                          (1, -4, 1, 0), (1, 1, 1, 0)])
     np_ = build_nef_partition(delta, [[2, 4], [0, 1, 3]])
     inv = double_cover_invariants(np_)
-    assert inv.chi_Y == inv.chi_Ydual == 216
+    assert inv["chi_Y"] == inv["chi_Ydual"] == 216
     assert verify_mirror_duality(np_)[0]
 
 
@@ -266,20 +265,20 @@ def test_invariants_off_middle_hodge():
     inv = double_cover_invariants(TRIPLE)
     fan, _ = mpcp_fan(polar_dual(DELTA))
     h, _ = hodge_numbers_smooth_toric(fan)
-    hodge = dict(inv.hodge_offdiag)
-    assert hodge[(0, 0)] == h[0] == 1
-    assert hodge[(0, 1)] == 0
-    assert (1, 1) not in hodge  # middle (p + q = n) is excluded
+    hodge = inv["hodge"]
+    assert hodge["0,0"] == h[0] == 1
+    assert hodge["0,1"] == 0
+    assert "1,1" not in hodge  # middle (p + q = n) is excluded
 
 
 def test_invariants_threefold_hodge_diamond():
     for np_ in (P3_12_34, P3_123_4):
         inv = double_cover_invariants(np_)
         dual_inv = double_cover_invariants(dualize(np_))
-        assert inv.h11_Y == dual_inv.h21_Y
-        assert inv.h21_Y == dual_inv.h11_Y
+        assert inv["h11_Y"] == dual_inv["h21_Y"]
+        assert inv["h21_Y"] == dual_inv["h11_Y"]
         # chi(Y) = 2 (h11 - h21) for the threefold Hodge diamond
-        assert inv.chi_Y == 2 * (inv.h11_Y - inv.h21_Y)
+        assert inv["chi_Y"] == 2 * (inv["h11_Y"] - inv["h21_Y"])
 
 
 def test_invariants_rejects_non_unimodular():
@@ -401,7 +400,7 @@ def test_nodes_consistent_with_euler():
     for np_, nodes in ((TRIPLE, 15), (SPLIT, 14)):
         inv = double_cover_invariants(np_)
         assert surface_node_count(np_) == nodes
-        assert inv.chi_Y == 24 - nodes
+        assert inv["chi_Y"] == 24 - nodes
 
 
 @pytest.mark.parametrize("name, nodes, dual_nodes", [
@@ -415,7 +414,7 @@ def test_nodes_of_both_catalog_sides(name, nodes, dual_nodes):
     np_ = find_entry(name).build()
     for side, expected in ((np_, nodes), (np_.dual, dual_nodes)):
         assert surface_node_count(side) == expected
-        assert double_cover_invariants(side).chi_Y == 24 - expected
+        assert double_cover_invariants(side)["chi_Y"] == 24 - expected
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +428,8 @@ def test_sixteen_reflexive_polygons():
 def test_every_polygon_nef_partition_is_dual_with_its_node_count():
     # both sides of every nef-partition, r = 1 to 4: the double dual is the
     # identity, the Gorenstein cones are dual, the two Euler routes agree,
-    # and chi(Y) = 24 - #nodes, segment sections included
+    # vol(S) = vol(nabla polar), and chi(Y) = 24 - #nodes, segment sections
+    # included
     sides = 0
     for polygon in reflexive_polygons():
         for np_ in nef_partitions(polygon):
@@ -438,6 +438,11 @@ def test_every_polygon_nef_partition_is_dual_with_its_node_count():
                 assert cayley_cone_duality_check(side)
                 ok, report = verify_mirror_duality(side)
                 assert ok, (side, report)
+                # the S-volume identity: the top DK term vol(Lambda) is
+                # nvol(Conv(Delta_i))
+                top = next(term["volume"] for term in report["dk_terms"]
+                           if term["J"] == list(range(1, side.r + 1)))
+                assert top == side.sections_hull.nvolume, side
                 nodes = surface_node_count(side)
                 assert report["chi_Y"] == 24 - nodes, side
                 sides += 1
@@ -454,7 +459,7 @@ def _check_count_route(side):
     polar = polar_dual(side.delta)
     h = _h_vector(mpcp_fan(polar)[0])
     assert side.toric_numbers == (sum(h), h), side
-    assert sum(h) == normalized_volume(polar), side
+    assert sum(h) == polar.nvolume, side
 
 
 def test_count_route_matches_the_mpcp_fan_on_every_polygon_side():
@@ -485,7 +490,7 @@ def moved_nef_partition(np_, g):
 def _surface_numbers(np_):
     return (np_.toric_numbers, np_.dual.toric_numbers,
             surface_node_count(np_), surface_node_count(np_.dual),
-            double_cover_invariants(np_).chi_Y)
+            double_cover_invariants(np_)["chi_Y"])
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)

@@ -55,7 +55,6 @@ from nefmirror.lattice import (
     make_cone,
     maximal_boundary_triangulation,
     minkowski_sum,
-    normalized_volume,
     polar_dual,
     pulling_triangulation,
 )
@@ -136,7 +135,7 @@ def test_hull_of_the_cross_polytope_in_r9():
     poly = convex_hull(units + [tuple(-x for x in e) for e in units])
     assert len(poly.vertices) == 18
     assert sorted(poly.facets) == [(s, 1) for s in product((-1, 1), repeat=9)]
-    assert normalized_volume(poly) == 512
+    assert poly.nvolume == 512
 
 
 def test_hull_of_the_unit_simplex_in_r12():
@@ -144,7 +143,7 @@ def test_hull_of_the_unit_simplex_in_r12():
     poly = convex_hull([(0,) * 12] + units)
     assert len(poly.vertices) == 13
     assert len(poly.facets) == 13
-    assert normalized_volume(poly) == 1
+    assert poly.nvolume == 1
 
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True,
@@ -545,24 +544,24 @@ def test_lattice_points_match_the_box_scan(pts):
 
 
 # ---------------------------------------------------------------------------
-# normalized_volume
+# normalized volume
 # ---------------------------------------------------------------------------
 
 def test_volume_unit_simplices():
     for dim in range(1, 5):
         verts = [tuple(0 for _ in range(dim))]
         verts += [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-        assert normalized_volume(convex_hull(verts)) == 1
+        assert convex_hull(verts).nvolume == 1
 
 
 def test_volume_hexagon():
     poly = convex_hull(HEX_NABLA)
     assert shoelace_area(poly.vertices) == 3
-    assert normalized_volume(poly) == 6
+    assert poly.nvolume == 6
 
 
 def test_volume_anticanonical():
-    assert normalized_volume(convex_hull(P2_DELTA)) == 9
+    assert convex_hull(P2_DELTA).nvolume == 9
 
 
 def test_volume_additive_over_triangulation():
@@ -571,7 +570,7 @@ def test_volume_additive_over_triangulation():
         tri = maximal_boundary_triangulation(poly)
         total = sum(abs(det([tri.uses_points[i] for i in simplex if i != 0]))
                     for simplex in tri.simplices)
-        assert total == normalized_volume(poly)
+        assert total == poly.nvolume
 
 
 def test_pick_property_random_polygons():
@@ -581,7 +580,7 @@ def test_pick_property_random_polygons():
         pts = lattice_points(poly)
         boundary = boundary_lattice_count(poly)
         interior = len(pts) - boundary
-        assert normalized_volume(poly) == 2 * interior + boundary - 2
+        assert poly.nvolume == 2 * interior + boundary - 2
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +632,7 @@ def test_cayley_two_segments():
     seg = convex_hull([(0,), (1,)])
     cay = cayley_polytope([seg, seg])
     assert (cay.ambient_dim, cay.dim, len(cay.vertices)) == (3, 2, 4)
-    assert normalized_volume(cay) == 2  # a unit square in its span
+    assert cay.nvolume == 2  # a unit square in its span
 
 
 def test_cayley_p2_partition():
@@ -648,7 +647,7 @@ def test_pyramid_unit_segment():
     seg = convex_hull([(0, 0), (1, 0)])
     tri = pyramid(seg, (0, 1))
     assert tri.dim == 2
-    assert normalized_volume(tri) == normalized_volume(seg) == 1
+    assert tri.nvolume == seg.nvolume == 1
 
 
 def test_pyramid_lambda_volume():
@@ -657,12 +656,12 @@ def test_pyramid_lambda_volume():
     t3 = convex_hull(UNIT_TRIANGLE)
     lam = pyramid(cayley_polytope([t1, t2, t3]), (0, 0, 0, 0, 0))
     assert lam.dim == 5
-    assert normalized_volume(lam) == 6  # = the hexagon volume
+    assert lam.nvolume == 6  # = the hexagon volume
 
 
 def test_pyramid_single_factor():
     lam = pyramid(cayley_polytope([convex_hull(UNIT_TRIANGLE)]), (0, 0, 0))
-    assert normalized_volume(lam) == 1
+    assert lam.nvolume == 1
 
 
 def test_pyramid_height_one_identity():
@@ -670,7 +669,7 @@ def test_pyramid_height_one_identity():
     for base_pts in (UNIT_TRIANGLE, [(-1, -1), (1, -1), (-1, 1)]):
         base = cayley_polytope([convex_hull(base_pts)])
         lam = pyramid(base, (0, 0, 0))
-        assert normalized_volume(lam) == normalized_volume(base)
+        assert lam.nvolume == base.nvolume
 
 
 def test_pyramid_apex_in_span():
@@ -686,7 +685,7 @@ def test_cayley_pyramid_p2_partition():
     lam = cayley_pyramid([t1, t2, t3])
     assert (lam.ambient_dim, lam.dim, len(lam.vertices)) == (5, 5, 10)
     assert lam.vertices[0] == (0, 0, 0, 0, 0)
-    assert normalized_volume(lam) == 6  # = the hexagon volume
+    assert lam.nvolume == 6  # = the hexagon volume
 
 
 def test_cayley_pyramid_rejects_bad_factors():

@@ -23,7 +23,6 @@ from nefmirror.lattice import (
     lattice_points,
     make_cone,
     minkowski_sum_all,
-    normalized_volume,
     polar_dual,
 )
 from nefmirror.nefpart import (
@@ -50,7 +49,7 @@ CATALOG_PARTITIONS = {entry.name: entry.build()
 
 def test_build_triple_sections_are_unit_triangles():
     for poly in TRIPLE.section_polytopes:
-        assert normalized_volume(poly) == 1
+        assert poly.nvolume == 1
         assert len(poly.vertices) == 3
         assert (0, 0) in lattice_points(poly)
 
@@ -227,15 +226,15 @@ def test_gorenstein_cone_duality():
 def test_s_polytope_triple():
     s = TRIPLE.cayley_pyramid
     assert s.dim == 5
-    assert normalized_volume(s) == 6
+    assert s.nvolume == 6
 
 
 def test_s_polytope_volume_identity():
     # vol(S) = vol(nabla polar); for the trivial partition nabla polar is
     # Delta itself, so the common value is 9 (not vol(Delta dual) = 3)
     for np_, expected in ((TRIPLE, 6), (SPLIT_12_3, 7), (TRIVIAL, 9)):
-        vol_s = normalized_volume(np_.cayley_pyramid)
-        assert vol_s == normalized_volume(np_.sections_hull) == expected
+        vol_s = np_.cayley_pyramid.nvolume
+        assert vol_s == np_.sections_hull.nvolume == expected
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_PARTITIONS))
@@ -260,7 +259,7 @@ def test_s_polytope_degenerate_factor_is_simplex_factor():
     # S = Conv(0, e1 x (segment points), e2 x {0}) is a unimodular simplex
     s = convex_hull([(0, 0, 0), (1, 0, 0), (1, 0, 1), (0, 1, 0)])
     assert s.dim == 3
-    assert normalized_volume(s) == 1
+    assert s.nvolume == 1
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ def test_readme_library_sketch_runs():
     names = {}
     exec(blocks[0], names)
     assert len(names["nabla"].vertices) == 6             # the dual hexagon
-    assert names["inv"].chi_Y == names["inv"].chi_Ydual == 9
+    assert names["inv"]["chi_Y"] == names["inv"]["chi_Ydual"] == 9
     assert names["ok"]
     assert names["gkz"].shape == (5, 6)
     assert names["np3"].dual.dual == names["np3"]

@@ -39,7 +39,6 @@ from nefmirror.lattice import (
     is_reflexive,
     lattice_points,
     make_cone,
-    normalized_volume,
     polar_dual,
 )
 from nefmirror.nefpart import nef_partition_from_doc
@@ -351,7 +350,7 @@ def _check_h_vector(polar, fan, h_vector, expected):
     assert len(h_vector) == n + 1
     assert all(h_vector[p] == h_vector[n - p] for p in range(n + 1))
     assert h_vector[1] == len(fan.rays) - n
-    assert sum(h_vector) == len(fan.max_cones) == normalized_volume(polar)
+    assert sum(h_vector) == len(fan.max_cones) == polar.nvolume
     assert h_vector == expected
 
 
@@ -386,7 +385,7 @@ def test_mpcp_refines_face_fan_with_all_dual_points():
     _check_h_vector(polar, fan, h_vector, (1, 7, 1))
     boundary = [p for p in lattice_points(polar) if p != (0, 0)]
     assert set(fan.rays) == set(boundary)
-    assert len(fan.max_cones) == normalized_volume(polar)
+    assert len(fan.max_cones) == polar.nvolume
     assert is_complete(fan)
 
 
