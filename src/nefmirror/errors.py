@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy, and ``check``, the one way to fail a theorem.
 
 The CLI reports each error with the kind and exit code that the table
 ``nefmirror.cli.ERRORS`` gives its class.
@@ -26,6 +26,15 @@ class SmoothnessError(NefMirrorError):
 class ConsistencyError(NefMirrorError):
     """An internal cross-check failed.  These guard identities that are
     theorems; a failure indicates a bug, never bad input."""
+
+
+def check(identity, ok, **operands):
+    """Unless ``ok``, raise ConsistencyError("<identity> failed: k=v, ..."),
+    naming a theorem by its statement and the operands it broke on."""
+    if not ok:
+        detail = ", ".join(f"{k}={v}" for k, v in operands.items())
+        raise ConsistencyError(f"{identity} failed: {detail}" if detail
+                               else f"{identity} failed")
 
 
 class GoldenMismatchError(NefMirrorError):

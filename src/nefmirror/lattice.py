@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 
-from .errors import ConsistencyError, DomainError, InputError
+from .errors import DomainError, InputError, check
 from .intlin import (
     det,
     dot,
@@ -463,8 +463,8 @@ def pulling_triangulation(points):
                 next_cells.append(cell)
                 continue
             hull = cell_hull(cell)
-            if hull.dim != f:
-                raise ConsistencyError("pulling produced a degenerate cell")
+            check("pulled cell is full-dimensional", hull.dim == f,
+                  cell=cell, dim=hull.dim)
             values = {q: [dot(pts[q], n) + c for n, c in hull.facets]
                       for q in cell}
             h_a = values.pop(a)
@@ -481,8 +481,7 @@ def pulling_triangulation(points):
         cells = next_cells
 
     for cell in cells:
-        if len(cell) != f + 1:
-            raise ConsistencyError("pulling did not terminate in simplices")
+        check("pulling ends in simplices", len(cell) == f + 1, cell=cell)
     return sorted(cells)
 
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConsistencyError, DomainError, InputError
+from .errors import DomainError, InputError, check
 from .lattice import (
     Cone,
     cayley_pyramid,
@@ -94,13 +94,11 @@ class NefPartition:
         count of ``polar`` (``mpcp_h_vector``) and no fan is built; above,
         h is the MPCP fan's, whose smoothness ``mpcp_fan`` decides.  On
         both routes the Ehrhart identity sum h = nvol(P°), for a fan its
-        maximal-cone count, is checked here as a ConsistencyError."""
+        maximal-cone count, is checked here."""
         h = self.mpcp[1] if self.dim > COUNT_DIM else mpcp_h_vector(self.polar)
         volume = self.polar.nvolume
-        if sum(h) != volume:
-            raise ConsistencyError(
-                "Ehrhart identity sum(h) == nvol(polar) failed: "
-                f"{sum(h)} != {volume}")
+        check("Ehrhart identity sum(h) == nvol(polar)", sum(h) == volume,
+              sum_h=sum(h), nvol_polar=volume)
         return sum(h), h
 
     @cached_property
@@ -129,9 +127,8 @@ def part_divisor(fan, part):
 
 def build_nef_partition(polytope, parts):
     """Validate a ray partition on a reflexive polytope and compute the
-    section polytopes.  Rejects empty and non-nef parts by name; a
-    Minkowski-sum mismatch is an internal consistency error (it is a
-    theorem)."""
+    section polytopes.  Rejects empty and non-nef parts by name; the
+    Minkowski sum Delta_1 + ... + Delta_r = Delta is a theorem, checked."""
     if not is_reflexive(polytope):
         raise InputError("nef-partitions need a reflexive polytope")
     fan = normal_fan(polytope)  # complete: the polytope is full-dimensional
@@ -147,8 +144,9 @@ def build_nef_partition(polytope, parts):
             raise InputError(f"part {s} is empty")
     parts = tuple(tuple(sorted(part)) for part in parts)
     sections = _section_polytopes(fan, parts)
-    if minkowski_sum_all(sections) != polytope:
-        raise ConsistencyError("section polytopes do not Minkowski-sum to Delta")
+    total = minkowski_sum_all(sections)
+    check("Minkowski sum Delta_1 + ... + Delta_r == Delta", total == polytope,
+          sum_vertices=total.vertices, delta_vertices=polytope.vertices)
     return NefPartition(polytope, fan, parts, sections)
 
 
@@ -166,15 +164,13 @@ def _section_polytopes(fan, parts):
 
 
 def _assign_rays_to_parts(rays, part_polytopes):
-    """Assign each ray to the unique part polytope containing it; ties and
-    misses are internal errors (they cannot occur for a genuine dual
-    nef-partition)."""
+    """Assign each ray to the unique part polytope containing it; a tie or
+    a miss breaks a theorem of the dual nef-partition."""
     assignment = []
     for ray in rays:
         hits = [k for k, poly in enumerate(part_polytopes) if poly.contains(ray)]
-        if len(hits) != 1:
-            raise ConsistencyError(
-                f"ray {ray} lies in {len(hits)} part polytopes; expected exactly 1")
+        check("each ray of nabla's fan lies in exactly one Delta_k",
+              len(hits) == 1, ray=ray, parts=tuple(hits))
         assignment.append(hits[0])
     return assignment
 
@@ -182,10 +178,10 @@ def _assign_rays_to_parts(rays, part_polytopes):
 def dualize(nef_partition):
     """Batyrev-Borisov dual nef-partition: nabla_k = Conv({0} u I_k),
     nabla = sum nabla_k, with the rays of nabla's normal fan assigned to
-    the Delta_k that contain them.  Asserts reflexivity of nabla, the polar
+    the Delta_k that contain them.  Checks reflexivity of nabla, the polar
     identity nabla^dual = Conv(Delta_1,...,Delta_r), and that each dual
-    part is nef with section polytope nabla_k; all are theorems and
-    failures surface loudly, as ConsistencyError.
+    part is nef with section polytope nabla_k; all are theorems, checked
+    by ``errors.check``.
 
     No identity builds a hull of its own.  nabla is reflexive and its
     facets are irredundant, so the vertices of its polar are exactly its
@@ -197,23 +193,19 @@ def dualize(nef_partition):
     nabla_parts = tuple(convex_hull([zero] + [fan.rays[i] for i in part])
                         for part in np_.parts)
     nabla = minkowski_sum_all(nabla_parts)
-    if not is_reflexive(nabla):
-        raise ConsistencyError("dual polytope nabla is not reflexive")
-    if tuple(sorted(n for n, _ in nabla.facets)) != np_.sections_hull.vertices:
-        raise ConsistencyError("polar of nabla differs from Conv(Delta_i)")
+    check("nabla = nabla_1 + ... + nabla_r is reflexive", is_reflexive(nabla),
+          nabla_vertices=nabla.vertices)
+    polar, hull = tuple(sorted(n for n, _ in nabla.facets)), np_.sections_hull
+    check("polar identity polar(nabla) == Conv(Delta_1, ..., Delta_r)",
+          polar == hull.vertices, polar=polar, sections_hull=hull.vertices)
 
     dual_fan = normal_fan(nabla)
     assignment = _assign_rays_to_parts(dual_fan.rays, np_.section_polytopes)
     dual_parts = tuple(tuple(i for i, k in enumerate(assignment) if k == s)
                        for s in range(np_.r))
     for k, (part, part_poly) in enumerate(zip(dual_parts, nabla_parts)):
-        try:
-            same = is_nef_polytope(part_divisor(dual_fan, part), part_poly)
-        except DomainError as exc:
-            raise ConsistencyError(f"dual part {k} is not nef") from exc
-        if not same:
-            raise ConsistencyError(
-                f"dual section polytope {k} differs from nabla_{k}")
+        check("dual part F_k is nef with nef_polytope(F_k) == nabla_k",
+              is_nef_polytope(part_divisor(dual_fan, part), part_poly), k=k)
     dual = NefPartition(nabla, dual_fan, dual_parts, nabla_parts)
     # the polar identity above: nabla's polar is the hull this side holds
     vars(dual)["polar"] = np_.sections_hull

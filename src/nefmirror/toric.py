@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import ConsistencyError, DomainError, InputError, SmoothnessError
+from .errors import DomainError, InputError, SmoothnessError, check
 from .intlin import (
     det,
     dot,
@@ -256,7 +256,7 @@ def mpcp_fan(polar):
     SmoothnessError.  That shows only that this one (pulling)
     triangulation is not unimodular, not that no smooth MPCP fan exists,
     and the message says no more.  A smooth MPCP fan is complete, a
-    theorem checked as ConsistencyError."""
+    theorem checked by ``errors.check``."""
     tri = maximal_boundary_triangulation(polar)
     rays = tri.uses_points[1:]
     cones = [tuple(i - 1 for i in simplex if i != 0) for simplex in tri.simplices]
@@ -265,8 +265,7 @@ def mpcp_fan(polar):
         raise SmoothnessError(
             "the MPCP fan of the pulling triangulation is not unimodular; "
             "no smooth MPCP fan was found")
-    if not is_complete(fan):
-        raise ConsistencyError("MPCP fan is not complete")
+    check("smooth MPCP fan is complete", is_complete(fan))
     return fan, _h_vector(fan)
 
 
@@ -346,11 +345,14 @@ def nef_polytope(divisor):
 
 
 def is_nef_polytope(divisor, polytope):
-    """``nef_polytope(divisor) == polytope``, read without a hull:
+    """``nef_polytope(divisor) == polytope``, read without a hull, and False
+    when the divisor is not Cartier or not nef, as for ``is_ample``:
     conv(m_sigma) is P iff every m_sigma lies in P and every vertex of P
-    is some m_sigma (a vertex of conv(S) is a point of S).  Raises
-    DomainError when the divisor is not nef."""
-    points = _nef_cartier_points(divisor)
+    is some m_sigma (a vertex of conv(S) is a point of S)."""
+    try:
+        points = _nef_cartier_points(divisor)
+    except DomainError:
+        return False
     return (polytope.ambient_dim == divisor.fan.ambient_dim
             and points.issuperset(polytope.vertices)
             and all(map(polytope.contains, points)))
@@ -433,10 +435,12 @@ def semiample_contraction(fan, divisor):
     if polytope.dim != fan.ambient_dim:
         raise DomainError("divisor polytope is not full-dimensional")
     contracted = normal_fan(polytope)
-    if not set(contracted.rays) <= set(fan.rays):
-        raise ConsistencyError("contracted fan has rays outside the original fan")
-    if not points <= set(polytope.vertices):
-        raise ConsistencyError("Cartier datum is not a vertex of the polytope")
+    extra = set(contracted.rays) - set(fan.rays)
+    check("contracted fan rays <= fan rays", not extra,
+          rays=tuple(sorted(extra)))
+    inner = points - set(polytope.vertices)
+    check("every Cartier datum is a vertex of conv(m_sigma)", not inner,
+          points=tuple(sorted(inner)))
     return contracted
 
 

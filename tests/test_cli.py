@@ -496,25 +496,14 @@ def test_tautgen_ambiguous_labels_exit_2():
     assert result.stdout == ""
 
 
-def test_invariants_reports_a_failed_dk_cross_check(dk_top_term_plus_one,
-                                                    tmp_path):
-    out = tmp_path / "inv"
-    assert cli.main(["invariants", "--input", "p2-triple",
-                     "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["duality_ok"] is False
-    assert cli.main(["invariants", "--input", "p2-triple", "--format", "md",
-                     "--output", str(out)]) == 0
-    assert "DK route chi(Y) = closed form: FAILED" in out.read_text()
-
-
 def test_catalog_reports_a_failed_dk_cross_check(dk_top_term_plus_one,
                                                  tmp_path):
     out = tmp_path / "catalog.txt"
     assert cli.main(["catalog", "--output", str(out)]) == 4
     text = out.read_text()
-    assert "FAIL p2-triple\n    mirror duality cross-check failed" in text
-    # s_volume is the printed top DK term, so the catalog sees it too
-    assert "\n    s_volume: computed 7, expected 6\n" in text
+    assert ("FAIL p2-triple\n    ConsistencyError: DK route chi(Y) == "
+            "chi(X) + (-1)^n chi(X_dual) failed: dk=10, closed_form=9\n"
+            in text)
     assert "FAILURES present" in text
 
 

@@ -12,10 +12,8 @@ from conftest import (
     random_reflexive_polygon,
     s_polytope,
 )
-from nefmirror import cli, nefpart
 from nefmirror.catalog import load_catalog
-from nefmirror.errors import ConsistencyError, InputError
-from nefmirror.toric import ToricDivisor
+from nefmirror.errors import InputError
 from nefmirror.intlin import dot
 from nefmirror.lattice import (
     convex_hull,
@@ -125,45 +123,6 @@ def test_dualize_trivial_is_polar():
 def test_dual_minkowski_reconstruction():
     dual = dualize(TRIPLE)
     assert minkowski_sum_all(list(dual.section_polytopes)) == dual.delta
-
-
-def test_dualize_fails_when_the_polar_identity_breaks():
-    # the kept hull of the Delta_i stands in for one that is not nabla's
-    # polar: the facet normals of nabla no longer match its vertices
-    np_ = build_nef_partition(DELTA, [[2], [1], [0]])
-    vars(np_)["sections_hull"] = DELTA
-    with pytest.raises(ConsistencyError,
-                       match=r"polar of nabla differs from Conv\(Delta_i\)"):
-        dualize(np_)
-
-
-def test_dualize_fails_when_a_dual_section_differs(monkeypatch):
-    # 2 F_k is nef, with section polytope 2 nabla_k
-    np_ = build_nef_partition(DELTA, [[2], [1], [0]])
-    part_divisor = nefpart.part_divisor
-
-    def doubled(fan, part):
-        return ToricDivisor(fan, tuple(2 * a for a in part_divisor(fan, part).coeffs))
-
-    monkeypatch.setattr(nefpart, "part_divisor", doubled)
-    with pytest.raises(ConsistencyError,
-                       match="dual section polytope 0 differs from nabla_0"):
-        dualize(np_)
-
-
-def test_dualize_reports_a_non_nef_dual_part_as_internal(monkeypatch):
-    # a dual part is nef by the theorem, so a non-nef one is a broken
-    # identity, never bad input; here one ray of each dual part of the
-    # triple stands for it, a (-1)-curve on the del Pezzo surface of
-    # nabla's normal fan
-    np_ = build_nef_partition(DELTA, [[2], [1], [0]])
-    part_divisor = nefpart.part_divisor
-    monkeypatch.setattr(nefpart, "part_divisor",
-                        lambda fan, part: part_divisor(fan, part[:1]))
-    with pytest.raises(ConsistencyError, match="dual part 0 is not nef") as info:
-        dualize(np_)
-    assert not isinstance(info.value, InputError)
-    assert cli.main(["dualize", "--input", "p2-triple"]) == cli.EXIT_INTERNAL
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_PARTITIONS))

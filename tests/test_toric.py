@@ -16,7 +16,6 @@ from conftest import (
     P2_DELTA,
     P3_DELTA,
     P4_DELTA,
-    P4_TWO_PARTS,
     complete_by_hrep,
     cone_contains,
     elementary_product,
@@ -27,12 +26,7 @@ from conftest import (
 )
 from nefmirror import cli, toric
 from nefmirror.catalog import find_entry, load_catalog
-from nefmirror.errors import (
-    ConsistencyError,
-    DomainError,
-    InputError,
-    SmoothnessError,
-)
+from nefmirror.errors import DomainError, InputError, SmoothnessError
 from nefmirror.intlin import det, dot
 from nefmirror.lattice import (
     convex_hull,
@@ -41,7 +35,6 @@ from nefmirror.lattice import (
     make_cone,
     polar_dual,
 )
-from nefmirror.nefpart import nef_partition_from_doc
 from nefmirror.toric import (
     ToricDivisor,
     _cone_extends_to_basis,
@@ -412,26 +405,6 @@ def test_mpcp_rejects_non_unimodular_4d():
         mpcp_fan(polar_dual(poly))
 
 
-@pytest.mark.parametrize("name, broken, message", [
-    ("is_complete", lambda fan: False, "MPCP fan is not complete"),
-    ("_h_vector", lambda fan: (1, 0, 0, 0, 0),
-     "Ehrhart identity sum(h) == nvol(polar) failed: 1 != 211"),
-])
-def test_mpcp_reports_a_failed_theorem_as_internal(monkeypatch, capsys,
-                                                    p4_two_parts_file, name,
-                                                    broken, message):
-    # a smooth MPCP fan is complete with one cone per unit of polar volume,
-    # so a failure blames the program (exit 1), not the input (exit 2); the
-    # pipeline builds the fan in dimension 4 and reads the dual side, with
-    # its 211 cones, first
-    monkeypatch.setattr(toric, name, broken)
-    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
-        nef_partition_from_doc(P4_TWO_PARTS).dual.toric_numbers
-    assert cli.main(["invariants", "--input", p4_two_parts_file]) == 1
-    assert json.loads(capsys.readouterr().err) == {"error": "internal",
-                                                    "message": message}
-
-
 # ---------------------------------------------------------------------------
 # Hodge numbers
 # ---------------------------------------------------------------------------
@@ -739,8 +712,7 @@ def test_nef_polytope_test_rejects_a_non_nef_divisor():
     exceptional = ToricDivisor(HEX_FAN, (1, 0, 0, 0, 0, 0))
     with pytest.raises(DomainError, match="not nef"):
         nef_polytope(exceptional)
-    with pytest.raises(DomainError, match="not nef"):
-        is_nef_polytope(exceptional, convex_hull(HEX_NABLA))
+    assert not is_nef_polytope(exceptional, convex_hull(HEX_NABLA))
 
 
 def test_nef_divisor_polytope_roundtrip():
