@@ -496,6 +496,21 @@ def test_tautgen_ambiguous_labels_exit_2():
     assert result.stdout == ""
 
 
+def test_invariants_reports_a_failed_dk_cross_check(dk_top_term_plus_one,
+                                                    tmp_path, capsys):
+    # a DK route that disagrees with the closed form blames the program in
+    # either format, and no report is written
+    out = tmp_path / "inv"
+    for fmt in ("json", "md"):
+        assert cli.main(["invariants", "--input", "p2-triple", "--format", fmt,
+                         "--output", str(out)]) == cli.EXIT_INTERNAL
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "internal"
+        assert err["message"] == ("DK route chi(Y) == chi(X) + (-1)^n "
+                                  "chi(X_dual) failed: dk=10, closed_form=9")
+    assert not out.exists()
+
+
 def test_catalog_reports_a_failed_dk_cross_check(dk_top_term_plus_one,
                                                  tmp_path):
     out = tmp_path / "catalog.txt"

@@ -307,6 +307,15 @@ def test_verify_reports_pyramid_volumes():
     assert volumes[(1, 2, 3)] == 6  # = vol(nabla polar)
 
 
+def test_verify_fails_when_a_pyramid_volume_is_off(dk_top_term_plus_one):
+    # the DK route is the one that can disagree with the closed form; it
+    # raises with the sum it read (6 + 1 for the top term) beside chi(Y) = 9
+    message = ("DK route chi(Y) == chi(X) + (-1)^n chi(X_dual) failed: "
+               "dk=10, closed_form=9")
+    with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+        verify_mirror_duality(TRIPLE)
+
+
 def test_lambda_volume_zero_when_degenerate():
     point = convex_hull([(0, 0)])
     assert cayley_pyramid_volume([point]) == 0
