@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from importlib import resources
 
 from .errors import GoldenMismatchError, InputError
 from .invariants import surface_node_count, verify_mirror_duality
@@ -68,13 +67,12 @@ EXPECTED_DEPTHS = {
 BUNDLE_EXPECTED_DEPTHS = dict.fromkeys(
     ("bundle_n_rays", "bundle_n_max_cones", "contracted_n_rays",
      "contracted_n_max_cones"), 0)
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    nef_partition_doc: dict
-    expected: dict
+class CatalogEntry(namedtuple("CatalogEntry",
+                              "name nef_partition_doc expected")):
+    __slots__ = ()
 
     def build(self):
         return nef_partition_from_doc(self.nef_partition_doc)
@@ -84,7 +82,7 @@ def catalog_path():
     override = os.environ.get("NEFMIRROR_CATALOG")
     if override:
         return override
-    return str(resources.files("nefmirror").joinpath("data/catalog.json"))
+    return os.path.join(DATA, "catalog.json")
 
 
 def load_catalog():
@@ -194,8 +192,9 @@ def find_entry(name):
 
 
 def golden_taut_operators():
-    text = resources.files("nefmirror").joinpath(
-        "data/taut_golden_degrees_11112.txt").read_text(encoding="utf-8")
+    with open(os.path.join(DATA, "taut_golden_degrees_11112.txt"),
+              encoding="utf-8") as handle:
+        text = handle.read()
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     return parse_operators("\n".join(lines))
 

@@ -15,7 +15,8 @@ volume is summed from that triangulation on first read (most hulls are
 never asked for it), measured in the polytope's affine span against the
 induced lattice: in an integer chart of the span, from one unimodular
 column reduction of its affine-basis directions, when the polytope is
-lower-dimensional.
+lower-dimensional.  ``LatticePolytope``, ``Cone`` and ``Triangulation``
+are immutable named tuples with read-only fields.
 
 Conventions
 -----------
@@ -28,7 +29,7 @@ Conventions
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import product
 
@@ -49,26 +50,31 @@ from .intlin import (
 # core types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LatticePolytope:
+class LatticePolytope(namedtuple("LatticePolytope", "ambient_dim vertices "
+                                 "facets equations dim boundary chart_boundary")):
     """A lattice polytope with exact V- and H-representations.
 
     ``dim`` is the affine dimension; ``facets`` cut the polytope out of its
     affine span, and ``equations`` cut the span out of ambient space.
-    Instances are immutable; build them with :func:`convex_hull`.  Equality
-    reads (ambient_dim, vertices) only: lower-dimensional facet normals are
-    representatives modulo the equations.
+    ``boundary`` holds the simplices triangulating the boundary, and
+    ``chart_boundary`` the same boundary in the span's integer chart
+    (``boundary`` itself when full-dimensional), which the volume is summed
+    over.  Instances are immutable named tuples with read-only fields; build
+    them with :func:`convex_hull`.  Equality and hashing read (ambient_dim,
+    vertices) only: lower-dimensional facet normals are representatives
+    modulo the equations.
     """
 
-    ambient_dim: int
-    vertices: tuple
-    facets: tuple = field(compare=False)
-    equations: tuple = field(compare=False)
-    dim: int = field(compare=False)
-    boundary: tuple = field(compare=False)  # simplices triangulating the boundary
-    # the boundary in the span's integer chart (``boundary`` itself when
-    # full-dimensional), which the volume is summed over
-    _volume_boundary: tuple = field(compare=False)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     @cached_property
     def nvolume(self):
@@ -80,7 +86,7 @@ class LatticePolytope:
         and are skipped."""
         if self.dim == 0:
             return 1
-        simplices = self._volume_boundary
+        simplices = self.chart_boundary
         apex = simplices[0][0]
         return sum(abs(det([vsub(p, apex) for p in simplex]))
                    for simplex in simplices if simplex[0] != apex)
@@ -105,21 +111,17 @@ class LatticePolytope:
                 f"n_vertices={len(self.vertices)})")
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(namedtuple("Cone", "ambient_dim generators dim")):
     """A strongly convex lattice cone given by its primitive integer
     extremal generators (lexicographically sorted)."""
 
-    ambient_dim: int
-    generators: tuple
-    dim: int
+    __slots__ = ()
 
     def __repr__(self):
         return f"Cone(dim={self.dim}, generators={list(self.generators)})"
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(namedtuple("Triangulation", "simplices uses_points")):
     """A triangulation of the boundary of a reflexive polytope, coned at 0.
 
     ``uses_points[0]`` is the origin; every simplex is an index tuple into
@@ -128,8 +130,7 @@ class Triangulation:
     (``toric.mpcp_fan``).
     """
 
-    simplices: tuple
-    uses_points: tuple
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

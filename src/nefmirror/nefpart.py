@@ -7,12 +7,13 @@ section polytopes.  The Batyrev-Borisov dual is again a NefPartition:
 its polytope is nabla = nabla_1 + ... + nabla_r with nabla_k =
 Conv({0} u I_k), reflexive with polar Conv(Delta_1, ..., Delta_r), and
 its section polytopes are the nabla_k.  Dualizing twice gives back the
-original value.
+original value.  A NefPartition is an immutable named tuple of its four
+fields; what it derives on first read is kept beside them.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import DomainError, InputError, check
@@ -36,10 +37,11 @@ from .toric import (
 )
 
 
-@dataclass(frozen=True)
-class NefPartition:
-    """A reflexive polytope with a nef ray partition and the derived
-    section polytopes (in the order of the parts).
+class NefPartition(namedtuple("NefPartition",
+                              "delta fan parts section_polytopes")):
+    """A reflexive polytope ``delta`` with its normal fan ``fan``, a nef ray
+    partition ``parts`` (a tuple of sorted ray-index tuples) and the
+    derived ``section_polytopes`` (in the order of the parts).
 
     The Batyrev-Borisov dual (``dual``), the Euler characteristic and
     h-vector of the MPCP side (``toric_numbers``), the polar dual
@@ -49,11 +51,6 @@ class NefPartition:
     use the four fields only.  The MPCP layer reads the one ``polar``:
     ``toric_numbers`` counts its lattice points in dimension n <=
     COUNT_DIM and reads the MPCP fan over it above."""
-
-    delta: object
-    fan: object            # normal fan of delta
-    parts: tuple           # tuple of sorted ray-index tuples
-    section_polytopes: tuple
 
     @property
     def r(self):

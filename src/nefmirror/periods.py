@@ -18,12 +18,14 @@ writes: the Euler and symmetry operators are built by ``make_operator``
 and rendered by ``serialize_operator``, and each box line d(p_i) - d(p_j),
 nearly all of a large system, is joined from the pairs' labels with no
 operator built.  ``parse_operators`` reads the text back as
-``DiffOperator``s in the same normal form.
+``DiffOperator``s in the same normal form.  ``GKZData``, ``CoeffVar``,
+``DiffTerm`` and ``DiffOperator`` are immutable named tuples with
+read-only fields.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -38,19 +40,16 @@ from .lattice import lattice_points
 # GKZ data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GKZData:
-    """Integer matrix A with fractional exponent beta.
+class GKZData(namedtuple("GKZData", "A beta column_groups")):
+    """Integer matrix A (a tuple of row tuples) with fractional exponent
+    beta (Fractions, length r + n).
 
     Rows 1..r are the group indicator block, rows r+1..r+n the lattice
     coordinates; every column is (e_i, p) for p a lattice point of the
-    group-i polytope, with 0 first and the rest lexicographic.  The
-    integer kernel basis of A is computed on its first read: no output
+    group-i polytope, with 0 first and the rest lexicographic, and
+    ``column_groups`` lists them as ((group index, lattice point), ...).
+    The integer kernel basis of A is computed on its first read: no output
     prints it, and, a function of A, it takes no part in equality."""
-
-    A: tuple            # tuple of row tuples
-    beta: tuple         # Fractions, length r + n
-    column_groups: tuple  # ((group index, lattice point), ...)
 
     @cached_property
     def kernel_basis(self):
@@ -138,34 +137,29 @@ def gkz_equal_up_to_group_permutation(data, a_matrix, beta):
 # tautological systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoeffVar:
-    """A coefficient variable of one bundle's general section."""
+class CoeffVar(namedtuple("CoeffVar", "label bundle monomial")):
+    """A coefficient variable of one bundle's general section: ``bundle``
+    is a 0-based index into the degree list and ``monomial`` an exponent
+    vector over the homogeneous coordinates."""
 
-    label: str
-    bundle: int          # 0-based index into the degree list
-    monomial: tuple      # exponent vector over homogeneous coordinates
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiffTerm:
+class DiffTerm(namedtuple("DiffTerm", "coeff derivs multiplier")):
     """coeff * multiplier * d(derivs...); coeff is an int when integral and
-    a Fraction otherwise."""
+    a Fraction otherwise, derivs are sorted labels (order <= 2) and the
+    multiplier is a variable label or ""."""
 
-    coeff: int | Fraction
-    derivs: tuple        # sorted labels, order <= 2
-    multiplier: str       # variable label or ""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiffOperator:
+class DiffOperator(namedtuple("DiffOperator", "terms constant")):
     """Sum of terms plus a constant; terms are canonically sorted,
     nonzero and distinct in (derivs, multiplier), so equality is
     syntactic equality of normal forms.  Like the
     coefficients, the constant is an int when integral."""
 
-    terms: tuple
-    constant: int | Fraction
+    __slots__ = ()
 
     def negated(self):
         return DiffOperator(
@@ -262,9 +256,11 @@ def _box_buckets(variables):
     ``variables`` is ordered by bundle, so v1.bundle <= v2.bundle and the
     flat key sorts as (bundle multiset, monomial)."""
     buckets = {}
-    for v1, v2 in combinations_with_replacement(variables, 2):
-        key = (v1.bundle, v2.bundle, *map(add, v1.monomial, v2.monomial))
-        a, b = v1.label, v2.label
+    # plain (label, bundle, monomial) tuples: over the n^2 / 2 pairs,
+    # unpacking them costs less than reading six named fields
+    pairs = combinations_with_replacement(map(tuple, variables), 2)
+    for (a, i, m1), (b, j, m2) in pairs:
+        key = (i, j, *map(add, m1, m2))
         buckets.setdefault(key, []).append((a, b) if a <= b else (b, a))
     for key in sorted(buckets):
         yield sorted(buckets[key])

@@ -7,7 +7,9 @@ from the MPCP fan over P°'s boundary triangulation.  Section
 polytopes are taken only of nef divisors on complete fans, where one is
 the hull of the divisor's Cartier data (``nef_polytope``), and
 ``is_nef_polytope`` tests that hull against a polytope without building
-it.
+it.  ``Fan``, ``ToricDivisor`` and ``CartierData`` are immutable named
+tuples with read-only fields; a ``ToricDivisor`` checks its coefficients
+when it is made.
 
 Sign convention: a divisor D = sum a_rho D_rho has polytope
 ``{m : <m, rho> >= -a_rho}`` and support function ``psi(u) = min_{m in
@@ -17,7 +19,7 @@ on the rays of sigma.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import comb
 
@@ -45,14 +47,11 @@ from .lattice import (
 # fans
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(namedtuple("Fan", "ambient_dim rays max_cones")):
     """A fan given by primitive rays (lex-sorted) and maximal cones as
     ray-index tuples.  Lower-dimensional cones are derived on demand."""
 
-    ambient_dim: int
-    rays: tuple
-    max_cones: tuple
+    __slots__ = ()
 
     def cone_rays(self, cone):
         return tuple(self.rays[i] for i in cone)
@@ -62,27 +61,25 @@ class Fan:
                 f"max_cones={len(self.max_cones)})")
 
 
-@dataclass(frozen=True)
-class ToricDivisor:
+class ToricDivisor(namedtuple("ToricDivisor", "fan coeffs")):
     """Torus-invariant divisor sum a_rho D_rho; coefficients follow the
     fan's canonical ray order and must be ints."""
 
-    fan: Fan
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        integer_vector(self.coeffs)
-        if len(self.coeffs) != len(self.fan.rays):
+    def __new__(cls, fan, coeffs):
+        integer_vector(coeffs)
+        if len(coeffs) != len(fan.rays):
             raise InputError("divisor needs one coefficient per ray")
+        return super().__new__(cls, fan, coeffs)
 
 
-@dataclass(frozen=True)
-class CartierData:
+class CartierData(namedtuple("CartierData", "divisor per_cone")):
     """Per-maximal-cone linear functionals m_sigma representing a divisor's
-    support function: <m_sigma, rho> = -a_rho on the rays of sigma."""
+    support function: <m_sigma, rho> = -a_rho on the rays of sigma.
+    ``per_cone`` is aligned with ``divisor.fan.max_cones``."""
 
-    divisor: ToricDivisor
-    per_cone: tuple  # aligned with divisor.fan.max_cones
+    __slots__ = ()
 
 
 def make_fan(rays, max_cones):

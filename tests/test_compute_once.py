@@ -375,16 +375,17 @@ def test_convex_hull_finds_each_affine_basis_once(monkeypatch, points,
 
 
 def record_inits(monkeypatch, cls):
-    """A list that gets every instance of ``cls`` as its ``__init__``
+    """A list that gets every instance of ``cls`` as its ``__new__``
     returns."""
     built = []
-    init = cls.__init__
+    new = cls.__new__
 
-    def recording(self, *args):
-        init(self, *args)
+    def recording(cls, *args):
+        self = new(cls, *args)
         built.append(self)
+        return self
 
-    monkeypatch.setattr(cls, "__init__", recording)
+    monkeypatch.setattr(cls, "__new__", recording)
     return built
 
 

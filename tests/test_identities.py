@@ -16,7 +16,6 @@ site is reached only by ``catalog``, which dualizes the entry first, and
 the dropped section polytope of that row breaks the polar identity there.
 """
 import ast
-import dataclasses
 import json
 from pathlib import Path
 
@@ -88,22 +87,21 @@ def _with_built(monkeypatch, change):
 @pytest.fixture
 def pulled_cells_flattened(monkeypatch):
     # each cell reports one dimension less than it spans
-    _while_pulling(monkeypatch, lambda h: dataclasses.replace(h, dim=h.dim - 1))
+    _while_pulling(monkeypatch, lambda h: h._replace(dim=h.dim - 1))
 
 
 @pytest.fixture
 def pulled_cells_grown(monkeypatch):
     # each facet of a cell moves out by one lattice step, so a pulled point
     # lies on none of them and cones that are no simplices remain
-    _while_pulling(monkeypatch, lambda h: dataclasses.replace(
-        h, facets=tuple((n, c + 1) for n, c in h.facets)))
+    _while_pulling(monkeypatch, lambda h: h._replace(
+        facets=tuple((n, c + 1) for n, c in h.facets)))
 
 
 @pytest.fixture
 def pulled_cells_lose_a_facet(monkeypatch):
     # the cones over a cell's last facet are never made
-    _while_pulling(monkeypatch,
-                   lambda h: dataclasses.replace(h, facets=h.facets[:-1]))
+    _while_pulling(monkeypatch, lambda h: h._replace(facets=h.facets[:-1]))
 
 
 @pytest.fixture
@@ -134,8 +132,8 @@ def contracted_rays_negated(monkeypatch):
 
     def negated(polytope):
         fan = fan_of(polytope)
-        return dataclasses.replace(
-            fan, rays=tuple(tuple(-x for x in ray) for ray in fan.rays))
+        return fan._replace(
+            rays=tuple(tuple(-x for x in ray) for ray in fan.rays))
 
     monkeypatch.setattr(toric, "normal_fan", negated)
 

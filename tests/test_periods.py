@@ -1,7 +1,6 @@
 """GKZ data and tautological PDE systems."""
 import hashlib
 import tracemalloc
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 
@@ -482,9 +481,9 @@ def test_direct_term_matches_make_operator(term):
 def test_every_field_is_frozen(obj, fields):
     before = repr(obj)
     for name in fields:
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(obj, name, getattr(obj, name))
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             delattr(obj, name)
     assert repr(obj) == before
 
