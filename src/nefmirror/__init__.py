@@ -27,7 +27,6 @@ from .lattice import (
     lattice_points,
     make_cone,
     maximal_boundary_triangulation,
-    minkowski_sum,
     polar_dual,
 )
 from .toric import (
@@ -84,7 +83,7 @@ __all__ = [
     "ConsistencyError", "GoldenMismatchError",
     "LatticePolytope", "Cone", "Triangulation",
     "convex_hull", "polar_dual", "is_reflexive", "lattice_points",
-    "minkowski_sum", "cayley_pyramid",
+    "cayley_pyramid",
     "dual_cone", "make_cone", "maximal_boundary_triangulation",
     "Fan", "ToricDivisor", "CartierData",
     "make_fan", "normal_fan", "mpcp_fan", "is_smooth", "is_complete",

@@ -3,13 +3,14 @@
 Points, normals and offsets are ints and int tuples, and every predicate
 is exact.  Every polytope and cone is integral by construction:
 :func:`convex_hull` and :func:`make_cone` refuse any other coordinate
-(:func:`integer_vector`), and the polar dual is taken only of a reflexive
-polytope.  The hull reads the inner normals of its first simplex's
-facets from the columns of one scaled inverse of its edge matrix, grows
-every later facet from a horizon ridge as an integer combination of the
-two facets that meet there, and reads vertices from facet incidence; the
-pulling test is cross-multiplied.  Polytopes are built exclusively
-through :func:`convex_hull`, which produces an irredundant V- and
+(:func:`integer_vector`), the polar dual is taken only of a reflexive
+polytope, and no Minkowski sum is hulled (:func:`is_minkowski_sum`).
+The hull reads the inner normals of its first simplex's facets from the
+columns of one scaled inverse of its edge matrix, grows every later
+facet from a horizon ridge as an integer combination of the two facets
+that meet there, and reads vertices from facet incidence; the pulling
+test is cross-multiplied.  Polytopes are built exclusively through
+:func:`convex_hull`, which produces an irredundant V- and
 H-representation and a triangulation of the boundary.  The normalized
 volume is summed from that triangulation on first read (most hulls are
 never asked for it), measured in the polytope's affine span against the
@@ -346,20 +347,26 @@ def _scan_lattice_points(polytope):
     return out
 
 
-def minkowski_sum(p, q):
-    """Minkowski sum, as the hull of pairwise vertex sums."""
-    if p.ambient_dim != q.ambient_dim:
-        raise InputError("Minkowski sum needs equal ambient dimensions")
-    sums = [tuple(a + b for a, b in zip(v, w))
-            for v in p.vertices for w in q.vertices]
-    return convex_hull(sums)
+def is_minkowski_sum(polys, polytope):
+    """P_1 + ... + P_k == ``polytope``, a full-dimensional one, read from
+    vertex lists with no hull.  With low(u) = sum_i min <P_i, u>, the sum
+    lies in the polytope iff low(n) >= -c on each facet (n, c); it then
+    holds a vertex w iff low(u_w) == <w, u_w>, as u_w, the sum of the
+    normals of the facets through w, is interior to w's normal cone."""
+    if polytope.dim != polytope.ambient_dim:
+        raise DomainError("is_minkowski_sum needs a full-dimensional polytope")
 
+    def low(u):
+        return sum(min(dot(v, u) for v in p.vertices) for p in polys)
 
-def minkowski_sum_all(polys):
-    total = polys[0]
-    for q in polys[1:]:
-        total = minkowski_sum(total, q)
-    return total
+    if any(low(n) < -c for n, c in polytope.facets):
+        return False
+    for w in polytope.vertices:
+        u = [sum(t) for t in zip(*[n for n, c in polytope.facets
+                                   if dot(w, n) == -c])]
+        if low(u) != dot(w, u):
+            return False
+    return True
 
 
 def cayley_pyramid(polys):

@@ -6,9 +6,10 @@ induces the Minkowski decomposition Delta = Delta_1 + ... + Delta_r into
 section polytopes.  The Batyrev-Borisov dual is again a NefPartition:
 its polytope is nabla = nabla_1 + ... + nabla_r with nabla_k =
 Conv({0} u I_k), reflexive with polar Conv(Delta_1, ..., Delta_r), and
-its section polytopes are the nabla_k.  Dualizing twice gives back the
-original value.  A NefPartition is an immutable named tuple of its four
-fields; what it derives on first read is kept beside them.
+its section polytopes are the nabla_k; nabla is read as that polar's
+polar.  Dualizing twice gives back the original value.  A NefPartition
+is an immutable named tuple of its four fields, and keeps beside them
+what it derives on first read.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from .lattice import (
     Cone,
     cayley_pyramid,
     convex_hull,
+    is_minkowski_sum,
     is_reflexive,
     json_int,
-    minkowski_sum_all,
     polar_dual,
 )
 from .toric import (
@@ -101,7 +102,7 @@ class NefPartition(namedtuple("NefPartition",
     @cached_property
     def sections_hull(self):
         """Conv(Delta_1, ..., Delta_r), the polar dual of the dual side's
-        polytope nabla."""
+        polytope nabla, which ``dualize`` builds as this hull's polar."""
         return convex_hull([v for p in self.section_polytopes for v in p.vertices])
 
     @cached_property
@@ -125,7 +126,8 @@ def part_divisor(fan, part):
 def build_nef_partition(polytope, parts):
     """Validate a ray partition on a reflexive polytope and compute the
     section polytopes.  Rejects empty and non-nef parts by name; the
-    Minkowski sum Delta_1 + ... + Delta_r = Delta is a theorem, checked."""
+    Minkowski sum Delta_1 + ... + Delta_r = Delta is a theorem, checked
+    with no hull."""
     if not is_reflexive(polytope):
         raise InputError("nef-partitions need a reflexive polytope")
     fan = normal_fan(polytope)  # complete: the polytope is full-dimensional
@@ -141,9 +143,9 @@ def build_nef_partition(polytope, parts):
             raise InputError(f"part {s} is empty")
     parts = tuple(tuple(sorted(part)) for part in parts)
     sections = _section_polytopes(fan, parts)
-    total = minkowski_sum_all(sections)
-    check("Minkowski sum Delta_1 + ... + Delta_r == Delta", total == polytope,
-          sum_vertices=total.vertices, delta_vertices=polytope.vertices)
+    check("Minkowski sum Delta_1 + ... + Delta_r == Delta",
+          is_minkowski_sum(sections, polytope), delta_vertices=polytope.vertices,
+          section_vertices=tuple(p.vertices for p in sections))
     return NefPartition(polytope, fan, parts, sections)
 
 
@@ -175,26 +177,27 @@ def _assign_rays_to_parts(rays, part_polytopes):
 def dualize(nef_partition):
     """Batyrev-Borisov dual nef-partition: nabla_k = Conv({0} u I_k),
     nabla = sum nabla_k, with the rays of nabla's normal fan assigned to
-    the Delta_k that contain them.  Checks reflexivity of nabla, the polar
-    identity nabla^dual = Conv(Delta_1,...,Delta_r), and that each dual
-    part is nef with section polytope nabla_k; all are theorems, checked
-    by ``errors.check``.
+    the Delta_k that contain them.  Checks that Conv(Delta_1, ..., Delta_r)
+    is reflexive, the polar identity nabla^dual = Conv(Delta_1, ...,
+    Delta_r), and that each dual part is nef with section polytope
+    nabla_k; all are theorems, checked by ``errors.check``.
 
-    No identity builds a hull of its own.  nabla is reflexive and its
-    facets are irredundant, so the vertices of its polar are exactly its
-    facet normals, compared with the kept hull of the Delta_i; each dual
-    part's Cartier data is tested against nabla_k by ``is_nef_polytope``."""
+    No identity builds a hull of its own.  nabla is read as the polar of
+    the held ``sections_hull``, so the polar identity is nabla = sum
+    nabla_k, decided by ``is_minkowski_sum``; each dual part's Cartier
+    data is tested against nabla_k by ``is_nef_polytope``."""
     np_ = nef_partition
     fan = np_.fan
     zero = tuple(0 for _ in range(np_.dim))
     nabla_parts = tuple(convex_hull([zero] + [fan.rays[i] for i in part])
                         for part in np_.parts)
-    nabla = minkowski_sum_all(nabla_parts)
-    check("nabla = nabla_1 + ... + nabla_r is reflexive", is_reflexive(nabla),
-          nabla_vertices=nabla.vertices)
-    polar, hull = tuple(sorted(n for n, _ in nabla.facets)), np_.sections_hull
+    hull = np_.sections_hull
+    check("Conv(Delta_1, ..., Delta_r) is reflexive", is_reflexive(hull),
+          sections_hull=hull.vertices)
+    nabla = polar_dual(hull)
     check("polar identity polar(nabla) == Conv(Delta_1, ..., Delta_r)",
-          polar == hull.vertices, polar=polar, sections_hull=hull.vertices)
+          is_minkowski_sum(nabla_parts, nabla), nabla_vertices=nabla.vertices,
+          nabla_part_vertices=tuple(p.vertices for p in nabla_parts))
 
     dual_fan = normal_fan(nabla)
     assignment = _assign_rays_to_parts(dual_fan.rays, np_.section_polytopes)
@@ -204,8 +207,7 @@ def dualize(nef_partition):
         check("dual part F_k is nef with nef_polytope(F_k) == nabla_k",
               is_nef_polytope(part_divisor(dual_fan, part), part_poly), k=k)
     dual = NefPartition(nabla, dual_fan, dual_parts, nabla_parts)
-    # the polar identity above: nabla's polar is the hull this side holds
-    vars(dual)["polar"] = np_.sections_hull
+    vars(dual)["polar"] = hull  # polar_dual is an involution
     return dual
 
 

@@ -73,6 +73,10 @@ class ToricDivisor(namedtuple("ToricDivisor", "fan coeffs")):
             raise InputError("divisor needs one coefficient per ray")
         return super().__new__(cls, fan, coeffs)
 
+    @classmethod
+    def _make(cls, iterable):  # _replace calls it: both check as __new__ does
+        return cls(*iterable)
+
 
 class CartierData(namedtuple("CartierData", "divisor per_cone")):
     """Per-maximal-cone linear functionals m_sigma representing a divisor's

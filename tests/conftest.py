@@ -9,7 +9,9 @@ pulling reference keeps the ray-shooting form, in Fraction arithmetic, of
 the package's cross-multiplied integer test.  The Cayley references build
 the Cayley pyramid in two hulls (the Cayley polytope, then the pyramid
 over it) and the S-polytope from lattice points, apart from the package's
-single hull.  ``complete_by_hrep`` decides completeness from every
+single hull.  ``minkowski_sum`` hulls the pairwise vertex sums, apart
+from the package's support-function test ``is_minkowski_sum``.
+``complete_by_hrep`` decides completeness from every
 cone's ``cone_hrep``, apart from the package's scaled inverse on
 simplicial cones.  ``box_lattice_points`` tests every point of the
 bounding box, apart from the package's scan, which narrows the last
@@ -329,6 +331,21 @@ def face_fan(polytope):
     cones = [tuple(index[v] for v in polytope.vertices if dot(v, n) == -c)
              for n, c in polytope.facets]
     return make_fan(rays, cones)
+
+
+def minkowski_sum(p, q):
+    """Minkowski sum, as the hull of pairwise vertex sums."""
+    if p.ambient_dim != q.ambient_dim:
+        raise InputError("Minkowski sum needs equal ambient dimensions")
+    return convex_hull([tuple(a + b for a, b in zip(v, w))
+                        for v in p.vertices for w in q.vertices])
+
+
+def minkowski_sum_all(polys):
+    total = polys[0]
+    for q in polys[1:]:
+        total = minkowski_sum(total, q)
+    return total
 
 
 def cayley_points(polys):

@@ -2,7 +2,8 @@
 once, from the lattice-point count of its polar in dimension n <= 3,
 where a catalog run builds no MPCP fan and no boundary triangulation,
 and from one MPCP fan over that polar above; only the primal side hulls
-its polar, ``dualize`` builds nabla's normal fan and Minkowski sum once,
+its polar, ``dualize`` reads nabla as the polar of the sections hull
+and builds its normal fan once, hulling only the nabla_k besides,
 each MPCP side tests its smoothness once, each catalog check or
 ``invariants`` command computes the double-cover invariants once, a
 non-smooth pair is refused by the dual side before the primal side
@@ -11,8 +12,8 @@ pyramid once, a catalog run tests each fan's completeness once and, its
 fans all simplicial, builds no ``cone_hrep`` hull for it, a hull finds
 the affine basis of each point set once and sums its volume only at the
 first read, each section polytope is read from Cartier data solved once
-per divisor, ``dualize`` checks its identities with neither
-``polar_dual`` nor ``nef_polytope``, the Gorenstein cone duality check
+per divisor, ``dualize`` checks its identities with no hull of their
+own and no ``nef_polytope``, the Gorenstein cone duality check
 hulls no Cayley pyramid of the dual side, a maximal boundary
 triangulation pulls each distinct facet configuration once and takes no
 determinant, serializing operators renders each operator once and
@@ -139,14 +140,16 @@ def test_cone_duality_and_primal_gkz_build_no_mpcp_fan(calls):
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
 def test_dualize_builds_the_dual_once(monkeypatch, name):
-    # nabla's normal fan and the Minkowski sum of the nabla_k are built
-    # once, and the dual NefPartition is assembled from them rather than
-    # rebuilt by build_nef_partition
+    # nabla is the polar of the sections hull the side holds, and its
+    # normal fan is built once; the dual NefPartition is assembled from
+    # them rather than rebuilt by build_nef_partition, and its polar is
+    # that hull
     np_ = find_entry(name).build()
-    counts = count_calls(monkeypatch, (normal_fan, lattice.minkowski_sum_all,
+    counts = count_calls(monkeypatch, (normal_fan, lattice.polar_dual,
                                        nefpart.build_nef_partition))
-    dualize(np_)
-    assert counts == {"normal_fan": 1, "minkowski_sum_all": 1}
+    dual = dualize(np_)
+    assert counts == {"normal_fan": 1, "polar_dual": 1}
+    assert dual.polar is np_.sections_hull
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)
@@ -228,12 +231,20 @@ def test_non_smooth_pair_is_refused_before_the_primal_side(monkeypatch):
 @pytest.mark.parametrize("name", ENTRY_NAMES)
 def test_dualize_checks_its_identities_with_no_hull_of_their_own(monkeypatch,
                                                                 name):
-    # the polar identity reads nabla's facet normals, and each dual section
-    # is tested against nabla_k from its Cartier data
+    # dualize hulls the r nabla_k and nabla, the polar of the sections
+    # hull, and no Minkowski sum: the polar identity nabla = sum nabla_k
+    # reads their vertex lists, and each dual section is tested against
+    # nabla_k from its Cartier data
     np_ = find_entry(name).build()
-    counts = count_calls(monkeypatch, (lattice.polar_dual, toric.nef_polytope))
+    sections_hull = np_.sections_hull
+    counts = count_calls(monkeypatch, (toric.nef_polytope,))
+    hulled = recorded_hulls(monkeypatch)
     dualize(np_)
     assert not counts
+    zero = (0,) * np_.dim
+    assert hulled == [{zero, *(np_.fan.rays[i] for i in part)}
+                      for part in np_.parts] + \
+        [{normal for normal, _ in sections_hull.facets}]
 
 
 @pytest.mark.parametrize("name", ENTRY_NAMES)

@@ -28,6 +28,8 @@ from conftest import (
     cone_contains,
     elementary_product,
     in_convex_hull_oracle,
+    minkowski_sum,
+    minkowski_sum_all,
     random_lattice_polygon,
     pyramid,
     random_reflexive_polygon,
@@ -50,11 +52,11 @@ from nefmirror.lattice import (
     cayley_pyramid,
     convex_hull,
     dual_cone,
+    is_minkowski_sum,
     is_reflexive,
     lattice_points,
     make_cone,
     maximal_boundary_triangulation,
-    minkowski_sum,
     polar_dual,
     pulling_triangulation,
 )
@@ -584,29 +586,38 @@ def test_pick_property_random_polygons():
 
 
 # ---------------------------------------------------------------------------
-# minkowski_sum
+# is_minkowski_sum, against the hull of vertex sums (conftest.minkowski_sum)
 # ---------------------------------------------------------------------------
+
+SQUARE = convex_hull([(-1, -1), (-1, 1), (1, -1), (1, 1)])
+DIAMOND = convex_hull([(-1, 0), (1, 0), (0, -1), (0, 1)])
+P2_SECTIONS = [convex_hull([(0, 0), (-1, 0), (-1, 1)]),
+               convex_hull([(0, 0), (0, -1), (1, -1)]),
+               convex_hull(UNIT_TRIANGLE)]
+
 
 def test_minkowski_hexagon_decomposition():
     parts = [convex_hull([(0, 0), (1, 0)]),
              convex_hull([(0, 0), (0, 1)]),
              convex_hull([(0, 0), (-1, -1)])]
-    total = minkowski_sum(minkowski_sum(parts[0], parts[1]), parts[2])
-    assert total == convex_hull(HEX_NABLA)
+    hexagon = convex_hull(HEX_NABLA)
+    assert minkowski_sum(minkowski_sum(parts[0], parts[1]), parts[2]) == hexagon
+    assert is_minkowski_sum(parts, hexagon)
 
 
 def test_minkowski_identity():
     poly = convex_hull(P2_DELTA)
     origin = convex_hull([(0, 0)])
     assert minkowski_sum(poly, origin) == poly
+    assert is_minkowski_sum([poly, origin], poly)
+    assert is_minkowski_sum([poly], poly)
 
 
 def test_minkowski_section_polytopes():
-    t1 = convex_hull([(0, 0), (-1, 0), (-1, 1)])
-    t2 = convex_hull([(0, 0), (0, -1), (1, -1)])
-    t3 = convex_hull(UNIT_TRIANGLE)
-    total = minkowski_sum(minkowski_sum(t1, t2), t3)
-    assert total == convex_hull(P2_DELTA)
+    t1, t2, t3 = P2_SECTIONS
+    delta = convex_hull(P2_DELTA)
+    assert minkowski_sum(minkowski_sum(t1, t2), t3) == delta
+    assert is_minkowski_sum(P2_SECTIONS, delta)
 
 
 def test_minkowski_commutative_associative():
@@ -616,6 +627,66 @@ def test_minkowski_commutative_associative():
     assert minkowski_sum(a, b) == minkowski_sum(b, a)
     assert minkowski_sum(minkowski_sum(a, b), c) == \
         minkowski_sum(a, minkowski_sum(b, c))
+    total = minkowski_sum_all(polys)
+    assert is_minkowski_sum([c, a, b], total)
+
+
+@pytest.mark.parametrize("polys, polytope", [
+    # the diamond's support values on the square's facet normals are the
+    # square's own: only the vertex test tells the two apart
+    ([DIAMOND], SQUARE),
+    # the sum lies strictly inside
+    ([DIAMOND], convex_hull([(-2, 0), (2, 0), (0, -2), (0, 2)])),
+    # the square holds the diamond's vertices at the diamond's support
+    # values: only the facet test tells the two apart
+    ([SQUARE], DIAMOND),
+    # a dropped summand
+    (P2_SECTIONS[:2], convex_hull(P2_DELTA)),
+    # a translated summand
+    (P2_SECTIONS[:2] + [convex_hull([(1, 0), (2, 0), (1, 1)])],
+     convex_hull(P2_DELTA)),
+    # a lower-dimensional sum in a full-dimensional polytope
+    ([convex_hull([(-1, 0), (1, 0)])], SQUARE),
+], ids=["diamond-in-square", "diamond-in-larger-diamond", "square-over-diamond",
+        "dropped-summand", "translated-summand", "segment-in-square"])
+def test_is_minkowski_sum_rejects(polys, polytope):
+    assert minkowski_sum_all(polys) != polytope
+    assert not is_minkowski_sum(polys, polytope)
+
+
+def test_is_minkowski_sum_takes_lower_dimensional_summands():
+    # a square as the sum of two segments, and a cube of three
+    assert is_minkowski_sum([convex_hull([(-1, 0), (1, 0)]),
+                             convex_hull([(0, -1), (0, 1)])], SQUARE)
+    cube = convex_hull(list(product((0, 1), repeat=3)))
+    axes = [convex_hull([(0, 0, 0), e])
+            for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    assert is_minkowski_sum(axes, cube)
+    assert not is_minkowski_sum(axes[:2], cube)
+
+
+def test_is_minkowski_sum_needs_a_full_dimensional_polytope():
+    with pytest.raises(DomainError, match="full-dimensional"):
+        is_minkowski_sum([convex_hull([(0, 0)])], convex_hull([(0, 0), (1, 0)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cayley_factors(), st.data())
+def test_is_minkowski_sum_agrees_with_the_hull_of_vertex_sums(polys, data):
+    # dims 1-3, 1-3 summands, points and segments among them; the targets
+    # are the sum itself, the sum with one vertex dropped or one point
+    # added, and a random full-dimensional polytope
+    total = minkowski_sum_all(polys)
+    d = total.ambient_dim
+    point = st.tuples(*[st.integers(-4, 4)] * d)
+    targets = [total, convex_hull(total.vertices[1:] or total.vertices),
+               convex_hull(list(total.vertices) + [data.draw(point)]),
+               convex_hull(data.draw(st.lists(point, min_size=d + 1,
+                                              max_size=d + 3)))]
+    full = [t for t in targets if t.dim == d]
+    assume(full)
+    for target in full:
+        assert is_minkowski_sum(polys, target) == (target == total)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from conftest import (
     HEX_NABLA,
     P2_DELTA,
     cayley_points,
+    minkowski_sum_all,
     random_nef_partition,
     random_reflexive_polygon,
     s_polytope,
@@ -20,7 +21,6 @@ from nefmirror.lattice import (
     dual_cone,
     lattice_points,
     make_cone,
-    minkowski_sum_all,
     polar_dual,
 )
 from nefmirror.nefpart import (
@@ -127,9 +127,11 @@ def test_dual_minkowski_reconstruction():
 
 @pytest.mark.parametrize("name", sorted(CATALOG_PARTITIONS))
 def test_polar_of_nabla_is_read_from_its_facet_normals(name):
-    # the identity dualize checks with no hull, against the hull route
+    # dualize reads nabla as the polar of the sections hull and checks it
+    # against the nabla_k with no hull; here against the hull route
     np_ = CATALOG_PARTITIONS[name]
     nabla = np_.dual.delta
+    assert minkowski_sum_all(list(np_.dual.section_polytopes)) == nabla
     assert polar_dual(nabla) == np_.sections_hull
     assert tuple(n for n, _ in nabla.facets) == polar_dual(nabla).vertices
 

@@ -85,6 +85,20 @@ def test_toric_divisor_refuses_malformed_coefficients(coeffs):
         ToricDivisor(normal_fan(convex_hull(P2_DELTA)), coeffs)
 
 
+@pytest.mark.parametrize("coeffs", [(1, 0), (1, 0.5, 0)],
+                         ids=["wrong-count", "non-int"])
+@pytest.mark.parametrize("rebuild", [
+    lambda divisor, coeffs: divisor._replace(coeffs=coeffs),
+    lambda divisor, coeffs: ToricDivisor._make((divisor.fan, coeffs)),
+], ids=["_replace", "_make"])
+def test_toric_divisor_replace_and_make_check_as_the_constructor(rebuild,
+                                                                 coeffs):
+    divisor = anticanonical(normal_fan(convex_hull(P2_DELTA)))
+    with pytest.raises(InputError):
+        rebuild(divisor, coeffs)
+    assert rebuild(divisor, (1, 2, 3)) == ToricDivisor(divisor.fan, (1, 2, 3))
+
+
 @pytest.mark.parametrize("build, attribute, module, function", [
     (lambda: convex_hull(P2_DELTA), "nvolume", lattice, "det"),
     (lambda: find_entry("p2-(3)(12)").build(), "dual", nefpart, "dualize"),
